@@ -1,7 +1,14 @@
 """Similarity graphs and the graph-regularized coefficient update.
 
 The graph term lambda * ||S - V V^T||_F^2 on a degree-normalized similarity
-graph softly couples the coefficient rows of neighboring samples. Its
+graph softly couples the coefficient rows of neighboring samples. A k-nearest-
+neighbor graph has O(n k) edges, so S is stored as a scipy CSR array and no
+n x n matrix is ever formed: the neighbor search runs over blocks of rows, and
+the penalty is evaluated in its expanded form
+
+    ||S - V V^T||_F^2 = ||S||_F^2 - 2 sum((S V) o V) + ||V^T V||_F^2,
+
+clamped at zero against cancellation when V V^T is close to S. The
 multiplicative update absorbs the orthogonality multiplier through the split
 
     L5 = V^T Q X^T U + 2 lambda V^T S V - V^T Q V U^T U = L5+ - L5-,
@@ -15,43 +22,54 @@ both parts elementwise nonnegative, giving
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_array, issparse
 
 from .core import DELTA, DataMatrix, FactorPair, ResidualWeights, _check_finite
 from .errors import InputError
 
+# Rows of the distance matrix held at once by the neighbor search: a block
+# is BLOCK_ROWS x n, never n x n.
+BLOCK_ROWS = 256
+
 
 @dataclass(frozen=True)
 class SimilarityGraph:
-    """Symmetric nonnegative n x n affinity, optionally degree-normalized."""
+    """Symmetric nonnegative n x n affinity in CSR form, optionally degree-normalized.
 
-    S: np.ndarray
+    S may be given as a dense array or any scipy sparse matrix; it is stored
+    as a float `scipy.sparse.csr_array`.
+    """
+
+    S: csr_array
     normalized: bool = False
     k: int = 0
+    sq_norm: float = field(init=False, repr=False)  # ||S||_F^2
 
     def __post_init__(self):
-        S = np.asarray(self.S, dtype=float)
-        object.__setattr__(self, "S", S)
+        S = self.S if issparse(self.S) else np.asarray(self.S, dtype=float)
         if S.ndim != 2 or S.shape[0] != S.shape[1]:
             raise InputError(f"similarity graph must be square, got shape {S.shape}")
-        if not np.array_equal(S, S.T):
+        S = csr_array(S, dtype=float)
+        S.sum_duplicates()
+        object.__setattr__(self, "S", S)
+        if (S != S.T).nnz:
             raise InputError("similarity graph must be exactly symmetric")
-        if S.min() < 0:
+        if S.nnz and S.data.min() < 0:
             raise InputError("similarity graph must be nonnegative")
+        object.__setattr__(self, "sq_norm", float(S.data @ S.data))
 
     @property
     def n(self) -> int:
         return self.S.shape[0]
 
-
-@dataclass(frozen=True)
-class MultiplierSplit:
-    """Nonnegative parts of the orthogonality multiplier, L5 = plus - minus."""
-
-    lambda_minus: np.ndarray
-    lambda_plus: np.ndarray
+    def penalty(self, V: np.ndarray) -> float:
+        """||S - V V^T||_F^2 in the expanded form, without an n x n temporary."""
+        G = V.T @ V
+        value = self.sq_norm - 2.0 * float(np.sum((self.S @ V) * V)) + float(np.sum(G * G))
+        return max(value, 0.0)
 
 
 def knn_graph(X: DataMatrix, k: int) -> SimilarityGraph:
@@ -66,51 +84,51 @@ def knn_graph(X: DataMatrix, k: int) -> SimilarityGraph:
         raise InputError(f"neighbor count {k} outside [1, {n - 1}]")
     P = X.values
     sq = np.sum(P * P, axis=0)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (P.T @ P)
-    d2 = 0.5 * (d2 + d2.T)  # restore exact symmetry lost to rounding
-    np.fill_diagonal(d2, np.inf)
-    order = np.argsort(d2, axis=1, kind="stable")
-    A = np.zeros((n, n))
-    rows = np.repeat(np.arange(n), k)
-    A[rows, order[:, :k].ravel()] = 1.0
-    return SimilarityGraph(S=np.maximum(A, A.T), normalized=False, k=k)
+    rows, cols = [], []
+    for start in range(0, n, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, n)
+        # (sq_i + sq_j) - 2 p_i.p_j, rounded as the dense formula was
+        G = P[:, start:stop].T @ P
+        G *= 2.0
+        d2 = np.add.outer(sq[start:stop], sq)
+        d2 -= G
+        del G
+        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        # keep every distance below the k-th smallest, then the lowest-index
+        # ties at it until the row has k neighbors
+        kth = np.partition(d2, k - 1, axis=1)[:, [k - 1]]
+        below = d2 < kth
+        tied = d2 == kth
+        del d2
+        room = k - np.sum(below, axis=1, keepdims=True)
+        keep = below | (tied & (np.cumsum(tied, axis=1) <= room))
+        r, c = np.nonzero(keep)
+        rows.append(r + start)
+        cols.append(c)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    A = csr_array((np.ones(rows.size), (rows, cols)), shape=(n, n))
+    return SimilarityGraph(S=A.maximum(A.T), normalized=False, k=k)
 
 
 def normalize_graph(graph: SimilarityGraph) -> SimilarityGraph:
     """Degree normalization S <- D^{-1/2} S D^{-1/2}.
 
+    Each stored entry S_ij is scaled by the product d_i^{-1/2} d_j^{-1/2},
+    which is the same for S_ji, so the result stays exactly symmetric.
     Isolated vertices (zero degree) keep their zero row and column instead of
     dividing by zero. The normalized flag guards against double application:
     an already-normalized graph is returned unchanged.
     """
     if graph.normalized:
         return graph
-    deg = np.sum(graph.S, axis=1)
+    S = graph.S
+    deg = S.sum(axis=1)
     with np.errstate(divide="ignore"):
         inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
-    S = graph.S * inv_sqrt[:, None] * inv_sqrt[None, :]
-    S = 0.5 * (S + S.T)
-    return SimilarityGraph(S=S, normalized=True, k=graph.k)
-
-
-def multiplier_split(
-    X: DataMatrix,
-    F: FactorPair,
-    w: ResidualWeights,
-    graph: SimilarityGraph,
-    lam: float,
-) -> MultiplierSplit:
-    """Whole-term split of the orthogonality multiplier (not entrywise)."""
-    if not graph.normalized:
-        raise InputError("graph must be normalized before the multiplier split")
-    if graph.n != X.n:
-        raise InputError(f"graph has {graph.n} vertices but data has {X.n} samples")
-    if lam < 0:
-        raise InputError(f"graph weight must be nonnegative, got {lam}")
-    q = w.q
-    minus = F.V.T @ (q[:, None] * (F.V @ (F.U.T @ F.U)))
-    plus = F.V.T @ (q[:, None] * (X.values.T @ F.U)) + 2.0 * lam * (F.V.T @ (graph.S @ F.V))
-    return MultiplierSplit(lambda_minus=minus, lambda_plus=plus)
+    rows = np.repeat(np.arange(graph.n), np.diff(S.indptr))
+    data = S.data * (inv_sqrt[rows] * inv_sqrt[S.indices])
+    scaled = csr_array((data, S.indices, S.indptr), shape=S.shape)
+    return SimilarityGraph(S=scaled, normalized=True, k=graph.k)
 
 
 def gemmf_update_coeff(

@@ -33,7 +33,6 @@ from .core import (
     column_norms,
     guarded_norms,
     residual_matrix,
-    trace_objective,
     update_basis,
     update_coeff,
 )
@@ -248,8 +247,7 @@ def fit_gemmf(X: DataMatrix, graph: SimilarityGraph, cfg: SolverConfig,
     S = normalize_graph(graph)
 
     def objective_of(F):
-        penalty = float(np.linalg.norm(S.S - F.V @ F.V.T) ** 2)
-        return entropy_objective(X, F, eps) + cfg.lam * penalty
+        return entropy_objective(X, F, eps) + cfg.lam * S.penalty(F.V)
 
     def step(F):
         w = entropy_weights(residual_matrix(X, F), eps)

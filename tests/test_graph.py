@@ -1,23 +1,67 @@
 """Similarity graphs, degree normalization, and the graph-coupled V update."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 from entnmf import (
     DataMatrix,
     FactorPair,
     InputError,
     SimilarityGraph,
+    SolverConfig,
     entropy_weights,
+    fit_gemmf,
     gemmf_update_coeff,
+    init_factors,
     knn_graph,
-    multiplier_split,
     normalize_graph,
     residual_matrix,
 )
+from entnmf import graph as graph_module
 from entnmf.core import DELTA
 
 EPS = 1e-10
+
+
+def dense_knn_graph(P, k):
+    """The former dense n x n neighbor search, kept as the reference."""
+    n = P.shape[1]
+    sq = np.sum(P * P, axis=0)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (P.T @ P)
+    d2 = 0.5 * (d2 + d2.T)
+    np.fill_diagonal(d2, np.inf)
+    order = np.argsort(d2, axis=1, kind="stable")
+    A = np.zeros((n, n))
+    A[np.repeat(np.arange(n), k), order[:, :k].ravel()] = 1.0
+    return np.maximum(A, A.T)
+
+
+def dense_normalize(S):
+    """The former dense degree normalization, kept as the reference."""
+    deg = np.sum(S, axis=1)
+    with np.errstate(divide="ignore"):
+        inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
+    S = S * inv_sqrt[:, None] * inv_sqrt[None, :]
+    return 0.5 * (S + S.T)
+
+
+def multiplier_split(X, F, w, S, lam):
+    """Whole-term parts of the orthogonality multiplier, L5 = plus - minus."""
+    Q = np.diag(w.q)
+    minus = F.V.T @ Q @ F.V @ F.U.T @ F.U
+    plus = F.V.T @ Q @ X.values.T @ F.U + 2.0 * lam * F.V.T @ S @ F.V
+    return minus, plus
+
+
+def with_duplicate_columns(rng, P):
+    """Copy a third of the samples over others so that distances tie exactly."""
+    n = P.shape[1]
+    P = P.copy()
+    P[:, rng.integers(0, n, size=n // 3)] = P[:, rng.integers(0, n, size=n // 3)]
+    return P
 
 
 def graph_instance(seed, normalized=True):
@@ -45,6 +89,19 @@ class TestSimilarityGraph:
         with pytest.raises(InputError):
             SimilarityGraph(S=np.array([[0.0, -1.0], [-1.0, 0.0]]))
 
+    def test_stores_dense_and_sparse_input_as_the_same_csr_array(self):
+        dense = np.array([[0.0, 2.0, 0.0], [2.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        for given in (dense, sparse.coo_array(dense), sparse.csc_matrix(dense)):
+            g = SimilarityGraph(S=given)
+            assert isinstance(g.S, sparse.csr_array) and g.S.dtype == np.float64
+            assert g.S.nnz == 4
+            assert np.array_equal(g.S.toarray(), dense)
+            assert g.sq_norm == 10.0
+
+    def test_rejects_asymmetric_sparse_input(self):
+        with pytest.raises(InputError):
+            SimilarityGraph(S=sparse.coo_array(([1.0], ([0], [1])), shape=(2, 2)))
+
 
 class TestKnnGraph:
     def test_line_of_points_links_consecutive_neighbors(self):
@@ -59,12 +116,12 @@ class TestKnnGraph:
             ],
             dtype=float,
         )
-        assert np.array_equal(knn_graph(X, 1).S, expected)
+        assert np.array_equal(knn_graph(X, 1).S.toarray(), expected)
 
     def test_wider_neighborhoods_add_edges(self):
         X = DataMatrix(values=[[0.0, 1.0, 2.1, 10.0]])
-        S1 = knn_graph(X, 1).S
-        S2 = knn_graph(X, 2).S
+        S1 = knn_graph(X, 1).S.toarray()
+        S2 = knn_graph(X, 2).S.toarray()
         assert np.all(S2 >= S1)
         assert S2[0, 2] == 1.0  # 2.1 is the second-nearest to 0
 
@@ -74,13 +131,41 @@ class TestKnnGraph:
             X = DataMatrix(values=rng.random((4, 12)))
             k = int(rng.integers(1, 6))
             g = knn_graph(X, k)
+            S = g.S.toarray()
             assert g.k == k and not g.normalized
-            assert np.array_equal(g.S, g.S.T)
-            assert set(np.unique(g.S)) <= {0.0, 1.0}
-            assert np.all(np.diag(g.S) == 0)
+            assert np.array_equal(S, S.T)
+            assert set(np.unique(S)) <= {0.0, 1.0}
+            assert np.all(np.diag(S) == 0)
             # every vertex names k neighbors, so degrees are at least k
-            assert np.all(g.S.sum(axis=1) >= k)
-            assert np.array_equal(g.S, knn_graph(X, k).S)
+            assert np.all(S.sum(axis=1) >= k)
+            assert np.array_equal(S, knn_graph(X, k).S.toarray())
+
+    def test_matches_the_dense_oracle_including_ties(self):
+        for seed in range(25):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(8, 40))
+            P = with_duplicate_columns(rng, rng.random((int(rng.integers(1, 6)), n)))
+            for k in range(1, 7):
+                g = knn_graph(DataMatrix(values=P), k)
+                assert np.array_equal(g.S.toarray(), dense_knn_graph(P, k)), (seed, k)
+
+    def test_row_blocks_match_the_dense_oracle(self, monkeypatch):
+        # quarter-integer coordinates make every distance exact, so ties
+        # across blocks are exact too and the neighbor sets must agree
+        monkeypatch.setattr(graph_module, "BLOCK_ROWS", 5)
+        for seed in range(25):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(8, 40))
+            P = rng.integers(0, 5, size=(int(rng.integers(1, 6)), n)) / 4.0
+            for k in range(1, 7):
+                g = knn_graph(DataMatrix(values=P), k)
+                assert np.array_equal(g.S.toarray(), dense_knn_graph(P, k)), (seed, k)
+
+    def test_stores_only_the_edges(self):
+        rng = np.random.default_rng(0)
+        g = knn_graph(DataMatrix(values=rng.random((3, 300))), 4)
+        assert isinstance(g.S, sparse.csr_array)
+        assert 300 * 4 <= g.S.nnz <= 2 * 300 * 4
 
     def test_rejects_out_of_range_k(self):
         X = DataMatrix(values=np.ones((2, 4)))
@@ -105,8 +190,9 @@ class TestNormalizeGraph:
         S = np.zeros((3, 3))
         S[0, 1] = S[1, 0] = 1.0
         g = normalize_graph(SimilarityGraph(S=S))
-        assert g.S[0, 1] == 1.0
-        assert np.all(g.S[2] == 0) and np.all(g.S[:, 2] == 0)
+        S = g.S.toarray()
+        assert S[0, 1] == 1.0
+        assert np.all(S[2] == 0) and np.all(S[:, 2] == 0)
 
     def test_normalizing_twice_is_a_no_op(self):
         _, _, _, g = graph_instance(3, normalized=True)
@@ -116,33 +202,42 @@ class TestNormalizeGraph:
         _, _, _, g = graph_instance(4, normalized=False)
         assert normalize_graph(g).k == g.k
 
+    def test_matches_the_dense_formula(self):
+        for seed in range(25):
+            rng = np.random.default_rng(seed)
+            P = with_duplicate_columns(rng, rng.random((3, int(rng.integers(8, 40)))))
+            g = knn_graph(DataMatrix(values=P), int(rng.integers(1, 7)))
+            expected = dense_normalize(g.S.toarray())
+            assert np.array_equal(normalize_graph(g).S.toarray(), expected), seed
+
+    def test_weighted_graphs_stay_exactly_symmetric(self):
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            W = rng.random((15, 15)) * (rng.random((15, 15)) < 0.3)
+            W = np.triu(W, 1)
+            W = W + W.T
+            S = normalize_graph(SimilarityGraph(S=W)).S.toarray()
+            assert np.array_equal(S, S.T)
+            assert np.allclose(S, dense_normalize(W), rtol=1e-15, atol=0)
+
 
 class TestMultiplierSplit:
     def test_matches_direct_dense_formula(self):
+        # L5 = L5+ - L5- with both parts nonnegative, and the update is the
+        # ratio of the split's numerator and denominator terms
         for seed in range(20):
             X, F, w, g = graph_instance(seed)
             lam = float(seed % 4)
-            split = multiplier_split(X, F, w, g, lam)
+            S = g.S.toarray()
+            minus, plus = multiplier_split(X, F, w, S, lam)
+            assert minus.min() >= 0 and plus.min() >= 0
             Q = np.diag(w.q)
-            minus = F.V.T @ Q @ F.V @ F.U.T @ F.U
-            plus = F.V.T @ Q @ X.values.T @ F.U + 2.0 * lam * F.V.T @ g.S @ F.V
-            assert np.allclose(split.lambda_minus, minus, atol=1e-12)
-            assert np.allclose(split.lambda_plus, plus, atol=1e-12)
-            assert split.lambda_minus.min() >= 0
-            assert split.lambda_plus.min() >= 0
-
-    def test_requires_normalized_graph(self):
-        X, F, w, g = graph_instance(0, normalized=False)
-        with pytest.raises(InputError):
-            multiplier_split(X, F, w, g, 1.0)
-
-    def test_rejects_negative_weight_and_size_mismatch(self):
-        X, F, w, g = graph_instance(0)
-        with pytest.raises(InputError):
-            multiplier_split(X, F, w, g, -1.0)
-        small = normalize_graph(SimilarityGraph(S=np.zeros((3, 3))))
-        with pytest.raises(InputError):
-            multiplier_split(X, F, w, small, 1.0)
+            L5 = F.V.T @ (Q @ X.values.T @ F.U + 2.0 * lam * S @ F.V - Q @ F.V @ F.U.T @ F.U)
+            assert np.allclose(plus - minus, L5, atol=1e-12)
+            numer = Q @ X.values.T @ F.U + 2.0 * lam * S @ F.V + F.V @ minus
+            denom = Q @ F.V @ F.U.T @ F.U + F.V @ plus
+            expected = F.V * np.sqrt(numer / (denom + DELTA))
+            assert np.allclose(gemmf_update_coeff(X, F, w, g, lam), expected, atol=1e-12)
 
 
 class TestGemmfUpdate:
@@ -176,3 +271,27 @@ class TestGemmfUpdate:
         g = normalize_graph(g)
         with pytest.raises(InputError):
             gemmf_update_coeff(X, F, w, g, -2.0)
+
+    def test_rejects_negative_weight_and_size_mismatch(self):
+        X, F, w, g = graph_instance(0)
+        with pytest.raises(InputError):
+            gemmf_update_coeff(X, F, w, g, -1.0)
+        small = normalize_graph(SimilarityGraph(S=np.zeros((3, 3))))
+        with pytest.raises(InputError, match="graph"):
+            gemmf_update_coeff(X, F, w, small, 1.0)
+
+
+def test_graph_path_never_allocates_an_n_by_n_array():
+    """kNN build, normalization and one G-EMMF iteration at n=3000 peak
+    below a quarter of one dense n x n float64 array."""
+    n = 3000
+    X = DataMatrix(values=np.random.default_rng(0).random((20, n)))
+    F0 = init_factors(X, 3, seed=0)
+    tracemalloc.start()
+    try:
+        g = normalize_graph(knn_graph(X, 5))
+        fit_gemmf(X, g, SolverConfig(method="GEMMF", c=3, lam=1.0, max_iter=1), initial=F0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 4

@@ -7,6 +7,7 @@ from entnmf import (
     DataMatrix,
     FactorPair,
     InputError,
+    SimilarityGraph,
     SolverConfig,
     column_norms,
     default_epsilon,
@@ -26,6 +27,11 @@ from entnmf import (
     synth_random,
 )
 from entnmf.solvers import V_INIT_OFFSET
+
+
+def dense_penalty(S, V):
+    """The former dense graph penalty ||S - V V^T||_F^2, kept as the reference."""
+    return float(np.linalg.norm(S - V @ V.T) ** 2)
 
 
 class TestSolverConfig:
@@ -220,7 +226,7 @@ class TestGemmf:
         lam = 2.5
         F0 = init_factors(X, 2, seed=0)
         r = fit_gemmf(X, g, SolverConfig(method="GEMMF", c=2, lam=lam, max_iter=1), initial=F0)
-        S = normalize_graph(g).S
+        S = normalize_graph(g).S.toarray()
         eps = default_epsilon(X.values)
         expected = entropy_objective(X, F0, eps) + lam * np.linalg.norm(S - F0.V @ F0.V.T) ** 2
         assert r.trace.objective[0] == pytest.approx(expected, rel=1e-12)
@@ -239,6 +245,32 @@ class TestGemmf:
         assert not g.normalized
         r = fit_gemmf(X, g, SolverConfig(method="GEMMF", c=2, lam=1.0, max_iter=5))
         assert np.all(np.isfinite(r.trace.objective))
+
+    def test_penalty_matches_the_dense_oracle(self):
+        for seed in range(25):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(8, 60))
+            g = normalize_graph(knn_graph(synth_random(4, n, seed=seed), int(rng.integers(1, 7))))
+            V = rng.random((n, int(rng.integers(1, 5))))
+            assert g.penalty(V) == pytest.approx(dense_penalty(g.S.toarray(), V), rel=1e-12)
+
+    def test_penalty_survives_cancellation(self):
+        # normalized cliques with self-loops equal V V^T for V the block
+        # indicators over sqrt(block size); near that V the penalty is far
+        # below ||S||_F^2 and the expanded form cancels
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            sizes = rng.integers(2, 8, size=3)
+            labels = np.repeat(np.arange(3), sizes)
+            g = normalize_graph(SimilarityGraph(S=labels[:, None] == labels[None, :]))
+            V0 = (labels[:, None] == np.arange(3)) / np.sqrt(sizes)
+            for scale in (0.0, 1e-5):
+                V = V0 + scale * rng.random(V0.shape)
+                expected = dense_penalty(g.S.toarray(), V)
+                assert expected < 1e-6 * g.sq_norm
+                value = g.penalty(V)
+                assert value >= 0
+                assert abs(value - expected) <= 1e-12 * g.sq_norm
 
 
 class TestBaselines:
