@@ -10,7 +10,6 @@ from .core import (
     column_norms,
     guarded_norms,
     residual_matrix,
-    trace_objective,
     update_basis,
     update_coeff,
 )
@@ -54,9 +53,6 @@ from .solvers import (
     SolverConfig,
     extend_factors,
     fit,
-    fit_baseline,
-    fit_emmf,
-    fit_gemmf,
     init_factors,
 )
 
@@ -82,9 +78,6 @@ __all__ = [
     "entropy_weights",
     "extend_factors",
     "fit",
-    "fit_baseline",
-    "fit_emmf",
-    "fit_gemmf",
     "gemmf_update_coeff",
     "guarded_norms",
     "hungarian_match",
@@ -107,7 +100,6 @@ __all__ = [
     "synth_blobs",
     "synth_outliers",
     "synth_random",
-    "trace_objective",
     "unit_normalize",
     "update_basis",
     "update_coeff",

@@ -151,13 +151,13 @@ def guarded_norms(M: np.ndarray, epsilon: float) -> np.ndarray:
     return np.maximum(column_norms(M), epsilon)
 
 
-def residual_matrix(X: DataMatrix, F: FactorPair) -> np.ndarray:
+def residual_matrix(X: DataMatrix, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Residual M = X - U V^T; may contain negative entries."""
-    if F.U.shape[0] != X.d or F.V.shape[0] != X.n:
+    if U.shape[0] != X.d or V.shape[0] != X.n:
         raise InputError(
-            f"factor shapes U {F.U.shape}, V {F.V.shape} do not match data {X.values.shape}"
+            f"factor shapes U {U.shape}, V {V.shape} do not match data {X.values.shape}"
         )
-    return X.values - F.U @ F.V.T
+    return X.values - U @ V.T
 
 
 def _check_finite(A: np.ndarray, what: str) -> np.ndarray:
@@ -166,39 +166,33 @@ def _check_finite(A: np.ndarray, what: str) -> np.ndarray:
     return A
 
 
-def update_basis(X: DataMatrix, F: FactorPair, w: ResidualWeights) -> np.ndarray:
+def _check_shapes(X: DataMatrix, U: np.ndarray, V: np.ndarray, q: np.ndarray) -> None:
+    if U.shape[0] != X.d or V.shape[0] != X.n or q.shape[0] != X.n:
+        raise InputError("shapes of data, factors and weights disagree")
+
+
+def update_basis(X: DataMatrix, U: np.ndarray, V: np.ndarray, q: np.ndarray) -> np.ndarray:
     """One multiplicative step on U for the weighted quadratic objective.
 
-    U_ik <- U_ik * sqrt( (X Q V)_ik / (U (V^T Q V))_ik ). Returns a new array;
-    zeros in U stay zero, and X = U V^T is a fixed point up to the guard.
+    U_ik <- U_ik * sqrt( (X Q V)_ik / (U (V^T Q V))_ik ), Q = diag(q). Returns
+    a new array; zeros in U stay zero, and X = U V^T is a fixed point up to
+    the guard.
     """
-    if F.U.shape[0] != X.d or F.V.shape[0] != X.n or w.q.shape[0] != X.n:
-        raise InputError("shapes of data, factors and weights disagree")
-    q = w.q
-    numer = (X.values * q[None, :]) @ F.V
-    denom = F.U @ ((F.V * q[:, None]).T @ F.V)
+    _check_shapes(X, U, V, q)
+    numer = (X.values * q[None, :]) @ V
+    denom = U @ ((V * q[:, None]).T @ V)
     with np.errstate(invalid="ignore", divide="ignore"):
-        return _check_finite(F.U * np.sqrt(numer / (denom + DELTA)), "U")
+        return _check_finite(U * np.sqrt(numer / (denom + DELTA)), "U")
 
 
-def update_coeff(X: DataMatrix, F: FactorPair, w: ResidualWeights) -> np.ndarray:
+def update_coeff(X: DataMatrix, U: np.ndarray, V: np.ndarray, q: np.ndarray) -> np.ndarray:
     """One multiplicative step on V for the weighted quadratic objective.
 
     V_ik <- V_ik * sqrt( (Q X^T U)_ik / (Q V (U^T U))_ik ). Q being diagonal,
     the only shape-consistent reading of the denominator is Q (V (U^T U)).
     """
-    if F.U.shape[0] != X.d or F.V.shape[0] != X.n or w.q.shape[0] != X.n:
-        raise InputError("shapes of data, factors and weights disagree")
-    q = w.q
-    numer = q[:, None] * (X.values.T @ F.U)
-    denom = q[:, None] * (F.V @ (F.U.T @ F.U))
+    _check_shapes(X, U, V, q)
+    numer = q[:, None] * (X.values.T @ U)
+    denom = q[:, None] * (V @ (U.T @ U))
     with np.errstate(invalid="ignore", divide="ignore"):
-        return _check_finite(F.V * np.sqrt(numer / (denom + DELTA)), "V")
-
-
-def trace_objective(X: DataMatrix, F: FactorPair, w: ResidualWeights) -> float:
-    """Weighted quadratic surrogate Tr(M Q M^T) = sum_i Q_ii ||m_i||_2^2."""
-    if not np.all(np.isfinite(w.q)):
-        raise InputError("weights must be finite")
-    M = residual_matrix(X, F)
-    return float(np.sum(w.q * np.sum(M * M, axis=0)))
+        return _check_finite(V * np.sqrt(numer / (denom + DELTA)), "V")

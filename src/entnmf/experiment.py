@@ -222,7 +222,7 @@ def _fit_one(cfg: ExperimentConfig, X_base: DataMatrix, sweep_name, value, rep):
             truth = truth[score_mask]
         acc_val = accuracy(pred, truth)
         nmi_val = nmi(pred, truth)
-    errors = column_norms(residual_matrix(X, result.factors))
+    errors = column_norms(residual_matrix(X, result.factors.U, result.factors.V))
     return fit_seed, result, acc_val, nmi_val, errors
 
 

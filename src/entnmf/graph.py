@@ -27,12 +27,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_array, issparse
 
-from .core import DELTA, DataMatrix, FactorPair, ResidualWeights, _check_finite
+from .core import DELTA, DataMatrix, _check_finite
 from .errors import InputError
 
-# Rows of the distance matrix held at once by the neighbor search: a block
-# is BLOCK_ROWS x n, never n x n.
-BLOCK_ROWS = 256
+# Bytes of one block of float64 distance rows in the neighbor search. A block
+# has min(256, BLOCK_BYTES // (8 n)) rows (at least one), so its size is
+# bounded for any n, and every n <= 8192 gets the full 256 rows.
+BLOCK_BYTES = 16 * 2**20
 
 
 @dataclass(frozen=True)
@@ -84,9 +85,10 @@ def knn_graph(X: DataMatrix, k: int) -> SimilarityGraph:
         raise InputError(f"neighbor count {k} outside [1, {n - 1}]")
     P = X.values
     sq = np.sum(P * P, axis=0)
+    block = min(256, max(1, BLOCK_BYTES // (8 * n)))
     rows, cols = [], []
-    for start in range(0, n, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, n)
+    for start in range(0, n, block):
+        stop = min(start + block, n)
         # (sq_i + sq_j) - 2 p_i.p_j, rounded as the dense formula was
         G = P[:, start:stop].T @ P
         G *= 2.0
@@ -133,25 +135,25 @@ def normalize_graph(graph: SimilarityGraph) -> SimilarityGraph:
 
 def gemmf_update_coeff(
     X: DataMatrix,
-    F: FactorPair,
-    w: ResidualWeights,
+    U: np.ndarray,
+    V: np.ndarray,
+    q: np.ndarray,
     graph: SimilarityGraph,
     lam: float,
 ) -> np.ndarray:
-    """Graph-regularized multiplicative step on V; zeros stay zero."""
+    """Graph-regularized multiplicative step on V, Q = diag(q); zeros stay zero."""
     if not graph.normalized:
         raise InputError("graph must be normalized before the coefficient update")
-    if graph.n != X.n or F.V.shape[0] != X.n or F.U.shape[0] != X.d:
+    if graph.n != X.n or V.shape[0] != X.n or U.shape[0] != X.d or q.shape[0] != X.n:
         raise InputError("shapes of data, factors and graph disagree")
     if lam < 0:
         raise InputError(f"graph weight must be nonnegative, got {lam}")
-    q = w.q
-    A = q[:, None] * (X.values.T @ F.U)          # Q X^T U
-    B = q[:, None] * (F.V @ (F.U.T @ F.U))       # Q V U^T U
-    SV = graph.S @ F.V
-    minus = F.V.T @ B                            # L5-
-    plus = F.V.T @ A + 2.0 * lam * (F.V.T @ SV)  # L5+
-    numer = A + 2.0 * lam * SV + F.V @ minus
-    denom = B + F.V @ plus
+    A = q[:, None] * (X.values.T @ U)          # Q X^T U
+    B = q[:, None] * (V @ (U.T @ U))           # Q V U^T U
+    SV = graph.S @ V
+    minus = V.T @ B                            # L5-
+    plus = V.T @ A + 2.0 * lam * (V.T @ SV)    # L5+
+    numer = A + 2.0 * lam * SV + V @ minus
+    denom = B + V @ plus
     with np.errstate(invalid="ignore", divide="ignore"):
-        return _check_finite(F.V * np.sqrt(numer / (denom + DELTA)), "V")
+        return _check_finite(V * np.sqrt(numer / (denom + DELTA)), "V")

@@ -45,30 +45,35 @@ def default_epsilon(values: np.ndarray) -> float:
     return 1e-10 * max(1.0, float(np.linalg.norm(values)))
 
 
-def entropy_weights(M: np.ndarray, epsilon: float) -> ResidualWeights:
-    """Diagonal weights Q_ii = -log(||m_i|| / ||M||_{2,1}) / ||m_i||, guarded.
+def entropy_terms(norms: np.ndarray) -> tuple[float, np.ndarray]:
+    """Entropy loss and diagonal weights from one vector of guarded norms.
 
-    Each guarded norm is at most the total, so every weight is nonnegative;
-    a weight is zero exactly when its sample carries the entire residual mass
-    (in particular for a single sample).
+    Returns (-sum_i ||m_i|| log(||m_i|| / ||M||_{2,1}), q) with
+    q_i = -log(||m_i|| / ||M||_{2,1}) / ||m_i||. Each guarded norm is at most
+    the total, so every weight is nonnegative; a weight is zero exactly when
+    its sample carries the entire residual mass (in particular for a single
+    sample).
     """
-    norms = guarded_norms(np.asarray(M, dtype=float), epsilon)
     total = float(np.sum(norms))
-    q = -np.log(norms / total) / norms
+    log_share = np.log(norms / total)
+    value = float(-np.sum(norms * log_share))
+    if not np.isfinite(value):
+        bad = int(np.argmax(~np.isfinite(norms * log_share)))
+        raise NumericalError(f"entropy objective is non-finite at sample {bad}")
     # log(1) may round to -0.0; a single sample carries all mass exactly.
-    q = np.maximum(q, 0.0)
-    return ResidualWeights(norms=norms, total=total, q=q, epsilon=epsilon)
+    return max(value, 0.0), np.maximum(-log_share / norms, 0.0)
+
+
+def entropy_weights(M: np.ndarray, epsilon: float) -> ResidualWeights:
+    """Diagonal weights Q_ii = -log(||m_i|| / ||M||_{2,1}) / ||m_i||, guarded."""
+    norms = guarded_norms(np.asarray(M, dtype=float), epsilon)
+    _, q = entropy_terms(norms)
+    return ResidualWeights(norms=norms, total=float(np.sum(norms)), q=q, epsilon=epsilon)
 
 
 def entropy_objective(X: DataMatrix, F: FactorPair, epsilon: float) -> float:
     """Entropy loss -sum_i ||m_i|| log(||m_i|| / ||M||_{2,1}) with guarded norms."""
-    norms = guarded_norms(residual_matrix(X, F), epsilon)
-    total = float(np.sum(norms))
-    value = float(-np.sum(norms * np.log(norms / total)))
-    if not np.isfinite(value):
-        bad = int(np.argmax(~np.isfinite(norms * np.log(norms / total))))
-        raise NumericalError(f"entropy objective is non-finite at sample {bad}")
-    return max(value, 0.0)
+    return entropy_terms(guarded_norms(residual_matrix(X, F.U, F.V), epsilon))[0]
 
 
 def influence_ratios(X: DataMatrix, F: FactorPair, i: int) -> InfluenceReport:
@@ -78,7 +83,7 @@ def influence_ratios(X: DataMatrix, F: FactorPair, i: int) -> InfluenceReport:
     interior residue distributions, so the quotient is reported positive as is.
     The shares of each method over all samples sum to one.
     """
-    M = residual_matrix(X, F)
+    M = residual_matrix(X, F.U, F.V)
     if not 0 <= i < X.n:
         raise InputError(f"sample index {i} outside [0, {X.n})")
     raw = np.sqrt(np.sum(M * M, axis=0))

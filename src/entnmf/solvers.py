@@ -1,21 +1,33 @@
-"""End-to-end fitting loops with k-means initialization and convergence control.
+"""One fitting loop over a table of methods, with k-means initialization.
 
-Methods:
-  EMMF     entropy-minimizing factorization; each iteration recomputes the
-           entropy weights Q from the pre-update factors, then updates U and V
-           through the shared weighted engine. The recorded objective is the
-           entropy loss.
-  GEMMF    EMMF plus the graph term; V is updated by the graph-regularized
-           rule and the recorded objective is entropy + lambda ||S - VV^T||_F^2
-           on the normalized graph.
+Every method is two functions on the raw factor arrays:
+
+  measure(U, V) -> (objective, norms, q)
+  step(U, V, q) -> (U, V)
+
+measure records the loss at (U, V) and, from the same residual, the q the
+next step reads (per-sample weights, UV^T for NMF_DIV, or None); norms are
+the guarded residual norms behind the entropy weights, reported as
+`final_q`, and None for the other methods. step makes one U update, then
+one V update. So the loop forms the residual X - U V^T once per iteration
+(plus once for the starting point), and the loss and the next weights come
+from one set of column norms.
+
+  EMMF     weights q from the entropy linearization (`entnmf.losses`),
+           shared weighted engine for U and V; records the entropy loss.
+  GEMMF    EMMF with the graph-regularized V step on the normalized graph;
+           records entropy + lambda ||S - VV^T||_F^2.
   NMF_FRO  classic multiplicative rules for the squared Frobenius loss;
            records ||X - UV^T||_F^2.
   NMF_DIV  divergence formulation with its classical multiplicative rules;
-           records DIV(X || UV^T).
+           records DIV(X || UV^T). The product UV^T is shared between the
+           loss and the next U step.
   L21_NMF  weighted engine with Q_ii = 1/(2 ||m_i||); records ||X - UV^T||_{2,1}.
 
 All fits are deterministic given the seed. Iteration stops when the relative
-objective change falls below `tol` or after `max_iter` iterations.
+objective change falls below `tol` or after `max_iter` iterations. Inputs are
+validated once, at entry; `FactorPair` and `ResidualWeights` are built once,
+for the result.
 """
 
 from __future__ import annotations
@@ -26,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    DELTA,
     ConvergenceTrace,
     DataMatrix,
     FactorPair,
@@ -38,7 +51,7 @@ from .core import (
 )
 from .errors import InputError, NumericalError
 from .graph import SimilarityGraph, gemmf_update_coeff, normalize_graph
-from .losses import default_epsilon, entropy_objective, entropy_weights
+from .losses import default_epsilon, entropy_terms
 
 METHODS = ("EMMF", "GEMMF", "NMF_FRO", "NMF_DIV", "L21_NMF")
 INITS = ("KMEANS", "RANDOM")
@@ -164,16 +177,6 @@ def extend_factors(F: FactorPair, X: DataMatrix) -> FactorPair:
     return FactorPair(U=F.U.copy(), V=np.vstack([F.V, V_new]))
 
 
-def _assignments(V: np.ndarray) -> np.ndarray:
-    # np.argmax resolves ties toward the lowest column index
-    return np.argmax(V, axis=1)
-
-
-def _l21_weights(M: np.ndarray, epsilon: float) -> ResidualWeights:
-    norms = guarded_norms(M, epsilon)
-    return ResidualWeights(norms=norms, total=float(norms.sum()), q=0.5 / norms, epsilon=epsilon)
-
-
 def _divergence(X: np.ndarray, B: np.ndarray) -> float:
     """DIV(X || B) = sum_ij X_ij log(X_ij / B_ij) - X_ij + B_ij, with 0 log 0 = 0."""
     guarded = B + 1e-12
@@ -181,25 +184,92 @@ def _divergence(X: np.ndarray, B: np.ndarray) -> float:
     return float(np.sum(log_term - X + B))
 
 
-def _run_loop(X, cfg, initial_objective, step, objective_of, initial=None):
-    """Shared outer loop: step mutates factors, objective_of records the loss."""
+def _method(X: DataMatrix, cfg: SolverConfig, graph: SimilarityGraph | None, eps: float):
+    """(measure, step) of cfg.method on X; see the module docstring."""
+
+    def entropy(U, V):
+        norms = guarded_norms(residual_matrix(X, U, V), eps)
+        value, q = entropy_terms(norms)
+        return value, norms, q
+
+    def weighted_step(U, V, q):
+        U = update_basis(X, U, V, q)
+        return U, update_coeff(X, U, V, q)
+
+    if cfg.method == "EMMF":
+        return entropy, weighted_step
+    if cfg.method == "GEMMF":
+        if graph is None:
+            raise InputError("GEMMF requires a similarity graph")
+        if graph.n != X.n:
+            raise InputError(f"graph has {graph.n} vertices but data has {X.n} samples")
+        S = normalize_graph(graph)
+
+        def measure(U, V):
+            value, norms, q = entropy(U, V)
+            return value + cfg.lam * S.penalty(V), norms, q
+
+        def step(U, V, q):
+            U = update_basis(X, U, V, q)
+            return U, gemmf_update_coeff(X, U, V, q, S, cfg.lam)
+
+        return measure, step
+    if cfg.method == "L21_NMF":
+        def measure(U, V):
+            norms = column_norms(residual_matrix(X, U, V))
+            return float(np.sum(norms)), None, 0.5 / np.maximum(norms, eps)
+
+        return measure, weighted_step
+    if cfg.method == "NMF_FRO":
+        def measure(U, V):
+            M = residual_matrix(X, U, V)
+            return float(np.sum(M * M)), None, None
+
+        def step(U, V, _):
+            U = U * (X.values @ V) / (U @ (V.T @ V) + DELTA)
+            return U, V * (X.values.T @ U) / (V @ (U.T @ U) + DELTA)
+
+        return measure, step
+
+    def measure(U, V):  # NMF_DIV; the next step's first ratio reuses UV^T
+        B = U @ V.T
+        return _divergence(X.values, B), None, B
+
+    def step(U, V, B):
+        U = U * ((X.values / (B + DELTA)) @ V) / (np.sum(V, axis=0)[None, :] + DELTA)
+        ratio = X.values / (U @ V.T + DELTA)
+        return U, V * (ratio.T @ U) / (np.sum(U, axis=0)[None, :] + DELTA)
+
+    return measure, step
+
+
+def fit(X: DataMatrix, cfg: SolverConfig, graph: SimilarityGraph | None = None,
+        initial: FactorPair | None = None) -> FitResult:
+    """Fit X ~ U V^T with cfg.method; GEMMF requires a similarity graph.
+
+    Starts from `initial` when given, else from `init_factors`. A non-finite
+    factor or objective raises NumericalError carrying the iteration and the
+    objective trace so far.
+    """
+    eps = cfg.epsilon if cfg.epsilon is not None else default_epsilon(X.values)
+    measure, step = _method(X, cfg, graph, eps)
     if initial is None:
-        F = init_factors(X, cfg.c, cfg.seed, cfg.init)
-    else:
-        if initial.U.shape != (X.d, cfg.c) or initial.V.shape != (X.n, cfg.c):
-            raise InputError(
-                f"initial factors {initial.U.shape}/{initial.V.shape} do not fit "
-                f"data {X.values.shape} with c={cfg.c}"
-            )
-        F = initial
+        initial = init_factors(X, cfg.c, cfg.seed, cfg.init)
+    elif initial.U.shape != (X.d, cfg.c) or initial.V.shape != (X.n, cfg.c):
+        raise InputError(
+            f"initial factors {initial.U.shape}/{initial.V.shape} do not fit "
+            f"data {X.values.shape} with c={cfg.c}"
+        )
+    U, V = initial.U, initial.V
     start = time.perf_counter()
-    objective = [initial_objective(F)]
+    value, norms, q = measure(U, V)
+    objective = [value]
     iterations = 0
     converged = False
     for t in range(1, cfg.max_iter + 1):
         try:
-            F = step(F)
-            value = objective_of(F)
+            U, V = step(U, V, q)
+            value, norms, q = measure(U, V)
         except NumericalError as err:
             raise NumericalError(str(err), iteration=t, objective=objective) from err
         if not np.isfinite(value):
@@ -215,103 +285,12 @@ def _run_loop(X, cfg, initial_objective, step, objective_of, initial=None):
         converged=converged,
         wall_time=time.perf_counter() - start,
     )
-    return F, trace
-
-
-def fit_emmf(X: DataMatrix, cfg: SolverConfig, initial: FactorPair | None = None) -> FitResult:
-    """Alternate entropy weights, U step, V step until converged."""
-    eps = cfg.epsilon if cfg.epsilon is not None else default_epsilon(X.values)
-
-    def step(F):
-        w = entropy_weights(residual_matrix(X, F), eps)
-        U = update_basis(X, F, w)
-        F = FactorPair(U=U, V=F.V)
-        return FactorPair(U=U, V=update_coeff(X, F, w))
-
-    F, trace = _run_loop(X, cfg, lambda F: entropy_objective(X, F, eps), step,
-                         lambda F: entropy_objective(X, F, eps), initial)
+    final_q = None
+    if norms is not None:
+        final_q = ResidualWeights(norms=norms, total=float(np.sum(norms)), q=q, epsilon=eps)
     return FitResult(
-        factors=F,
+        factors=FactorPair(U=U, V=V),
         trace=trace,
-        assignments=_assignments(F.V),
-        final_q=entropy_weights(residual_matrix(X, F), eps),
+        assignments=np.argmax(V, axis=1),  # ties resolve toward the lowest column
+        final_q=final_q,
     )
-
-
-def fit_gemmf(X: DataMatrix, graph: SimilarityGraph, cfg: SolverConfig,
-              initial: FactorPair | None = None) -> FitResult:
-    """EMMF with the graph-regularized V update on the normalized graph."""
-    if graph.n != X.n:
-        raise InputError(f"graph has {graph.n} vertices but data has {X.n} samples")
-    eps = cfg.epsilon if cfg.epsilon is not None else default_epsilon(X.values)
-    S = normalize_graph(graph)
-
-    def objective_of(F):
-        return entropy_objective(X, F, eps) + cfg.lam * S.penalty(F.V)
-
-    def step(F):
-        w = entropy_weights(residual_matrix(X, F), eps)
-        U = update_basis(X, F, w)
-        F = FactorPair(U=U, V=F.V)
-        return FactorPair(U=U, V=gemmf_update_coeff(X, F, w, S, cfg.lam))
-
-    F, trace = _run_loop(X, cfg, objective_of, step, objective_of, initial)
-    return FitResult(
-        factors=F,
-        trace=trace,
-        assignments=_assignments(F.V),
-        final_q=entropy_weights(residual_matrix(X, F), eps),
-    )
-
-
-def fit_baseline(X: DataMatrix, cfg: SolverConfig, initial: FactorPair | None = None) -> FitResult:
-    """Frobenius, divergence, or l2,1 factorization recording its own loss."""
-    if cfg.method not in ("NMF_FRO", "NMF_DIV", "L21_NMF"):
-        raise InputError(f"not a baseline method: {cfg.method!r}")
-    eps = cfg.epsilon if cfg.epsilon is not None else default_epsilon(X.values)
-
-    if cfg.method == "NMF_DIV":
-        def step(F):
-            ratio = X.values / (F.U @ F.V.T + 1e-12)
-            U = F.U * (ratio @ F.V) / (np.sum(F.V, axis=0)[None, :] + 1e-12)
-            F = FactorPair(U=U, V=F.V)
-            ratio = X.values / (F.U @ F.V.T + 1e-12)
-            V = F.V * (ratio.T @ F.U) / (np.sum(F.U, axis=0)[None, :] + 1e-12)
-            return FactorPair(U=U, V=V)
-
-        def objective_of(F):
-            return _divergence(X.values, F.U @ F.V.T)
-    elif cfg.method == "NMF_FRO":
-        def step(F):
-            U = F.U * (X.values @ F.V) / (F.U @ (F.V.T @ F.V) + 1e-12)
-            F = FactorPair(U=U, V=F.V)
-            V = F.V * (X.values.T @ F.U) / (F.V @ (F.U.T @ F.U) + 1e-12)
-            return FactorPair(U=U, V=V)
-
-        def objective_of(F):
-            M = residual_matrix(X, F)
-            return float(np.sum(M * M))
-    else:
-        def step(F):
-            w = _l21_weights(residual_matrix(X, F), eps)
-            U = update_basis(X, F, w)
-            F = FactorPair(U=U, V=F.V)
-            return FactorPair(U=U, V=update_coeff(X, F, w))
-
-        def objective_of(F):
-            return float(np.sum(column_norms(residual_matrix(X, F))))
-
-    F, trace = _run_loop(X, cfg, objective_of, step, objective_of, initial)
-    return FitResult(factors=F, trace=trace, assignments=_assignments(F.V), final_q=None)
-
-
-def fit(X: DataMatrix, cfg: SolverConfig, graph: SimilarityGraph | None = None,
-        initial: FactorPair | None = None) -> FitResult:
-    """Dispatch on cfg.method; GEMMF requires a similarity graph."""
-    if cfg.method == "EMMF":
-        return fit_emmf(X, cfg, initial)
-    if cfg.method == "GEMMF":
-        if graph is None:
-            raise InputError("GEMMF requires a similarity graph")
-        return fit_gemmf(X, graph, cfg, initial)
-    return fit_baseline(X, cfg, initial)

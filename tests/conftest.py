@@ -1,9 +1,17 @@
-"""Shared fixtures: seeded random problem instances and weight helpers."""
+"""Shared fixtures: seeded random problem instances, weight helpers and the
+weighted-surrogate oracle."""
 
 import numpy as np
 import pytest
 
-from entnmf import DataMatrix, FactorPair, ResidualWeights, guarded_norms
+from entnmf import (
+    DataMatrix,
+    FactorPair,
+    InputError,
+    ResidualWeights,
+    guarded_norms,
+    residual_matrix,
+)
 
 
 @pytest.fixture
@@ -33,3 +41,16 @@ def ones_weights():
         )
 
     return make
+
+
+@pytest.fixture
+def trace_objective():
+    """Weighted quadratic surrogate Tr(M Q M^T) = sum_i Q_ii ||m_i||_2^2."""
+
+    def value(X, F, w):
+        if not np.all(np.isfinite(w.q)):
+            raise InputError("weights must be finite")
+        M = residual_matrix(X, F.U, F.V)
+        return float(np.sum(w.q * np.sum(M * M, axis=0)))
+
+    return value

@@ -41,7 +41,6 @@ from entnmf import (
     synth_blobs,
     synth_outliers,
     synth_random,
-    trace_objective,
     unit_normalize,
     update_basis,
     update_coeff,
@@ -74,7 +73,7 @@ def assert_monotone(objective, slack=1e-8):
 
 
 def residual_errors(X, result):
-    return column_norms(residual_matrix(X, result.factors))
+    return column_norms(residual_matrix(X, result.factors.U, result.factors.V))
 
 
 def test_objectives_never_increase():
@@ -127,14 +126,14 @@ def test_exact_factorizations_are_fixed_points():
         X = DataMatrix(values=U @ V.T)
         F = FactorPair(U=U, V=V)
         eps = default_epsilon(X.values)
-        M = residual_matrix(X, F)
+        M = residual_matrix(X, F.U, F.V)
         norms = guarded_norms(M, eps)
         l21 = ResidualWeights(norms=norms, total=float(norms.sum()), q=0.5 / norms, epsilon=eps)
         ones = ResidualWeights(norms=norms, total=float(norms.sum()),
                                q=np.ones(n), epsilon=eps)
         for w in (entropy_weights(M, eps), l21, ones):
-            close(update_basis(X, F, w), U)
-            close(update_coeff(X, F, w), V)
+            close(update_basis(X, F.U, F.V, w.q), U)
+            close(update_coeff(X, F.U, F.V, w.q), V)
 
         # classic quadratic rules
         close(U * (X.values @ V) / (U @ (V.T @ V) + 1e-12), U)
@@ -145,10 +144,10 @@ def test_exact_factorizations_are_fixed_points():
         close(V * (ratio.T @ U) / (np.sum(U, axis=0)[None, :] + 1e-12), V)
         # graph-coupled rule with the graph term switched off
         g = normalize_graph(knn_graph(X, 3))
-        close(gemmf_update_coeff(X, F, entropy_weights(M, eps), g, 0.0), V)
+        close(gemmf_update_coeff(X, U, V, entropy_weights(M, eps).q, g, 0.0), V)
 
 
-def test_residual_weights_match_the_objective():
+def test_residual_weights_match_the_objective(trace_objective):
     """Uniform residues weight to log(n)/r exactly (1e-12); at the
     linearization point the weighted quadratic equals the entropy loss (1e-10)."""
     for n in (2, 5, 13, 40):
@@ -166,7 +165,7 @@ def test_residual_weights_match_the_objective():
         X = DataMatrix(values=rng.random((d, n)) * 2.0)
         F = FactorPair(U=rng.random((d, c)) + 0.05, V=rng.random((n, c)) + 0.05)
         eps = default_epsilon(X.values)
-        w = entropy_weights(residual_matrix(X, F), eps)
+        w = entropy_weights(residual_matrix(X, F.U, F.V), eps)
         assert trace_objective(X, F, w) == pytest.approx(
             entropy_objective(X, F, eps), rel=1e-10
         )
@@ -184,12 +183,12 @@ def test_entropy_is_scale_invariant():
         F = FactorPair(U=rng.random((d, c)) + 0.1, V=rng.random((n, c)) + 0.1)
         eps = default_epsilon(X.values)
         base = entropy_objective(X, F, eps)
-        base_total = float(np.sum(guarded_norms(residual_matrix(X, F), eps)))
+        base_total = float(np.sum(guarded_norms(residual_matrix(X, F.U, F.V), eps)))
         for rho in (0.1, 2.0, 100.0):
             Xs = DataMatrix(values=rho * X.values)
             Fs = FactorPair(U=rho * F.U, V=F.V)
             scaled = entropy_objective(Xs, Fs, rho * eps)
-            scaled_total = float(np.sum(guarded_norms(residual_matrix(Xs, Fs), rho * eps)))
+            scaled_total = float(np.sum(guarded_norms(residual_matrix(Xs, Fs.U, Fs.V), rho * eps)))
             assert scaled == pytest.approx(rho * base, rel=1e-10)
             assert scaled / scaled_total == pytest.approx(base / base_total, rel=1e-10)
 

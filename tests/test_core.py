@@ -14,7 +14,6 @@ from entnmf import (
     entropy_weights,
     guarded_norms,
     residual_matrix,
-    trace_objective,
     update_basis,
     update_coeff,
 )
@@ -109,22 +108,22 @@ def test_residual_matrix_hand_value():
     X = DataMatrix(values=[[1.0, 2.0], [3.0, 4.0]])
     F = FactorPair(U=np.array([[1.0], [3.0]]), V=np.array([[1.0], [1.0]]))
     # U V^T = [[1, 1], [3, 3]]
-    assert np.array_equal(residual_matrix(X, F), [[0.0, 1.0], [0.0, 1.0]])
+    assert np.array_equal(residual_matrix(X, F.U, F.V), [[0.0, 1.0], [0.0, 1.0]])
 
 
 def test_residual_matrix_rejects_mismatched_shapes():
     X = DataMatrix(values=np.ones((2, 3)))
     with pytest.raises(InputError):
-        residual_matrix(X, FactorPair(U=np.ones((3, 1)), V=np.ones((3, 1))))
+        residual_matrix(X, np.ones((3, 1)), np.ones((3, 1)))
 
 
 def test_single_entry_updates_solve_in_one_step(ones_weights):
     # x = 4, u = v = 1, q = 1: both rules scale by sqrt(4/1) = 2.
     X = DataMatrix(values=[[4.0]])
     F = FactorPair(U=np.array([[1.0]]), V=np.array([[1.0]]))
-    w = ones_weights(residual_matrix(X, F))
-    assert update_basis(X, F, w)[0, 0] == pytest.approx(2.0, abs=1e-9)
-    assert update_coeff(X, F, w)[0, 0] == pytest.approx(2.0, abs=1e-9)
+    w = ones_weights(residual_matrix(X, F.U, F.V))
+    assert update_basis(X, F.U, F.V, w.q)[0, 0] == pytest.approx(2.0, abs=1e-9)
+    assert update_coeff(X, F.U, F.V, w.q)[0, 0] == pytest.approx(2.0, abs=1e-9)
 
 
 def test_updates_preserve_exact_zeros(make_instance, ones_weights):
@@ -135,18 +134,18 @@ def test_updates_preserve_exact_zeros(make_instance, ones_weights):
         U[0, 0] = 0.0
         V[-1, -1] = 0.0
         F = FactorPair(U=U, V=V)
-        w = ones_weights(residual_matrix(X, F))
-        assert update_basis(X, F, w)[0, 0] == 0.0
-        assert update_coeff(X, F, w)[-1, -1] == 0.0
+        w = ones_weights(residual_matrix(X, F.U, F.V))
+        assert update_basis(X, F.U, F.V, w.q)[0, 0] == 0.0
+        assert update_coeff(X, F.U, F.V, w.q)[-1, -1] == 0.0
 
 
 def test_updates_stay_nonnegative_and_finite(make_instance):
     for seed in range(100):
         X, F = make_instance(seed)
-        w = entropy_weights(residual_matrix(X, F), EPS)
-        U = update_basis(X, F, w)
+        w = entropy_weights(residual_matrix(X, F.U, F.V), EPS)
+        U = update_basis(X, F.U, F.V, w.q)
         assert np.all(U >= 0) and np.all(np.isfinite(U))
-        V = update_coeff(X, FactorPair(U=U, V=F.V), w)
+        V = update_coeff(X, U, F.V, w.q)
         assert np.all(V >= 0) and np.all(np.isfinite(V))
 
 
@@ -157,30 +156,31 @@ def test_exact_factorization_is_an_engine_fixed_point(make_instance, ones_weight
         V = F.V + 0.5
         F = FactorPair(U=U, V=V)
         X = DataMatrix(values=U @ V.T)
-        for w in (ones_weights(residual_matrix(X, F)),
-                  entropy_weights(residual_matrix(X, F), EPS)):
-            assert np.max(np.abs(update_basis(X, F, w) - U)) <= 1e-12 * (1 + U.max())
-            assert np.max(np.abs(update_coeff(X, F, w) - V)) <= 1e-12 * (1 + V.max())
+        for w in (ones_weights(residual_matrix(X, F.U, F.V)),
+                  entropy_weights(residual_matrix(X, F.U, F.V), EPS)):
+            assert np.max(np.abs(update_basis(X, F.U, F.V, w.q) - U)) <= 1e-12 * (1 + U.max())
+            assert np.max(np.abs(update_coeff(X, F.U, F.V, w.q) - V)) <= 1e-12 * (1 + V.max())
 
 
-def test_engine_step_never_increases_the_weighted_objective(make_instance, ones_weights):
+def test_engine_step_never_increases_the_weighted_objective(make_instance, ones_weights,
+                                                            trace_objective):
     # For a fixed diagonal weight the paired sqrt rules descend the quadratic.
     for seed in range(60):
         X, F = make_instance(seed)
-        M = residual_matrix(X, F)
+        M = residual_matrix(X, F.U, F.V)
         for w in (ones_weights(M), entropy_weights(M, EPS)):
             before = trace_objective(X, F, w)
-            U = update_basis(X, F, w)
-            G = FactorPair(U=U, V=update_coeff(X, FactorPair(U=U, V=F.V), w))
+            U = update_basis(X, F.U, F.V, w.q)
+            G = FactorPair(U=U, V=update_coeff(X, U, F.V, w.q))
             after = trace_objective(X, G, w)
             assert after <= before + 1e-10 * max(1.0, abs(before))
 
 
-def test_trace_objective_matches_hand_sum(ones_weights):
+def test_trace_objective_matches_hand_sum(ones_weights, trace_objective):
     X = DataMatrix(values=[[1.0, 2.0], [3.0, 4.0]])
     F = FactorPair(U=np.array([[1.0], [3.0]]), V=np.array([[1.0], [1.0]]))
     # residual columns (0, 0) and (1, 1): norms^2 are 0 and 2
-    M = residual_matrix(X, F)
+    M = residual_matrix(X, F.U, F.V)
     w = ones_weights(M)
     assert trace_objective(X, F, w) == pytest.approx(2.0, abs=1e-12)
     weights = ResidualWeights(
@@ -191,20 +191,20 @@ def test_trace_objective_matches_hand_sum(ones_weights):
 
 def test_update_rules_validate_shapes(make_instance, ones_weights):
     X, F = make_instance(0)
-    w = ones_weights(residual_matrix(X, F))
+    w = ones_weights(residual_matrix(X, F.U, F.V))
     bad = DataMatrix(values=np.ones((X.d + 1, X.n)))
     with pytest.raises(InputError):
-        update_basis(bad, F, w)
+        update_basis(bad, F.U, F.V, w.q)
     with pytest.raises(InputError):
-        update_coeff(bad, F, w)
+        update_coeff(bad, F.U, F.V, w.q)
 
 
-def test_non_finite_weights_raise_a_numerical_error():
+def test_non_finite_weights_raise_a_numerical_error(trace_objective):
     X = DataMatrix(values=[[1.0]])
     F = FactorPair(U=np.array([[1.0]]), V=np.array([[1.0]]))
     w = ResidualWeights(norms=np.ones(1), total=1.0, q=np.array([np.inf]), epsilon=EPS)
     with pytest.raises(NumericalError):
-        update_basis(X, F, w)
+        update_basis(X, F.U, F.V, w.q)
     with pytest.raises(InputError):
         trace_objective(X, F, w)
 

@@ -13,7 +13,7 @@ from entnmf import (
     SimilarityGraph,
     SolverConfig,
     entropy_weights,
-    fit_gemmf,
+    fit,
     gemmf_update_coeff,
     init_factors,
     knn_graph,
@@ -69,7 +69,7 @@ def graph_instance(seed, normalized=True):
     d, n, c = 5, 9, 3
     X = DataMatrix(values=rng.random((d, n)) + 0.1)
     F = FactorPair(U=rng.random((d, c)) + 0.1, V=rng.random((n, c)) + 0.1)
-    w = entropy_weights(residual_matrix(X, F), EPS)
+    w = entropy_weights(residual_matrix(X, F.U, F.V), EPS)
     g = knn_graph(X, 3)
     if normalized:
         g = normalize_graph(g)
@@ -152,10 +152,10 @@ class TestKnnGraph:
     def test_row_blocks_match_the_dense_oracle(self, monkeypatch):
         # quarter-integer coordinates make every distance exact, so ties
         # across blocks are exact too and the neighbor sets must agree
-        monkeypatch.setattr(graph_module, "BLOCK_ROWS", 5)
         for seed in range(25):
             rng = np.random.default_rng(seed)
             n = int(rng.integers(8, 40))
+            monkeypatch.setattr(graph_module, "BLOCK_BYTES", 5 * 8 * n)  # 5-row blocks
             P = rng.integers(0, 5, size=(int(rng.integers(1, 6)), n)) / 4.0
             for k in range(1, 7):
                 g = knn_graph(DataMatrix(values=P), k)
@@ -237,7 +237,7 @@ class TestMultiplierSplit:
             numer = Q @ X.values.T @ F.U + 2.0 * lam * S @ F.V + F.V @ minus
             denom = Q @ F.V @ F.U.T @ F.U + F.V @ plus
             expected = F.V * np.sqrt(numer / (denom + DELTA))
-            assert np.allclose(gemmf_update_coeff(X, F, w, g, lam), expected, atol=1e-12)
+            assert np.allclose(gemmf_update_coeff(X, F.U, F.V, w.q, g, lam), expected, atol=1e-12)
 
 
 class TestGemmfUpdate:
@@ -252,33 +252,33 @@ class TestGemmfUpdate:
             numer = A + 2.0 * lam * SV + F.V @ (F.V.T @ B)
             denom = B + F.V @ (F.V.T @ A + 2.0 * lam * F.V.T @ SV)
             expected = F.V * np.sqrt(numer / (denom + DELTA))
-            assert np.allclose(gemmf_update_coeff(X, F, w, g, lam), expected, atol=1e-12)
+            assert np.allclose(gemmf_update_coeff(X, F.U, F.V, w.q, g, lam), expected, atol=1e-12)
 
     def test_preserves_zeros_and_nonnegativity(self):
         X, F, w, g = graph_instance(7)
         V = F.V.copy()
         V[2, 1] = 0.0
         F = FactorPair(U=F.U, V=V)
-        w = entropy_weights(residual_matrix(X, F), EPS)
-        out = gemmf_update_coeff(X, F, w, g, 10.0)
+        w = entropy_weights(residual_matrix(X, F.U, F.V), EPS)
+        out = gemmf_update_coeff(X, F.U, F.V, w.q, g, 10.0)
         assert out[2, 1] == 0.0
         assert out.min() >= 0 and np.all(np.isfinite(out))
 
     def test_validations(self):
         X, F, w, g = graph_instance(0, normalized=False)
         with pytest.raises(InputError):
-            gemmf_update_coeff(X, F, w, g, 1.0)
+            gemmf_update_coeff(X, F.U, F.V, w.q, g, 1.0)
         g = normalize_graph(g)
         with pytest.raises(InputError):
-            gemmf_update_coeff(X, F, w, g, -2.0)
+            gemmf_update_coeff(X, F.U, F.V, w.q, g, -2.0)
 
     def test_rejects_negative_weight_and_size_mismatch(self):
         X, F, w, g = graph_instance(0)
         with pytest.raises(InputError):
-            gemmf_update_coeff(X, F, w, g, -1.0)
+            gemmf_update_coeff(X, F.U, F.V, w.q, g, -1.0)
         small = normalize_graph(SimilarityGraph(S=np.zeros((3, 3))))
         with pytest.raises(InputError, match="graph"):
-            gemmf_update_coeff(X, F, w, small, 1.0)
+            gemmf_update_coeff(X, F.U, F.V, w.q, small, 1.0)
 
 
 def test_graph_path_never_allocates_an_n_by_n_array():
@@ -290,8 +290,27 @@ def test_graph_path_never_allocates_an_n_by_n_array():
     tracemalloc.start()
     try:
         g = normalize_graph(knn_graph(X, 5))
-        fit_gemmf(X, g, SolverConfig(method="GEMMF", c=3, lam=1.0, max_iter=1), initial=F0)
+        fit(X, SolverConfig(method="GEMMF", c=3, lam=1.0, max_iter=1), g, initial=F0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8 / 4
+
+
+def test_neighbor_search_memory_follows_the_block_budget(monkeypatch):
+    """With the block budget patched down to 256 KiB, the kNN peak at n=3000
+    is a few budgets plus the O(n k) edge lists, not a 256 x n block."""
+    n, k, budget = 3000, 5, 2**18
+    monkeypatch.setattr(graph_module, "BLOCK_BYTES", budget)
+    X = DataMatrix(values=np.random.default_rng(0).random((5, n)))
+    tracemalloc.start()
+    try:
+        knn_graph(X, k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * budget + 128 * n * k
+
+
+def test_default_budget_keeps_256_row_blocks_up_to_8192_samples():
+    assert graph_module.BLOCK_BYTES // (8 * 8192) >= 256

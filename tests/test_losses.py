@@ -17,7 +17,6 @@ from entnmf import (
     influence_upper_bound,
     residual_matrix,
     single_outlier_share,
-    trace_objective,
 )
 
 EPS = 1e-10
@@ -69,11 +68,11 @@ def test_entropy_objective_is_zero_when_one_sample_has_everything():
     assert entropy_objective(X, F, EPS) == 0.0
 
 
-def test_weights_are_tangent_to_the_objective(make_instance):
+def test_weights_are_tangent_to_the_objective(make_instance, trace_objective):
     # At the linearization point the weighted quadratic equals the entropy loss.
     for seed in range(100):
         X, F = make_instance(seed)
-        w = entropy_weights(residual_matrix(X, F), EPS)
+        w = entropy_weights(residual_matrix(X, F.U, F.V), EPS)
         surrogate = trace_objective(X, F, w)
         objective = entropy_objective(X, F, EPS)
         assert surrogate == pytest.approx(objective, rel=1e-10)
@@ -84,7 +83,7 @@ def test_objective_scales_linearly_and_shape_is_invariant(make_instance):
         X, F = make_instance(seed)
         base = entropy_objective(X, F, EPS)
         total = float(np.sum(np.maximum(
-            np.linalg.norm(residual_matrix(X, F), axis=0), EPS)))
+            np.linalg.norm(residual_matrix(X, F.U, F.V), axis=0), EPS)))
         for rho in (0.1, 2.0, 100.0):
             Xs = DataMatrix(values=rho * X.values)
             Fs = FactorPair(U=rho * F.U, V=F.V)

@@ -15,9 +15,6 @@ from entnmf import (
     entropy_weights,
     extend_factors,
     fit,
-    fit_baseline,
-    fit_emmf,
-    fit_gemmf,
     init_factors,
     knn_graph,
     normalize_graph,
@@ -166,7 +163,8 @@ class TestFitLoop:
         X = synth_random(5, 9, seed=4)
         cfg = SolverConfig(method="EMMF", c=2, seed=0, max_iter=20)
         r = fit(X, cfg)
-        w = entropy_weights(residual_matrix(X, r.factors), default_epsilon(X.values))
+        M = residual_matrix(X, r.factors.U, r.factors.V)
+        w = entropy_weights(M, default_epsilon(X.values))
         assert np.allclose(r.final_q.q, w.q, atol=1e-15)
 
 
@@ -175,7 +173,7 @@ class TestEmmf:
         X = synth_random(6, 9, seed=5)
         F0 = init_factors(X, 3, seed=1, strategy="RANDOM")
         eps = default_epsilon(X.values)
-        w = entropy_weights(residual_matrix(X, F0), eps)
+        w = entropy_weights(residual_matrix(X, F0.U, F0.V), eps)
         q = w.q
         U1 = F0.U * np.sqrt(
             ((X.values * q) @ F0.V) / (F0.U @ ((F0.V * q[:, None]).T @ F0.V) + 1e-12)
@@ -183,28 +181,28 @@ class TestEmmf:
         V1 = F0.V * np.sqrt(
             (q[:, None] * (X.values.T @ U1)) / (q[:, None] * (F0.V @ (U1.T @ U1)) + 1e-12)
         )
-        r = fit_emmf(X, SolverConfig(method="EMMF", c=3, max_iter=1), initial=F0)
+        r = fit(X, SolverConfig(method="EMMF", c=3, max_iter=1), initial=F0)
         assert np.allclose(r.factors.U, U1, atol=1e-13)
         assert np.allclose(r.factors.V, V1, atol=1e-13)
 
     def test_objective_decreases_on_real_data(self):
         for seed in range(5):
             X = synth_outliers(seed)
-            r = fit_emmf(X, SolverConfig(method="EMMF", c=2, seed=seed, max_iter=80, tol=0.0))
+            r = fit(X, SolverConfig(method="EMMF", c=2, seed=seed, max_iter=80, tol=0.0))
             diffs = np.diff(r.trace.objective)
             assert np.all(diffs <= 1e-8 * np.maximum(1.0, np.abs(r.trace.objective[:-1])))
 
     def test_converges_quickly_on_small_structured_data(self):
         # instances chosen to stay well under the iteration budget
         for s in range(6):
-            r = fit_emmf(synth_outliers(s), SolverConfig(method="EMMF", c=1, seed=s, max_iter=100))
+            r = fit(synth_outliers(s), SolverConfig(method="EMMF", c=1, seed=s, max_iter=100))
             assert r.trace.converged and r.trace.iterations <= 35
         for s in (0, 1):
             X = synth_blobs(2, 10, 4, 10.0, seed=s)
-            r = fit_emmf(X, SolverConfig(method="EMMF", c=2, seed=s, max_iter=100))
+            r = fit(X, SolverConfig(method="EMMF", c=2, seed=s, max_iter=100))
             assert r.trace.converged
         X = synth_blobs(3, 10, 5, 20.0, seed=1)
-        r = fit_emmf(X, SolverConfig(method="EMMF", c=3, seed=1, max_iter=100))
+        r = fit(X, SolverConfig(method="EMMF", c=3, seed=1, max_iter=100))
         assert r.trace.converged
 
 
@@ -218,14 +216,14 @@ class TestGemmf:
         X = synth_random(4, 8, seed=0)
         g = knn_graph(synth_random(4, 6, seed=0), 2)
         with pytest.raises(InputError):
-            fit_gemmf(X, g, SolverConfig(method="GEMMF", c=2))
+            fit(X, SolverConfig(method="GEMMF", c=2), g)
 
     def test_records_the_penalized_objective(self):
         X = synth_random(5, 10, seed=6)
         g = knn_graph(X, 3)
         lam = 2.5
         F0 = init_factors(X, 2, seed=0)
-        r = fit_gemmf(X, g, SolverConfig(method="GEMMF", c=2, lam=lam, max_iter=1), initial=F0)
+        r = fit(X, SolverConfig(method="GEMMF", c=2, lam=lam, max_iter=1), g, initial=F0)
         S = normalize_graph(g).S.toarray()
         eps = default_epsilon(X.values)
         expected = entropy_objective(X, F0, eps) + lam * np.linalg.norm(S - F0.V @ F0.V.T) ** 2
@@ -235,7 +233,7 @@ class TestGemmf:
         X = synth_random(5, 10, seed=7)
         g = knn_graph(X, 3)
         F0 = init_factors(X, 2, seed=0)
-        r = fit_gemmf(X, g, SolverConfig(method="GEMMF", c=2, lam=0.0, max_iter=1), initial=F0)
+        r = fit(X, SolverConfig(method="GEMMF", c=2, lam=0.0, max_iter=1), g, initial=F0)
         eps = default_epsilon(X.values)
         assert r.trace.objective[0] == pytest.approx(entropy_objective(X, F0, eps), rel=1e-12)
 
@@ -243,7 +241,7 @@ class TestGemmf:
         X = synth_random(5, 10, seed=8)
         g = knn_graph(X, 3)
         assert not g.normalized
-        r = fit_gemmf(X, g, SolverConfig(method="GEMMF", c=2, lam=1.0, max_iter=5))
+        r = fit(X, SolverConfig(method="GEMMF", c=2, lam=1.0, max_iter=5), g)
         assert np.all(np.isfinite(r.trace.objective))
 
     def test_penalty_matches_the_dense_oracle(self):
@@ -274,17 +272,12 @@ class TestGemmf:
 
 
 class TestBaselines:
-    def test_dispatch_rejects_non_baseline_methods(self):
-        X = synth_random(4, 6, seed=0)
-        with pytest.raises(InputError):
-            fit_baseline(X, SolverConfig(method="EMMF", c=2))
-
     def test_frobenius_first_iteration_matches_the_written_rules(self):
         X = synth_random(5, 8, seed=9)
         F0 = init_factors(X, 2, seed=2, strategy="RANDOM")
         U1 = F0.U * (X.values @ F0.V) / (F0.U @ (F0.V.T @ F0.V) + 1e-12)
         V1 = F0.V * (X.values.T @ U1) / (F0.V @ (U1.T @ U1) + 1e-12)
-        r = fit_baseline(X, SolverConfig(method="NMF_FRO", c=2, max_iter=1), initial=F0)
+        r = fit(X, SolverConfig(method="NMF_FRO", c=2, max_iter=1), initial=F0)
         assert np.allclose(r.factors.U, U1, atol=1e-13)
         assert np.allclose(r.factors.V, V1, atol=1e-13)
 
@@ -298,7 +291,7 @@ class TestBaselines:
             cfg = SolverConfig(
                 method="NMF_FRO", c=1, seed=seed, max_iter=200, tol=0.0, init="RANDOM"
             )
-            assert fit_baseline(X, cfg).trace.objective[-1] < 1e-8
+            assert fit(X, cfg).trace.objective[-1] < 1e-8
         # higher-rank products converge once started in the right basin
         for seed in range(4):
             rng = np.random.default_rng(seed)
@@ -310,14 +303,14 @@ class TestBaselines:
                 V=V * (1.0 + 0.2 * rng.random(V.shape)),
             )
             cfg = SolverConfig(method="NMF_FRO", c=2, max_iter=200, tol=0.0)
-            assert fit_baseline(X, cfg, initial=F0).trace.objective[-1] < 1e-8
+            assert fit(X, cfg, initial=F0).trace.objective[-1] < 1e-8
 
     def test_divergence_first_objective_is_the_divergence(self):
         X = DataMatrix(values=[[2.0, 1.0], [1.0, 3.0]])
         F0 = FactorPair(U=np.array([[1.0], [1.0]]), V=np.array([[1.0], [1.0]]))
         # sum of x log(x / b) - x + b with every b = 1
         expected = (2 * np.log(2) - 2 + 1) + 0.0 + 0.0 + (3 * np.log(3) - 3 + 1)
-        r = fit_baseline(X, SolverConfig(method="NMF_DIV", c=1, max_iter=1), initial=F0)
+        r = fit(X, SolverConfig(method="NMF_DIV", c=1, max_iter=1), initial=F0)
         assert r.trace.objective[0] == pytest.approx(expected, rel=1e-9)
 
     def test_divergence_vanishes_only_at_an_exact_fit(self):
@@ -325,11 +318,11 @@ class TestBaselines:
         U = rng.random((4, 2)) + 0.5
         V = rng.random((6, 2)) + 0.5
         X = DataMatrix(values=U @ V.T)
-        exact = fit_baseline(
+        exact = fit(
             X, SolverConfig(method="NMF_DIV", c=2, max_iter=1), initial=FactorPair(U=U, V=V)
         )
         assert exact.trace.objective[0] == pytest.approx(0.0, abs=1e-9)
-        off = fit_baseline(
+        off = fit(
             X,
             SolverConfig(method="NMF_DIV", c=2, max_iter=1),
             initial=FactorPair(U=U, V=V + 0.3),
@@ -338,7 +331,7 @@ class TestBaselines:
 
     def test_divergence_objective_decreases(self):
         X = synth_random(5, 9, seed=10)
-        r = fit_baseline(X, SolverConfig(method="NMF_DIV", c=2, seed=0, max_iter=60, tol=0.0))
+        r = fit(X, SolverConfig(method="NMF_DIV", c=2, seed=0, max_iter=60, tol=0.0))
         diffs = np.diff(r.trace.objective)
         assert np.all(diffs <= 1e-8 * np.maximum(1.0, np.abs(r.trace.objective[:-1])))
 
@@ -346,7 +339,7 @@ class TestBaselines:
         X = synth_random(5, 8, seed=11)
         F0 = init_factors(X, 2, seed=4, strategy="RANDOM")
         eps = default_epsilon(X.values)
-        norms = np.maximum(column_norms(residual_matrix(X, F0)), eps)
+        norms = np.maximum(column_norms(residual_matrix(X, F0.U, F0.V)), eps)
         q = 0.5 / norms
         U1 = F0.U * np.sqrt(
             ((X.values * q) @ F0.V) / (F0.U @ ((F0.V * q[:, None]).T @ F0.V) + 1e-12)
@@ -354,19 +347,19 @@ class TestBaselines:
         V1 = F0.V * np.sqrt(
             (q[:, None] * (X.values.T @ U1)) / (q[:, None] * (F0.V @ (U1.T @ U1)) + 1e-12)
         )
-        r = fit_baseline(X, SolverConfig(method="L21_NMF", c=2, max_iter=1), initial=F0)
+        r = fit(X, SolverConfig(method="L21_NMF", c=2, max_iter=1), initial=F0)
         assert np.allclose(r.factors.U, U1, atol=1e-13)
         assert np.allclose(r.factors.V, V1, atol=1e-13)
 
     def test_l21_records_the_sum_of_residual_norms(self):
         X = synth_random(5, 8, seed=12)
         F0 = init_factors(X, 2, seed=0)
-        r = fit_baseline(X, SolverConfig(method="L21_NMF", c=2, max_iter=1), initial=F0)
+        r = fit(X, SolverConfig(method="L21_NMF", c=2, max_iter=1), initial=F0)
         assert r.trace.objective[0] == pytest.approx(
-            float(np.sum(column_norms(residual_matrix(X, F0)))), rel=1e-12
+            float(np.sum(column_norms(residual_matrix(X, F0.U, F0.V)))), rel=1e-12
         )
 
     def test_baselines_report_no_entropy_weights(self):
         X = synth_random(4, 6, seed=0)
-        r = fit_baseline(X, SolverConfig(method="NMF_FRO", c=2, max_iter=3))
+        r = fit(X, SolverConfig(method="NMF_FRO", c=2, max_iter=3))
         assert r.final_q is None
