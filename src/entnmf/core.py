@@ -140,8 +140,8 @@ class ConvergenceTrace:
 
 
 def column_norms(M: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each column of M."""
-    return np.sqrt(np.sum(M * M, axis=0))
+    """Euclidean norm of each column of M, or of each matrix in a stack (..., d, n)."""
+    return np.sqrt(np.sum(M * M, axis=-2))
 
 
 def guarded_norms(M: np.ndarray, epsilon: float) -> np.ndarray:
@@ -151,13 +151,43 @@ def guarded_norms(M: np.ndarray, epsilon: float) -> np.ndarray:
     return np.maximum(column_norms(M), epsilon)
 
 
+# The kernels below take raw arrays and work on one problem or on a stack of
+# same-shape problems alike: X (..., d, n), U (..., d, c), V (..., n, c),
+# q (..., n). A stacked call computes exactly what the per-problem calls
+# would, slice by slice. They neither check their inputs or outputs nor
+# silence floating-point warnings; the DataMatrix functions after them and
+# the fit loop do both.
+
+
+def residual(X: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """M = X - U V^T."""
+    return X - U @ V.swapaxes(-1, -2)
+
+
+def basis_step(X: np.ndarray, U: np.ndarray, V: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """U_ik <- U_ik * sqrt( (X Q V)_ik / (U (V^T Q V))_ik ), Q = diag(q)."""
+    numer = (X * q[..., None, :]) @ V
+    denom = U @ ((V * q[..., :, None]).swapaxes(-1, -2) @ V)
+    return U * np.sqrt(numer / (denom + DELTA))
+
+
+def coeff_step(X: np.ndarray, U: np.ndarray, V: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """V_ik <- V_ik * sqrt( (Q X^T U)_ik / (Q V (U^T U))_ik ).
+
+    Q being diagonal, the only shape-consistent reading of the denominator is
+    Q (V (U^T U))."""
+    numer = q[..., :, None] * (X.swapaxes(-1, -2) @ U)
+    denom = q[..., :, None] * (V @ (U.swapaxes(-1, -2) @ U))
+    return V * np.sqrt(numer / (denom + DELTA))
+
+
 def residual_matrix(X: DataMatrix, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Residual M = X - U V^T; may contain negative entries."""
     if U.shape[0] != X.d or V.shape[0] != X.n:
         raise InputError(
             f"factor shapes U {U.shape}, V {V.shape} do not match data {X.values.shape}"
         )
-    return X.values - U @ V.T
+    return residual(X.values, U, V)
 
 
 def _check_finite(A: np.ndarray, what: str) -> np.ndarray:
@@ -174,25 +204,19 @@ def _check_shapes(X: DataMatrix, U: np.ndarray, V: np.ndarray, q: np.ndarray) ->
 def update_basis(X: DataMatrix, U: np.ndarray, V: np.ndarray, q: np.ndarray) -> np.ndarray:
     """One multiplicative step on U for the weighted quadratic objective.
 
-    U_ik <- U_ik * sqrt( (X Q V)_ik / (U (V^T Q V))_ik ), Q = diag(q). Returns
-    a new array; zeros in U stay zero, and X = U V^T is a fixed point up to
-    the guard.
+    See `basis_step`. Returns a new array; zeros in U stay zero, and X = U V^T
+    is a fixed point up to the guard. Non-finite output raises NumericalError.
     """
     _check_shapes(X, U, V, q)
-    numer = (X.values * q[None, :]) @ V
-    denom = U @ ((V * q[:, None]).T @ V)
     with np.errstate(invalid="ignore", divide="ignore"):
-        return _check_finite(U * np.sqrt(numer / (denom + DELTA)), "U")
+        return _check_finite(basis_step(X.values, U, V, q), "U")
 
 
 def update_coeff(X: DataMatrix, U: np.ndarray, V: np.ndarray, q: np.ndarray) -> np.ndarray:
     """One multiplicative step on V for the weighted quadratic objective.
 
-    V_ik <- V_ik * sqrt( (Q X^T U)_ik / (Q V (U^T U))_ik ). Q being diagonal,
-    the only shape-consistent reading of the denominator is Q (V (U^T U)).
+    See `coeff_step`. Non-finite output raises NumericalError.
     """
     _check_shapes(X, U, V, q)
-    numer = q[:, None] * (X.values.T @ U)
-    denom = q[:, None] * (V @ (U.T @ U))
     with np.errstate(invalid="ignore", divide="ignore"):
-        return _check_finite(V * np.sqrt(numer / (denom + DELTA)), "V")
+        return _check_finite(coeff_step(X.values, U, V, q), "V")

@@ -14,8 +14,9 @@ class NumericalError(RuntimeError):
     """Numerical failure during iteration (NaN/Inf, degenerate residuals).
 
     `iteration` is the 1-based outer iteration at which the failure was
-    detected, when known. `objective` carries the objective values recorded
-    up to the failure so callers can inspect the partial trace.
+    detected (0 for the starting point), when known. `objective` carries the
+    objective values recorded up to the failure so callers can inspect the
+    partial trace.
     """
 
     def __init__(self, message, iteration=None, objective=None):

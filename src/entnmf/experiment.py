@@ -12,8 +12,10 @@ optional sweep over one named parameter. Running it produces:
 
 Determinism: the fit seed for repetition r is solver.seed + r, and each
 injection seed is the fit seed plus a fixed offset, so a manifest fed back
-as a config reproduces every output byte for byte, and parallel execution
-matches sequential execution exactly.
+as a config reproduces every output byte for byte. The repetitions of a
+sweep point are fitted together as stacks (`STACK_BYTES`), and every fit in
+a stack computes exactly what it would alone, so the outputs depend neither
+on the stacking nor on the thread count.
 """
 
 from __future__ import annotations
@@ -36,17 +38,22 @@ from .data import (
     synth_random,
     unit_normalize,
 )
-from .errors import InputError
-from .graph import knn_graph
+from .errors import InputError, NumericalError
+from .graph import knn_graph, normalize_graph
 from .losses import influence_ratios, influence_upper_bound
 from .metrics import accuracy, nmi, summarize
-from .solvers import SolverConfig, extend_factors, fit, init_factors
+from .solvers import SolverConfig, extend_factors, fit, fit_stack, init_factors
 
 SOURCES = ("CSV_FILE", "SYNTH_OUTLIERS", "SYNTH_BLOBS", "SYNTH_RANDOM")
 SWEEPS = ("outlier_count", "lambda", "sigma", "block_size")
 
 # Offset separating injection randomness from fit randomness within a repetition.
 INJECTION_SEED_OFFSET = 10007
+
+# Bytes of stacked data matrices in one stack of repetitions: a sweep point's
+# repetitions are fitted max(1, STACK_BYTES // (8 d n)) at a time, and the
+# fit loop's temporaries are a small multiple of that.
+STACK_BYTES = 8 * 2**20
 
 
 @dataclass
@@ -188,42 +195,60 @@ def realize_dataset(spec: DatasetSpec) -> DataMatrix:
     return X
 
 
-def _fit_one(cfg: ExperimentConfig, X_base: DataMatrix, sweep_name, value, rep):
-    """One repetition at one sweep point. Pure function of its arguments."""
-    fit_seed = cfg.solver.seed + rep
-    inject_seed = fit_seed + INJECTION_SEED_OFFSET
-    solver_cfg = replace(cfg.solver, seed=fit_seed)
-    X = X_base
-    score_mask = None
-    initial = None
+def _fit_stack(cfg: ExperimentConfig, X_base: DataMatrix, sweep_name, value, reps, bases, graph):
+    """The repetitions `reps` of one sweep point, fitted as one stack.
 
-    if sweep_name == "outlier_count":
-        X, injected = inject_outlier_vectors(X_base, int(value), seed=inject_seed)
-        score_mask = ~injected
-        # Anchor the starting factors on the clean data so the sweep measures
-        # how injected columns move the basis, not how they break k-means.
-        base = init_factors(X_base, solver_cfg.c, fit_seed, solver_cfg.init)
-        initial = extend_factors(base, X)
-    elif sweep_name == "block_size":
-        per_class = int(cfg.dataset.params.get("samples_per_class", 3))
-        X, _ = inject_block_noise(X_base, int(value), per_class, seed=inject_seed)
-    elif sweep_name == "lambda":
+    `bases` holds each repetition's k-means start on X_base and `graph` the
+    normalized graph of X_base, where the tasks share them (see
+    `_run_experiment_inner`). Returns one (fit_seed, result, acc, nmi, errors)
+    per repetition, in order; the first member that failed numerically
+    raises its NumericalError. Pure function of its arguments.
+    """
+    solver_cfg = cfg.solver
+    if sweep_name == "lambda":
         solver_cfg = replace(solver_cfg, lam=float(value))
+    Xs, masks, initials, graphs = [], [], [], []
+    for rep in reps:
+        fit_seed = cfg.solver.seed + rep
+        inject_seed = fit_seed + INJECTION_SEED_OFFSET
+        X = X_base
+        score_mask = None
+        if sweep_name == "outlier_count":
+            X, injected = inject_outlier_vectors(X_base, int(value), seed=inject_seed)
+            score_mask = ~injected
+            # Anchor the starting factors on the clean data so the sweep measures
+            # how injected columns move the basis, not how they break k-means.
+            initial = extend_factors(bases[rep], X)
+        elif sweep_name == "block_size":
+            per_class = int(cfg.dataset.params.get("samples_per_class", 3))
+            X, _ = inject_block_noise(X_base, int(value), per_class, seed=inject_seed)
+            initial = init_factors(X, solver_cfg.c, fit_seed, solver_cfg.init)
+        else:
+            initial = bases[rep]
+        if solver_cfg.method == "GEMMF" and graph is None:
+            graphs.append(knn_graph(X, cfg.graph_k))
+        else:
+            graphs.append(graph)
+        Xs.append(X)
+        masks.append(score_mask)
+        initials.append(initial)
 
-    graph = knn_graph(X, cfg.graph_k) if solver_cfg.method == "GEMMF" else None
-    result = fit(X, solver_cfg, graph, initial)
-
-    acc_val = nmi_val = float("nan")
-    if X.labels is not None:
-        pred = result.assignments
-        truth = X.labels
-        if score_mask is not None:
-            pred = pred[score_mask]
-            truth = truth[score_mask]
-        acc_val = accuracy(pred, truth)
-        nmi_val = nmi(pred, truth)
-    errors = column_norms(residual_matrix(X, result.factors.U, result.factors.V))
-    return fit_seed, result, acc_val, nmi_val, errors
+    out = []
+    for rep, X, score_mask, result in zip(reps, Xs, masks, fit_stack(Xs, solver_cfg, initials, graphs)):
+        if isinstance(result, NumericalError):
+            raise result
+        acc_val = nmi_val = float("nan")
+        if X.labels is not None:
+            pred = result.assignments
+            truth = X.labels
+            if score_mask is not None:
+                pred = pred[score_mask]
+                truth = truth[score_mask]
+            acc_val = accuracy(pred, truth)
+            nmi_val = nmi(pred, truth)
+        errors = column_norms(residual_matrix(X, result.factors.U, result.factors.V))
+        out.append((cfg.solver.seed + rep, result, acc_val, nmi_val, errors))
+    return out
 
 
 def _write_csv(path, header, rows):
@@ -245,7 +270,11 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list:
     """Execute the configured runs and write all output files.
 
     Returns the list of written paths. On any failure every file written so
-    far is removed before the error propagates."""
+    far is removed before the error propagates. The repetitions of a sweep
+    point are fitted as one stack (see `entnmf.solvers`); `threads` runs
+    whole stacks in parallel, and the outputs do not depend on it."""
+    if threads < 1:
+        raise InputError(f"threads must be >= 1, got {threads}")
     os.makedirs(cfg.output_dir, exist_ok=True)
     written = []
     try:
@@ -288,15 +317,41 @@ def _run_experiment_inner(cfg, threads, written):
         for rep in range(cfg.repetitions)
     ]
 
+    # Work that does not change between tasks is done once: each
+    # repetition's k-means start on the clean data (outlier_count sweeps
+    # extend it, lambda sweeps and single points start from it), and the
+    # normalized graph when the data is the same for every task.
+    bases = graph = None
+    if sweep_name != "block_size":
+        bases = [
+            init_factors(X_base, cfg.solver.c, cfg.solver.seed + rep, cfg.solver.init)
+            for rep in range(cfg.repetitions)
+        ]
+    if sweep_name in (None, "lambda") and cfg.solver.method == "GEMMF":
+        graph = normalize_graph(knn_graph(X_base, cfg.graph_k))
+
+    # The repetitions of a sweep point form stacks of at most STACK_BYTES of
+    # data; the grouping does not depend on `threads`.
+    stacks = []
+    for value in values:
+        n = X_base.n + (int(value) if sweep_name == "outlier_count" else 0)
+        size = max(1, STACK_BYTES // (8 * X_base.d * n))
+        for first in range(0, cfg.repetitions, size):
+            stacks.append((value, range(first, min(first + size, cfg.repetitions))))
+
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [
-                pool.submit(_fit_one, cfg, X_base, sweep_name, value, rep)
-                for _, value, rep in tasks
+                pool.submit(_fit_stack, cfg, X_base, sweep_name, value, reps, bases, graph)
+                for value, reps in stacks
             ]
-            results = [f.result() for f in futures]
+            results = [r for f in futures for r in f.result()]
     else:
-        results = [_fit_one(cfg, X_base, sweep_name, value, rep) for _, value, rep in tasks]
+        results = [
+            r
+            for value, reps in stacks
+            for r in _fit_stack(cfg, X_base, sweep_name, value, reps, bases, graph)
+        ]
 
     metric_rows = []
     for (idx, value, rep), (fit_seed, result, acc_val, nmi_val, errors) in zip(tasks, results):

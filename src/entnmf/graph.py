@@ -18,6 +18,10 @@ both parts elementwise nonnegative, giving
 
     V_ik <- V_ik * sqrt( (Q X^T U + 2 lambda S V + V L5-)_ik
                        / (Q V U^T U + V L5+)_ik ).
+
+The fit loop advances a stack of problems at once; `GraphStack` places the
+members' graphs on the diagonal of one CSR operator, so a single sparse
+product applies each member's own graph to its own V.
 """
 
 from __future__ import annotations
@@ -68,9 +72,44 @@ class SimilarityGraph:
 
     def penalty(self, V: np.ndarray) -> float:
         """||S - V V^T||_F^2 in the expanded form, without an n x n temporary."""
-        G = V.T @ V
-        value = self.sq_norm - 2.0 * float(np.sum((self.S @ V) * V)) + float(np.sum(G * G))
-        return max(value, 0.0)
+        return float(graph_penalty(self.sq_norm, self.S @ V, V))
+
+
+def graph_penalty(sq_norm, SV: np.ndarray, V: np.ndarray):
+    """||S - V V^T||_F^2 from ||S||_F^2 and S V, for one V or a stack (..., n, c)."""
+    G = V.swapaxes(-1, -2) @ V
+    value = sq_norm - 2.0 * np.sum(SV * V, axis=(-2, -1)) + np.sum(G * G, axis=(-2, -1))
+    return np.where(value < 0.0, 0.0, value)
+
+
+class GraphStack:
+    """Same-size graphs as one block-diagonal operator on a stack of V.
+
+    `S` holds graph b's edges in rows and columns [b n, (b + 1) n), in each
+    graph's own order, so one sparse product S V computes every member's
+    S_b V_b exactly as a product on its own graph would.
+    """
+
+    def __init__(self, graphs):
+        n = graphs[0].n
+        offsets = np.cumsum([0] + [g.S.nnz for g in graphs])
+        self.S = csr_array(
+            (
+                np.concatenate([g.S.data for g in graphs]),
+                np.concatenate([g.S.indices + b * n for b, g in enumerate(graphs)]),
+                np.concatenate([[0]] + [g.S.indptr[1:] + off for g, off in zip(graphs, offsets)]),
+            ),
+            shape=(len(graphs) * n,) * 2,
+        )
+        self.sq_norm = np.array([g.sq_norm for g in graphs])
+
+    def product(self, V: np.ndarray) -> np.ndarray:
+        """S_b V_b for every member b of the stack V (B, n, c)."""
+        return (self.S @ V.reshape(-1, V.shape[-1])).reshape(V.shape)
+
+    def penalty(self, V: np.ndarray, SV: np.ndarray) -> np.ndarray:
+        """||S_b - V_b V_b^T||_F^2 per member, given SV = product(V)."""
+        return graph_penalty(self.sq_norm, SV, V)
 
 
 def knn_graph(X: DataMatrix, k: int) -> SimilarityGraph:
@@ -86,7 +125,9 @@ def knn_graph(X: DataMatrix, k: int) -> SimilarityGraph:
     P = X.values
     sq = np.sum(P * P, axis=0)
     block = min(256, max(1, BLOCK_BYTES // (8 * n)))
-    rows, cols = [], []
+    # every row keeps exactly k neighbors, listed in column order, so the
+    # directed graph is a CSR matrix with k entries per row
+    cols = []
     for start in range(0, n, block):
         stop = min(start + block, n)
         # (sq_i + sq_j) - 2 p_i.p_j, rounded as the dense formula was
@@ -104,12 +145,13 @@ def knn_graph(X: DataMatrix, k: int) -> SimilarityGraph:
         del d2
         room = k - np.sum(below, axis=1, keepdims=True)
         keep = below | (tied & (np.cumsum(tied, axis=1) <= room))
-        r, c = np.nonzero(keep)
-        rows.append(r + start)
-        cols.append(c)
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    A = csr_array((np.ones(rows.size), (rows, cols)), shape=(n, n))
-    return SimilarityGraph(S=A.maximum(A.T), normalized=False, k=k)
+        cols.append(np.nonzero(keep)[1])
+    cols = np.concatenate(cols)
+    A = csr_array((np.ones(n * k), cols, k * np.arange(n + 1)), shape=(n, n))
+    del cols
+    S = A.maximum(A.T)
+    del A
+    return SimilarityGraph(S=S, normalized=False, k=k)
 
 
 def normalize_graph(graph: SimilarityGraph) -> SimilarityGraph:
@@ -133,6 +175,22 @@ def normalize_graph(graph: SimilarityGraph) -> SimilarityGraph:
     return SimilarityGraph(S=scaled, normalized=True, k=graph.k)
 
 
+def graph_coeff_step(X: np.ndarray, U: np.ndarray, V: np.ndarray, q: np.ndarray,
+                     SV: np.ndarray, lam: float) -> np.ndarray:
+    """Graph-regularized multiplicative step on V, given SV = S V.
+
+    Raw arrays, one problem or a stack (..., d, n), like the kernels in
+    `entnmf.core`; no checks, no silenced warnings."""
+    A = q[..., :, None] * (X.swapaxes(-1, -2) @ U)      # Q X^T U
+    B = q[..., :, None] * (V @ (U.swapaxes(-1, -2) @ U))  # Q V U^T U
+    Vt = V.swapaxes(-1, -2)
+    minus = Vt @ B                                     # L5-
+    plus = Vt @ A + 2.0 * lam * (Vt @ SV)              # L5+
+    numer = A + 2.0 * lam * SV + V @ minus
+    denom = B + V @ plus
+    return V * np.sqrt(numer / (denom + DELTA))
+
+
 def gemmf_update_coeff(
     X: DataMatrix,
     U: np.ndarray,
@@ -148,12 +206,5 @@ def gemmf_update_coeff(
         raise InputError("shapes of data, factors and graph disagree")
     if lam < 0:
         raise InputError(f"graph weight must be nonnegative, got {lam}")
-    A = q[:, None] * (X.values.T @ U)          # Q X^T U
-    B = q[:, None] * (V @ (U.T @ U))           # Q V U^T U
-    SV = graph.S @ V
-    minus = V.T @ B                            # L5-
-    plus = V.T @ A + 2.0 * lam * (V.T @ SV)    # L5+
-    numer = A + 2.0 * lam * SV + V @ minus
-    denom = B + V @ plus
     with np.errstate(invalid="ignore", divide="ignore"):
-        return _check_finite(V * np.sqrt(numer / (denom + DELTA)), "V")
+        return _check_finite(graph_coeff_step(X.values, U, V, q, graph.S @ V, lam), "V")

@@ -45,35 +45,43 @@ def default_epsilon(values: np.ndarray) -> float:
     return 1e-10 * max(1.0, float(np.linalg.norm(values)))
 
 
-def entropy_terms(norms: np.ndarray) -> tuple[float, np.ndarray]:
-    """Entropy loss and diagonal weights from one vector of guarded norms.
+def entropy_terms(norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entropy loss and diagonal weights from guarded norms, along the last axis.
 
     Returns (-sum_i ||m_i|| log(||m_i|| / ||M||_{2,1}), q) with
-    q_i = -log(||m_i|| / ||M||_{2,1}) / ||m_i||. Each guarded norm is at most
-    the total, so every weight is nonnegative; a weight is zero exactly when
-    its sample carries the entire residual mass (in particular for a single
-    sample).
+    q_i = -log(||m_i|| / ||M||_{2,1}) / ||m_i||; a stack of norm vectors
+    (..., n) gives one loss per vector. Each guarded norm is at most the
+    total, so every weight is nonnegative; a weight is zero exactly when its
+    sample carries the entire residual mass (in particular for a single
+    sample). A non-finite norm gives a non-finite loss; callers check it.
     """
-    total = float(np.sum(norms))
-    log_share = np.log(norms / total)
-    value = float(-np.sum(norms * log_share))
+    # A rounded sum of nonnegative terms is never below any of them, so every
+    # share is at most 1 and the loss is nonnegative (-0.0 when one sample
+    # carries all the mass).
+    log_share = np.log(norms / np.sum(norms, axis=-1, keepdims=True))
+    return -np.sum(norms * log_share, axis=-1), np.maximum(-log_share / norms, 0.0)
+
+
+def _finite_entropy_terms(norms: np.ndarray) -> tuple[float, np.ndarray]:
+    """entropy_terms of one norm vector; a non-finite loss raises NumericalError."""
+    value, q = entropy_terms(norms)
     if not np.isfinite(value):
-        bad = int(np.argmax(~np.isfinite(norms * log_share)))
+        with np.errstate(all="ignore"):
+            bad = int(np.argmax(~np.isfinite(norms * np.log(norms / np.sum(norms)))))
         raise NumericalError(f"entropy objective is non-finite at sample {bad}")
-    # log(1) may round to -0.0; a single sample carries all mass exactly.
-    return max(value, 0.0), np.maximum(-log_share / norms, 0.0)
+    return float(value), q
 
 
 def entropy_weights(M: np.ndarray, epsilon: float) -> ResidualWeights:
     """Diagonal weights Q_ii = -log(||m_i|| / ||M||_{2,1}) / ||m_i||, guarded."""
     norms = guarded_norms(np.asarray(M, dtype=float), epsilon)
-    _, q = entropy_terms(norms)
+    _, q = _finite_entropy_terms(norms)
     return ResidualWeights(norms=norms, total=float(np.sum(norms)), q=q, epsilon=epsilon)
 
 
 def entropy_objective(X: DataMatrix, F: FactorPair, epsilon: float) -> float:
     """Entropy loss -sum_i ||m_i|| log(||m_i|| / ||M||_{2,1}) with guarded norms."""
-    return entropy_terms(guarded_norms(residual_matrix(X, F.U, F.V), epsilon))[0]
+    return _finite_entropy_terms(guarded_norms(residual_matrix(X, F.U, F.V), epsilon))[0]
 
 
 def influence_ratios(X: DataMatrix, F: FactorPair, i: int) -> InfluenceReport:

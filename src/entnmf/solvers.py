@@ -1,22 +1,32 @@
 """One fitting loop over a table of methods, with k-means initialization.
 
-Every method is two functions on the raw factor arrays:
+The loop fits a stack of B same-shape problems at once: the data X (B, d, n),
+the factors U (B, d, c) and V (B, n, c), the per-sample weights q (B, n) and
+the guards eps (B,). Every array operation works on the whole stack
+(`swapaxes(-1, -2)` transposes, reductions over `axis=-2`/`axis=-1`,
+`[..., None, :]` broadcasts), and computes for each member exactly what it
+would compute for that member alone, so one Python iteration advances all B
+fits. `fit` is the stack of one; the experiment harness stacks the
+repetitions of a sweep point.
+
+Every method is two functions on the raw stacked arrays:
 
   measure(U, V) -> (objective, norms, q)
   step(U, V, q) -> (U, V)
 
-measure records the loss at (U, V) and, from the same residual, the q the
-next step reads (per-sample weights, UV^T for NMF_DIV, or None); norms are
-the guarded residual norms behind the entropy weights, reported as
-`final_q`, and None for the other methods. step makes one U update, then
-one V update. So the loop forms the residual X - U V^T once per iteration
-(plus once for the starting point), and the loss and the next weights come
-from one set of column norms.
+measure records the loss at (U, V), one value per member, and, from the same
+residual, the q the next step reads (per-sample weights, UV^T for NMF_DIV,
+or None); norms are the guarded residual norms behind the entropy weights,
+reported as `final_q`, and None for the other methods. step makes one U
+update, then one V update. So the loop forms the residual X - U V^T once per
+iteration (plus once for the starting point), and the loss and the next
+weights come from one set of column norms.
 
   EMMF     weights q from the entropy linearization (`entnmf.losses`),
            shared weighted engine for U and V; records the entropy loss.
   GEMMF    EMMF with the graph-regularized V step on the normalized graph;
-           records entropy + lambda ||S - VV^T||_F^2.
+           records entropy + lambda ||S - VV^T||_F^2. The members' graphs
+           act as one block-diagonal sparse operator.
   NMF_FRO  classic multiplicative rules for the squared Frobenius loss;
            records ||X - UV^T||_F^2.
   NMF_DIV  divergence formulation with its classical multiplicative rules;
@@ -24,9 +34,13 @@ from one set of column norms.
            loss and the next U step.
   L21_NMF  weighted engine with Q_ii = 1/(2 ||m_i||); records ||X - UV^T||_{2,1}.
 
-All fits are deterministic given the seed. Iteration stops when the relative
-objective change falls below `tol` or after `max_iter` iterations. Inputs are
-validated once, at entry; `FactorPair` and `ResidualWeights` are built once,
+All fits are deterministic given the seed. Each iteration checks the whole
+stack once: a member whose factors or objective turn non-finite leaves the
+stack with a NumericalError carrying its iteration and its objective trace;
+a member whose relative objective change falls below `tol` leaves with its
+result; the rest leave after `max_iter` iterations. Departures shrink the
+stack and change nothing for the members that stay. Inputs are validated
+once, at entry; `FactorPair` and `ResidualWeights` are built once per member,
 for the result.
 """
 
@@ -43,14 +57,13 @@ from .core import (
     DataMatrix,
     FactorPair,
     ResidualWeights,
+    basis_step,
+    coeff_step,
     column_norms,
-    guarded_norms,
-    residual_matrix,
-    update_basis,
-    update_coeff,
+    residual,
 )
 from .errors import InputError, NumericalError
-from .graph import SimilarityGraph, gemmf_update_coeff, normalize_graph
+from .graph import GraphStack, SimilarityGraph, graph_coeff_step, normalize_graph
 from .losses import default_epsilon, entropy_terms
 
 METHODS = ("EMMF", "GEMMF", "NMF_FRO", "NMF_DIV", "L21_NMF")
@@ -177,114 +190,87 @@ def extend_factors(F: FactorPair, X: DataMatrix) -> FactorPair:
     return FactorPair(U=F.U.copy(), V=np.vstack([F.V, V_new]))
 
 
-def _divergence(X: np.ndarray, B: np.ndarray) -> float:
+def _divergence(X: np.ndarray, B: np.ndarray) -> np.ndarray:
     """DIV(X || B) = sum_ij X_ij log(X_ij / B_ij) - X_ij + B_ij, with 0 log 0 = 0."""
     guarded = B + 1e-12
     log_term = np.where(X > 0, X * np.log(np.where(X > 0, X, 1.0) / guarded), 0.0)
-    return float(np.sum(log_term - X + B))
+    return np.sum(log_term - X + B, axis=(-2, -1))
 
 
-def _method(X: DataMatrix, cfg: SolverConfig, graph: SimilarityGraph | None, eps: float):
-    """(measure, step) of cfg.method on X; see the module docstring."""
+def _method(X: np.ndarray, eps: np.ndarray, cfg: SolverConfig, graphs):
+    """(measure, step) of cfg.method on the stack X (B, d, n); see the module
+    docstring. eps is (B, 1); graphs are the members' normalized graphs for
+    GEMMF."""
 
     def entropy(U, V):
-        norms = guarded_norms(residual_matrix(X, U, V), eps)
+        norms = np.maximum(column_norms(residual(X, U, V)), eps)
         value, q = entropy_terms(norms)
         return value, norms, q
 
     def weighted_step(U, V, q):
-        U = update_basis(X, U, V, q)
-        return U, update_coeff(X, U, V, q)
+        U = basis_step(X, U, V, q)
+        return U, coeff_step(X, U, V, q)
 
     if cfg.method == "EMMF":
         return entropy, weighted_step
     if cfg.method == "GEMMF":
-        if graph is None:
-            raise InputError("GEMMF requires a similarity graph")
-        if graph.n != X.n:
-            raise InputError(f"graph has {graph.n} vertices but data has {X.n} samples")
-        S = normalize_graph(graph)
+        S = GraphStack(graphs)
 
         def measure(U, V):
             value, norms, q = entropy(U, V)
-            return value + cfg.lam * S.penalty(V), norms, q
+            return value + cfg.lam * S.penalty(V, S.product(V)), norms, q
 
         def step(U, V, q):
-            U = update_basis(X, U, V, q)
-            return U, gemmf_update_coeff(X, U, V, q, S, cfg.lam)
+            U = basis_step(X, U, V, q)
+            return U, graph_coeff_step(X, U, V, q, S.product(V), cfg.lam)
 
         return measure, step
     if cfg.method == "L21_NMF":
         def measure(U, V):
-            norms = column_norms(residual_matrix(X, U, V))
-            return float(np.sum(norms)), None, 0.5 / np.maximum(norms, eps)
+            norms = column_norms(residual(X, U, V))
+            return np.sum(norms, axis=-1), None, 0.5 / np.maximum(norms, eps)
 
         return measure, weighted_step
     if cfg.method == "NMF_FRO":
         def measure(U, V):
-            M = residual_matrix(X, U, V)
-            return float(np.sum(M * M)), None, None
+            M = residual(X, U, V)
+            return np.sum(M * M, axis=(-2, -1)), None, None
 
         def step(U, V, _):
-            U = U * (X.values @ V) / (U @ (V.T @ V) + DELTA)
-            return U, V * (X.values.T @ U) / (V @ (U.T @ U) + DELTA)
+            U = U * (X @ V) / (U @ (V.swapaxes(-1, -2) @ V) + DELTA)
+            return U, V * (X.swapaxes(-1, -2) @ U) / (V @ (U.swapaxes(-1, -2) @ U) + DELTA)
 
         return measure, step
 
     def measure(U, V):  # NMF_DIV; the next step's first ratio reuses UV^T
-        B = U @ V.T
-        return _divergence(X.values, B), None, B
+        B = U @ V.swapaxes(-1, -2)
+        return _divergence(X, B), None, B
 
     def step(U, V, B):
-        U = U * ((X.values / (B + DELTA)) @ V) / (np.sum(V, axis=0)[None, :] + DELTA)
-        ratio = X.values / (U @ V.T + DELTA)
-        return U, V * (ratio.T @ U) / (np.sum(U, axis=0)[None, :] + DELTA)
+        U = U * ((X / (B + DELTA)) @ V) / (np.sum(V, axis=-2)[..., None, :] + DELTA)
+        ratio = X / (U @ V.swapaxes(-1, -2) + DELTA)
+        return U, V * (ratio.swapaxes(-1, -2) @ U) / (np.sum(U, axis=-2)[..., None, :] + DELTA)
 
     return measure, step
 
 
-def fit(X: DataMatrix, cfg: SolverConfig, graph: SimilarityGraph | None = None,
-        initial: FactorPair | None = None) -> FitResult:
-    """Fit X ~ U V^T with cfg.method; GEMMF requires a similarity graph.
+def _failures(U: np.ndarray, V: np.ndarray, value: np.ndarray) -> list:
+    """Each member's first failed finiteness check, or None where all pass."""
+    if np.isfinite(value).all() and np.isfinite(U).all() and np.isfinite(V).all():
+        return [None] * len(value)
+    bad_U = ~np.isfinite(U).all(axis=(-2, -1))
+    bad_V = ~np.isfinite(V).all(axis=(-2, -1))
+    return [
+        "non-finite entries produced while updating U" if u
+        else "non-finite entries produced while updating V" if v
+        else "objective became non-finite" if not np.isfinite(o)
+        else None
+        for u, v, o in zip(bad_U.tolist(), bad_V.tolist(), value.tolist())
+    ]
 
-    Starts from `initial` when given, else from `init_factors`. A non-finite
-    factor or objective raises NumericalError carrying the iteration and the
-    objective trace so far.
-    """
-    eps = cfg.epsilon if cfg.epsilon is not None else default_epsilon(X.values)
-    measure, step = _method(X, cfg, graph, eps)
-    if initial is None:
-        initial = init_factors(X, cfg.c, cfg.seed, cfg.init)
-    elif initial.U.shape != (X.d, cfg.c) or initial.V.shape != (X.n, cfg.c):
-        raise InputError(
-            f"initial factors {initial.U.shape}/{initial.V.shape} do not fit "
-            f"data {X.values.shape} with c={cfg.c}"
-        )
-    U, V = initial.U, initial.V
-    start = time.perf_counter()
-    value, norms, q = measure(U, V)
-    objective = [value]
-    iterations = 0
-    converged = False
-    for t in range(1, cfg.max_iter + 1):
-        try:
-            U, V = step(U, V, q)
-            value, norms, q = measure(U, V)
-        except NumericalError as err:
-            raise NumericalError(str(err), iteration=t, objective=objective) from err
-        if not np.isfinite(value):
-            raise NumericalError("objective became non-finite", iteration=t, objective=objective)
-        objective.append(value)
-        iterations = t
-        if abs(value - objective[-2]) / max(objective[-2], 1e-30) < cfg.tol:
-            converged = True
-            break
-    trace = ConvergenceTrace(
-        objective=objective,
-        iterations=iterations,
-        converged=converged,
-        wall_time=time.perf_counter() - start,
-    )
+
+def _result(U, V, norms, q, eps: float, trace: ConvergenceTrace) -> FitResult:
+    """One member's FitResult from its slices of the stack."""
     final_q = None
     if norms is not None:
         final_q = ResidualWeights(norms=norms, total=float(np.sum(norms)), q=q, epsilon=eps)
@@ -294,3 +280,103 @@ def fit(X: DataMatrix, cfg: SolverConfig, graph: SimilarityGraph | None = None,
         assignments=np.argmax(V, axis=1),  # ties resolve toward the lowest column
         final_q=final_q,
     )
+
+
+def fit_stack(Xs, cfg: SolverConfig, initials, graphs=None) -> list:
+    """Fit the same-shape problems (Xs[b], initials[b], graphs[b]) in one loop.
+
+    All members share cfg (its seed is not used: the members start from
+    their `initials`); GEMMF needs one similarity graph per member. Returns
+    one entry per member, in order: its FitResult, or the NumericalError
+    that stopped it, carrying the iteration and the member's objective trace
+    so far. Each result is bit for bit what `fit` gives for that member alone,
+    provided the members' arrays share their memory order (C or Fortran).
+    """
+    B = len(Xs)
+    if B < 1 or len(initials) != B or (graphs is not None and len(graphs) != B):
+        raise InputError(f"a stack needs one initial (and graph) per data matrix, got {B} "
+                         f"data matrices and {len(initials)} initials")
+    d, n = Xs[0].values.shape
+    if any(X.values.shape != (d, n) for X in Xs):
+        raise InputError("stacked data matrices must share one shape")
+    eps = np.array([cfg.epsilon if cfg.epsilon is not None else default_epsilon(X.values)
+                    for X in Xs])
+    if cfg.method == "GEMMF":
+        if graphs is None or any(g is None for g in graphs):
+            raise InputError("GEMMF requires a similarity graph")
+        for g in graphs:
+            if g.n != n:
+                raise InputError(f"graph has {g.n} vertices but data has {n} samples")
+        graphs = [normalize_graph(g) for g in graphs]
+    for F in initials:
+        if F.U.shape != (d, cfg.c) or F.V.shape != (n, cfg.c):
+            raise InputError(
+                f"initial factors {F.U.shape}/{F.V.shape} do not fit "
+                f"data {(d, n)} with c={cfg.c}"
+            )
+    # BLAS can round a product of Fortran-ordered operands (k-means gives a
+    # Fortran-ordered U, CSV input a Fortran-ordered X) differently from the
+    # same product in C order; np.stack keeps the members' common memory
+    # order in every slice, so each member computes what it would alone.
+    X = np.stack([M.values for M in Xs])
+    U = np.stack([F.U for F in initials])
+    V = np.stack([F.V for F in initials])
+    members = list(range(B))  # member index of each stack slice
+    measure, step = _method(X, eps[:, None], cfg, graphs)
+    objective = [[] for _ in range(B)]
+    results = [None] * B
+    start = time.perf_counter()
+    with np.errstate(all="ignore"):  # non-finite values become NumericalErrors below
+        value, norms, q = measure(U, V)
+        t = 0
+        while True:
+            failed = _failures(U, V, value)
+            converged = [False] * len(members)
+            if t > 0:
+                converged = (np.abs(value - prev) / np.maximum(prev, 1e-30) < cfg.tol).tolist()
+            for b, v, failure in zip(members, value.tolist(), failed):
+                if failure is None:
+                    objective[b].append(v)
+            leaving = [j for j, (failure, done) in enumerate(zip(failed, converged))
+                       if failure or done or t == cfg.max_iter]
+            for j in leaving:
+                b = members[j]
+                if failed[j]:
+                    results[b] = NumericalError(failed[j], iteration=t, objective=objective[b])
+                else:
+                    trace = ConvergenceTrace(objective=objective[b], iterations=t,
+                                             converged=converged[j],
+                                             wall_time=time.perf_counter() - start)
+                    results[b] = _result(U[j], V[j], None if norms is None else norms[j],
+                                         None if q is None else q[j], float(eps[b]), trace)
+            if leaving:
+                keep = np.ones(len(members), dtype=bool)
+                keep[leaving] = False
+                members = [b for b, kept in zip(members, keep.tolist()) if kept]
+                if not members:
+                    return results
+                # indexing keeps each slice's memory order
+                X, U, V, value, norms, q = (None if A is None else A[keep]
+                                            for A in (X, U, V, value, norms, q))
+                measure, step = _method(X, eps[members][:, None], cfg,
+                                        graphs and [graphs[b] for b in members])
+            t += 1
+            prev = value
+            U, V = step(U, V, q)
+            value, norms, q = measure(U, V)
+
+
+def fit(X: DataMatrix, cfg: SolverConfig, graph: SimilarityGraph | None = None,
+        initial: FactorPair | None = None) -> FitResult:
+    """Fit X ~ U V^T with cfg.method; GEMMF requires a similarity graph.
+
+    Starts from `initial` when given, else from `init_factors`. This is
+    `fit_stack` on a stack of one: a non-finite factor or objective raises
+    NumericalError carrying the iteration and the objective trace so far.
+    """
+    if initial is None:
+        initial = init_factors(X, cfg.c, cfg.seed, cfg.init)
+    (result,) = fit_stack([X], cfg, [initial], [graph])
+    if isinstance(result, NumericalError):
+        raise result
+    return result

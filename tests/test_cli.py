@@ -109,6 +109,14 @@ def test_threads_flag_produces_identical_results(tmp_path):
     assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
 
 
+@pytest.mark.parametrize("threads", ("0", "-2"))
+def test_thread_counts_below_one_exit_1_before_any_output(tmp_path, capsys, threads):
+    cfg = base_config(tmp_path)
+    assert main(["fit", "--config", cfg, "--threads", threads]) == 1
+    assert "threads must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_malformed_config_exits_1(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")

@@ -1,12 +1,17 @@
-"""The single fit loop against the former per-method fit functions.
+"""The single fit loop against the former per-method fit functions, and
+stacked fits against fits of each member alone.
 
 `reference_fit` below is the earlier implementation, kept as the oracle: one
 fit function per method family over a shared outer loop, rebuilding and
 validating `FactorPair`/`ResidualWeights` on every step and forming the
 residual once for the step and again for the objective. Its kernels are
 copied with it, so the comparison pins the arithmetic, not only the loop.
-`fit` must reproduce it bit for bit.
+`fit` must reproduce it bit for bit, and `fit_stack` must give every member
+what `fit` gives it alone.
 """
+
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,8 +25,10 @@ from entnmf import (
     ResidualWeights,
     SolverConfig,
     default_epsilon,
+    extend_factors,
     fit,
     init_factors,
+    inject_block_noise,
     inject_outlier_vectors,
     knn_graph,
     normalize_graph,
@@ -29,7 +36,10 @@ from entnmf import (
     unit_normalize,
 )
 from entnmf import core
+from entnmf import experiment as experiment_module
 from entnmf import solvers as solvers_module
+from entnmf.experiment import DatasetSpec, ExperimentConfig, Sweep, run_experiment
+from entnmf.solvers import fit_stack
 
 METHODS = ("EMMF", "GEMMF", "NMF_FRO", "NMF_DIV", "L21_NMF")
 
@@ -256,6 +266,17 @@ def test_matches_when_the_tolerance_stops_early(method):
     assert stopped > 0
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_matches_on_column_major_data(method):
+    # CSV input arrives column-major, and BLAS rounds some products of
+    # column-major operands differently from the same products in C order
+    for seed in range(3):
+        X = DataMatrix(values=np.asfortranarray(problem(seed).values))
+        graph = knn_graph(X, 4) if method == "GEMMF" else None
+        cfg = SolverConfig(method=method, c=3, seed=seed, max_iter=30, tol=0.0, lam=1.0)
+        assert_identical(X, cfg, graph)
+
+
 def test_matches_with_an_explicit_epsilon():
     for seed in range(5):
         X = problem(seed)
@@ -270,9 +291,9 @@ def test_forms_one_residual_per_iteration(monkeypatch, method):
 
     def counting(X, U, V):
         calls.append(1)
-        return core.residual_matrix(X, U, V)
+        return core.residual(X, U, V)
 
-    monkeypatch.setattr(solvers_module, "residual_matrix", counting)
+    monkeypatch.setattr(solvers_module, "residual", counting)
     X = problem(0)
     graph = knn_graph(X, 4) if method == "GEMMF" else None
     for k in (1, 7, 30):
@@ -308,20 +329,252 @@ def test_gemmf_graph_checks_stay_at_the_boundary():
 
 
 def test_numerical_failure_names_the_iteration_and_keeps_the_trace(monkeypatch):
-    real = solvers_module.update_coeff
+    real = solvers_module.coeff_step
     calls = []
 
     def breaks_on_the_third_step(X, U, V, q):
         calls.append(1)
         V = real(X, U, V, q)
-        if len(calls) == 3:
-            V = V * np.inf
-        return core._check_finite(V, "V")
+        return V * np.inf if len(calls) == 3 else V
 
-    monkeypatch.setattr(solvers_module, "update_coeff", breaks_on_the_third_step)
+    monkeypatch.setattr(solvers_module, "coeff_step", breaks_on_the_third_step)
     X = problem(0)
     with pytest.raises(NumericalError) as info:
         fit(X, SolverConfig(method="EMMF", c=3, max_iter=10, tol=0.0))
     assert info.value.iteration == 3
     assert len(info.value.objective) == 3
     assert np.all(np.isfinite(info.value.objective))
+
+
+# ---- stacks against members fitted alone ----------------------------------
+
+
+def assert_same_fit(r, alone):
+    assert all(type(v) is float for v in r.trace.objective)
+    assert np.array_equal(r.trace.objective, alone.trace.objective)
+    assert (r.trace.iterations, r.trace.converged) == (alone.trace.iterations, alone.trace.converged)
+    assert np.array_equal(r.factors.U, alone.factors.U)
+    assert np.array_equal(r.factors.V, alone.factors.V)
+    assert np.array_equal(r.assignments, alone.assignments)
+    if alone.final_q is None:
+        assert r.final_q is None
+    else:
+        assert np.array_equal(r.final_q.q, alone.final_q.q)
+        assert np.array_equal(r.final_q.norms, alone.final_q.norms)
+        assert (r.final_q.total, r.final_q.epsilon) == (alone.final_q.total, alone.final_q.epsilon)
+
+
+def assert_stack_matches(Xs, cfg, initials, graphs=None):
+    results = fit_stack(Xs, cfg, initials, graphs)
+    assert len(results) == len(Xs)
+    for b, r in enumerate(results):
+        assert_same_fit(r, fit(Xs[b], cfg, graphs and graphs[b], initials[b]))
+    return results
+
+
+def fortran(X):
+    """X in column-major memory, as CSV input arrives."""
+    return DataMatrix(values=np.asfortranarray(X.values), labels=X.labels)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_a_stack_matches_each_member_fitted_alone(method):
+    # members differ in data, graph and k-means start, and stop at different
+    # iterations, so the stack shrinks several times
+    Xs = [problem(seed) for seed in range(6)]
+    graphs = [knn_graph(X, 4) for X in Xs] if method == "GEMMF" else None
+    initials = [init_factors(X, 3, seed=seed) for seed, X in enumerate(Xs)]
+    cfg = SolverConfig(method=method, c=3, max_iter=300, tol=1e-4, lam=1.0)
+    results = assert_stack_matches(Xs, cfg, initials, graphs)
+    iterations = {r.trace.iterations for r in results}
+    assert len(iterations) > 1
+    assert any(r.trace.converged for r in results)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_a_stack_matches_from_random_initials_on_column_major_data(method):
+    Xs = [fortran(problem(seed)) for seed in range(4)]
+    graphs = [knn_graph(X, 3) for X in Xs] if method == "GEMMF" else None
+    initials = [init_factors(X, 2, seed=seed, strategy="RANDOM") for seed, X in enumerate(Xs)]
+    cfg = SolverConfig(method=method, c=2, max_iter=300, tol=1e-4, lam=2.0)
+    results = assert_stack_matches(Xs, cfg, initials, graphs)
+    assert len({r.trace.iterations for r in results}) > 1
+
+
+@pytest.mark.parametrize("lam", (0.0, 1.0, 10.0))
+def test_gemmf_stack_with_one_graph_per_member(lam):
+    Xs = [problem(seed) for seed in range(5)]
+    raw = [knn_graph(X, 1 + seed) for seed, X in enumerate(Xs)]
+    graphs = [g if seed % 2 else normalize_graph(g) for seed, g in enumerate(raw)]
+    initials = [init_factors(X, 3, seed=seed) for seed, X in enumerate(Xs)]
+    cfg = SolverConfig(method="GEMMF", c=3, max_iter=200, tol=1e-5, lam=lam)
+    assert_stack_matches(Xs, cfg, initials, graphs)
+
+
+def test_members_sharing_data_and_graph_match_with_an_explicit_epsilon():
+    X = problem(3)
+    graph = normalize_graph(knn_graph(X, 4))
+    initials = [init_factors(X, 3, seed=seed) for seed in range(4)]
+    for method in ("EMMF", "GEMMF", "L21_NMF"):
+        cfg = SolverConfig(method=method, c=3, max_iter=40, tol=0.0, lam=1.0, epsilon=0.05)
+        assert_stack_matches([X] * 4, cfg, initials, [graph] * 4)
+
+
+def test_a_stack_forms_one_residual_per_iteration(monkeypatch):
+    calls = []
+
+    def counting(X, U, V):
+        calls.append(X.shape[0])
+        return core.residual(X, U, V)
+
+    monkeypatch.setattr(solvers_module, "residual", counting)
+    Xs = [problem(seed) for seed in range(5)]
+    initials = [init_factors(X, 3, seed=0) for X in Xs]
+    fit_stack(Xs, SolverConfig(method="EMMF", c=3, max_iter=12, tol=0.0), initials)
+    assert calls == [5] * 13
+
+
+def test_a_failing_member_raises_only_its_own_error(monkeypatch):
+    real = solvers_module.coeff_step
+    calls = []
+
+    def breaks_member_one_on_the_third_step(X, U, V, q):
+        calls.append(1)
+        V = real(X, U, V, q)
+        if len(calls) == 3:
+            V[1] = np.inf
+        return V
+
+    Xs = [problem(seed) for seed in range(3)]
+    initials = [init_factors(X, 3, seed=seed) for seed, X in enumerate(Xs)]
+    cfg = SolverConfig(method="EMMF", c=3, max_iter=10, tol=0.0)
+    monkeypatch.setattr(solvers_module, "coeff_step", breaks_member_one_on_the_third_step)
+    results = fit_stack(Xs, cfg, initials)
+    monkeypatch.undo()
+    err = results[1]
+    assert isinstance(err, NumericalError)
+    assert "updating V" in str(err)
+    assert err.iteration == 3
+    assert err.objective == fit(Xs[1], replace(cfg, max_iter=2), initial=initials[1]).trace.objective
+    for b in (0, 2):
+        assert_same_fit(results[b], fit(Xs[b], cfg, initial=initials[b]))
+
+
+def test_stacks_validate_their_members():
+    Xs = [problem(0), problem(1)]
+    initials = [init_factors(X, 3, seed=0) for X in Xs]
+    cfg = SolverConfig(method="EMMF", c=3, max_iter=5)
+    with pytest.raises(InputError, match="one initial"):
+        fit_stack(Xs, cfg, initials[:1])
+    with pytest.raises(InputError, match="shape"):
+        fit_stack([Xs[0], DataMatrix(values=Xs[1].values[:, :-1])], cfg, initials)
+    with pytest.raises(InputError, match="graph"):
+        fit_stack(Xs, replace(cfg, method="GEMMF"), initials, [knn_graph(Xs[0], 3), None])
+
+
+# ---- the harness's stacks --------------------------------------------------
+
+
+def sweep_config(out, method, sweep, repetitions=4, **solver):
+    return ExperimentConfig(
+        dataset=DatasetSpec(
+            source="SYNTH_BLOBS",
+            params={"c": 3, "per_cluster": 8, "d": 9, "separation": 8.0, "seed": 2,
+                    "samples_per_class": 2},
+            normalize=True,
+        ),
+        solver=SolverConfig(method=method, c=3, seed=5, max_iter=150, tol=1e-5, lam=1.0, **solver),
+        repetitions=repetitions,
+        sweep=sweep,
+        output_dir=str(out),
+    )
+
+
+def written_bytes(cfg, threads=1):
+    paths = run_experiment(cfg, threads=threads)
+    contents = {os.path.basename(p): open(p, "rb").read() for p in paths}
+    for p in paths:
+        os.remove(p)
+    return contents
+
+
+@pytest.mark.parametrize("method, sweep", [
+    ("EMMF", Sweep(name="outlier_count", values=[0, 3, 6])),
+    ("GEMMF", Sweep(name="lambda", values=[0.0, 1.0, 10.0])),
+    ("GEMMF", Sweep(name="block_size", values=[0, 2])),
+    ("NMF_DIV", None),
+])
+def test_output_files_do_not_depend_on_the_stack_budget(tmp_path, monkeypatch, method, sweep):
+    cfg = sweep_config(tmp_path, method, sweep)
+    sizes = []
+    real = experiment_module.fit_stack
+
+    def recording(Xs, *args):
+        sizes.append(len(Xs))
+        return real(Xs, *args)
+
+    monkeypatch.setattr(experiment_module, "fit_stack", recording)
+    stacked = written_bytes(cfg)
+    points = len(sweep.values) if sweep else 1
+    assert sizes == [cfg.repetitions] * points
+    sizes.clear()
+    monkeypatch.setattr(experiment_module, "STACK_BYTES", 1)  # one member per stack
+    assert written_bytes(cfg) == stacked
+    assert sizes == [1] * (points * cfg.repetitions)
+    assert written_bytes(cfg, threads=3) == stacked
+
+
+def former_task_fit(cfg, X_base, sweep_name, value, rep):
+    """One task as the harness fitted it before stacking: its own k-means
+    start and its own graph, built per (value, repetition)."""
+    fit_seed = cfg.solver.seed + rep
+    inject_seed = fit_seed + experiment_module.INJECTION_SEED_OFFSET
+    solver = replace(cfg.solver, seed=fit_seed)
+    X, initial = X_base, None
+    if sweep_name == "outlier_count":
+        X, _ = inject_outlier_vectors(X_base, int(value), seed=inject_seed)
+        initial = extend_factors(init_factors(X_base, solver.c, fit_seed, solver.init), X)
+    elif sweep_name == "block_size":
+        X, _ = inject_block_noise(X_base, int(value), 2, seed=inject_seed)
+    elif sweep_name == "lambda":
+        solver = replace(solver, lam=float(value))
+    graph = knn_graph(X, cfg.graph_k) if solver.method == "GEMMF" else None
+    return fit(X, solver, graph, initial)
+
+
+@pytest.mark.parametrize("method, sweep", [
+    ("EMMF", Sweep(name="outlier_count", values=[0, 4])),
+    ("GEMMF", Sweep(name="outlier_count", values=[3])),
+    ("GEMMF", Sweep(name="lambda", values=[0.5, 5.0])),
+    ("GEMMF", Sweep(name="block_size", values=[2])),
+    ("L21_NMF", None),
+])
+def test_shared_starts_and_graphs_reproduce_the_per_task_fits(tmp_path, method, sweep):
+    cfg = sweep_config(tmp_path, method, sweep, repetitions=3)
+    run_experiment(cfg)
+    X_base = experiment_module.realize_dataset(cfg.dataset)
+    values = sweep.values if sweep else [None]
+    for idx, value in enumerate(values):
+        for rep in range(cfg.repetitions):
+            expected = former_task_fit(cfg, X_base, sweep and sweep.name, value, rep)
+            rows = (tmp_path / f"trace_{idx * cfg.repetitions + rep}.csv").read_text().split()
+            assert rows[1:] == [f"{t},{v!r}" for t, v in enumerate(expected.trace.objective)]
+
+
+def test_the_first_failing_repetition_stops_the_run(tmp_path, monkeypatch):
+    real = solvers_module.coeff_step
+    calls = []
+
+    def breaks_member_two_on_the_fourth_step(X, U, V, q):
+        calls.append(1)
+        V = real(X, U, V, q)
+        if len(calls) == 4:
+            V[2] = np.nan
+        return V
+
+    monkeypatch.setattr(solvers_module, "coeff_step", breaks_member_two_on_the_fourth_step)
+    with pytest.raises(NumericalError) as info:
+        run_experiment(sweep_config(tmp_path, "EMMF", None))
+    assert info.value.iteration == 4
+    assert len(info.value.objective) == 4
+    assert list(tmp_path.iterdir()) == []
