@@ -1,12 +1,18 @@
 """Clustering quality measures: label-matched accuracy and normalized mutual
-information, plus a small aggregate for repeated runs."""
+information, plus a small aggregate for repeated runs.
+
+Accuracy matches predicted clusters to true classes one-to-one so that the
+total overlap is largest. The match is an exact linear assignment on the
+contingency table, solved by shortest augmenting paths with row and column
+potentials (the Hungarian method of Kuhn and Munkres in the form of Jonker
+and Volgenant), O(k^3) for k labels."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InputError
 
@@ -28,45 +34,93 @@ def _as_labels(a, name):
 
 
 def _contingency(pred, truth):
+    """Validate the label arrays; return the sorted predicted ids, the sorted
+    true ids, and the count of samples in each (predicted, true) pair."""
+    pred = _as_labels(pred, "pred")
+    truth = _as_labels(truth, "truth")
+    if pred.size != truth.size:
+        raise InputError(f"label arrays differ in length: {pred.size} vs {truth.size}")
     pred_ids, pred_idx = np.unique(pred, return_inverse=True)
     truth_ids, truth_idx = np.unique(truth, return_inverse=True)
     table = np.zeros((pred_ids.size, truth_ids.size), dtype=np.int64)
     np.add.at(table, (pred_idx, truth_idx), 1)
-    return table
+    return pred_ids, truth_ids, table
+
+
+def _assignment(cost: list) -> list:
+    """Column of each row in a minimum-cost perfect matching of the square
+    integer matrix cost, given as a list of rows.
+
+    Rows join the matching one at a time, each along a shortest augmenting
+    path in the reduced costs cost[i][j] - u[i] - v[j], which the row and
+    column potentials u, v keep nonnegative (Jonker and Volgenant's form of
+    the Hungarian method). Integer costs keep every sum exact. O(k^3)."""
+    k = len(cost)
+    u, v = [0] * k, [0] * k
+    col_of, row_of, path = [-1] * k, [-1] * k, [0] * k
+    for start in range(k):
+        dist = [math.inf] * k  # shortest reduced path length to each column
+        todo = list(range(k))  # columns whose shortest path is not yet final
+        rows, cols = [start], []  # the rows and columns the search reached
+        i, low = start, 0
+        while True:
+            cost_i, u_i = cost[i], u[i]
+            best, nearest = math.inf, 0
+            for pos, j in enumerate(todo):
+                r = low + cost_i[j] - u_i - v[j]
+                if r < dist[j]:
+                    dist[j], path[j] = r, i
+                # among equally near columns a free one ends the path soonest
+                if dist[j] < best or (dist[j] == best and row_of[j] < 0):
+                    best, nearest = dist[j], pos
+            low = best
+            j = todo.pop(nearest)
+            cols.append(j)
+            if row_of[j] < 0:
+                break
+            i = row_of[j]
+            rows.append(i)
+        u[start] += low
+        for r in rows[1:]:
+            u[r] += low - dist[col_of[r]]
+        for c in cols:
+            v[c] -= low - dist[c]
+        while True:  # flip the matching along the path back to the start row
+            i = path[j]
+            row_of[j] = i
+            col_of[i], j = j, col_of[i]
+            if i == start:
+                break
+    return col_of
+
+
+def _match(pred, truth):
+    """The sorted ids of pred and truth, their contingency table, and the
+    (rows, cols) cells of the table that a best one-to-one match pairs."""
+    pred_ids, truth_ids, table = _contingency(pred, truth)
+    size = max(pred_ids.size, truth_ids.size)
+    cost = np.zeros((size, size), dtype=np.int64)
+    cost[: pred_ids.size, : truth_ids.size] = -table
+    cols = np.array(_assignment(cost.tolist())[: pred_ids.size])
+    rows = np.flatnonzero(cols < truth_ids.size)  # rows matched to a real column
+    return pred_ids, truth_ids, table, rows, cols[rows]
 
 
 def hungarian_match(pred, truth):
     """Best one-to-one map from predicted cluster ids to true labels.
 
     Maximizes total overlap; the cost matrix is zero-padded to square so the
-    label sets may differ in size. Returns {pred id: truth label}."""
-    pred = _as_labels(pred, "pred")
-    truth = _as_labels(truth, "truth")
-    if pred.size != truth.size:
-        raise InputError(f"label arrays differ in length: {pred.size} vs {truth.size}")
-    pred_ids = np.unique(pred)
-    truth_ids = np.unique(truth)
-    table = _contingency(pred, truth)
-    size = max(pred_ids.size, truth_ids.size)
-    cost = np.zeros((size, size), dtype=np.int64)
-    cost[: pred_ids.size, : truth_ids.size] = -table
-    rows, cols = linear_sum_assignment(cost)
-    mapping = {}
-    for r, c in zip(rows, cols):
-        if r < pred_ids.size and c < truth_ids.size:
-            mapping[pred_ids[r]] = truth_ids[c]
-    return mapping
+    label sets may differ in size. When several maps reach the largest
+    overlap, any one of them may be returned. Returns {pred id: truth
+    label}."""
+    pred_ids, truth_ids, _, rows, cols = _match(pred, truth)
+    return {pred_ids[r]: truth_ids[c] for r, c in zip(rows, cols)}
 
 
 def accuracy(pred, truth) -> float:
     """Fraction of samples whose matched predicted label equals the truth."""
-    pred = _as_labels(pred, "pred")
-    truth = _as_labels(truth, "truth")
-    if pred.size != truth.size:
-        raise InputError(f"label arrays differ in length: {pred.size} vs {truth.size}")
-    mapping = hungarian_match(pred, truth)
-    matched = np.array([mapping.get(p, None) == t for p, t in zip(pred, truth)])
-    return float(matched.mean())
+    _, _, table, rows, cols = _match(pred, truth)
+    return float(table[rows, cols].sum() / table.sum())
 
 
 def nmi(pred, truth) -> float:
@@ -75,13 +129,8 @@ def nmi(pred, truth) -> float:
     Natural logarithms throughout. If both partitions are single-cluster the
     score is 1.0 (they agree trivially); if exactly one is single-cluster the
     score is 0.0. The result is clipped to [0, 1] to absorb rounding."""
-    pred = _as_labels(pred, "pred")
-    truth = _as_labels(truth, "truth")
-    if pred.size != truth.size:
-        raise InputError(f"label arrays differ in length: {pred.size} vs {truth.size}")
-    n = pred.size
-    table = _contingency(pred, truth).astype(float)
-    joint = table / n
+    table = _contingency(pred, truth)[2]
+    joint = table / table.sum()
     p_pred = joint.sum(axis=1)
     p_truth = joint.sum(axis=0)
     h_pred = float(-np.sum(p_pred * np.log(p_pred, where=p_pred > 0, out=np.zeros_like(p_pred))))

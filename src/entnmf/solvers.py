@@ -46,6 +46,7 @@ for the result.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -256,8 +257,6 @@ def _method(X: np.ndarray, eps: np.ndarray, cfg: SolverConfig, graphs):
 
 def _failures(U: np.ndarray, V: np.ndarray, value: np.ndarray) -> list:
     """Each member's first failed finiteness check, or None where all pass."""
-    if np.isfinite(value).all() and np.isfinite(U).all() and np.isfinite(V).all():
-        return [None] * len(value)
     bad_U = ~np.isfinite(U).all(axis=(-2, -1))
     bad_V = ~np.isfinite(V).all(axis=(-2, -1))
     return [
@@ -330,26 +329,34 @@ def fit_stack(Xs, cfg: SolverConfig, initials, graphs=None) -> list:
         value, norms, q = measure(U, V)
         t = 0
         while True:
-            failed = _failures(U, V, value)
-            converged = [False] * len(members)
-            if t > 0:
-                converged = (np.abs(value - prev) / np.maximum(prev, 1e-30) < cfg.tol).tolist()
-            for b, v, failure in zip(members, value.tolist(), failed):
-                if failure is None:
+            # On a few members, Python floats are much cheaper than numpy calls
+            # on (B,) arrays, and round exactly like them.
+            values = value.tolist()
+            converged = ([abs(v - p) / max(p, 1e-30) < cfg.tol
+                          for v, p in zip(values, prev.tolist())] if t > 0
+                         else [False] * len(values))
+            finite = (all(map(math.isfinite, values))
+                      and np.isfinite(U).all() and np.isfinite(V).all())
+            if finite and t < cfg.max_iter and not any(converged):
+                for b, v in zip(members, values):
                     objective[b].append(v)
-            leaving = [j for j, (failure, done) in enumerate(zip(failed, converged))
-                       if failure or done or t == cfg.max_iter]
-            for j in leaving:
-                b = members[j]
-                if failed[j]:
-                    results[b] = NumericalError(failed[j], iteration=t, objective=objective[b])
-                else:
-                    trace = ConvergenceTrace(objective=objective[b], iterations=t,
-                                             converged=converged[j],
-                                             wall_time=time.perf_counter() - start)
-                    results[b] = _result(U[j], V[j], None if norms is None else norms[j],
-                                         None if q is None else q[j], float(eps[b]), trace)
-            if leaving:
+            else:  # some member leaves the stack
+                failed = [None] * len(members) if finite else _failures(U, V, value)
+                for b, v, failure in zip(members, values, failed):
+                    if failure is None:
+                        objective[b].append(v)
+                leaving = [j for j, (failure, stop) in enumerate(zip(failed, converged))
+                           if failure or stop or t == cfg.max_iter]
+                for j in leaving:
+                    b = members[j]
+                    if failed[j]:
+                        results[b] = NumericalError(failed[j], iteration=t, objective=objective[b])
+                    else:
+                        trace = ConvergenceTrace(objective=objective[b], iterations=t,
+                                                 converged=converged[j],
+                                                 wall_time=time.perf_counter() - start)
+                        results[b] = _result(U[j], V[j], None if norms is None else norms[j],
+                                             None if q is None else q[j], float(eps[b]), trace)
                 keep = np.ones(len(members), dtype=bool)
                 keep[leaving] = False
                 members = [b for b, kept in zip(members, keep.tolist()) if kept]

@@ -1,9 +1,13 @@
 """Label-matched accuracy, normalized mutual information, and run summaries."""
 
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from entnmf import InputError, accuracy, hungarian_match, nmi, summarize
 
@@ -51,6 +55,66 @@ def test_hungarian_equals_exhaustive_search_on_small_problems():
         pred = rng.integers(0, k, n)
         truth = rng.integers(0, k, n)
         assert accuracy(pred, truth) == pytest.approx(brute_force_accuracy(pred, truth, k))
+
+
+def random_table(rng):
+    """A contingency table with 1-12 labels on each side, no empty row or
+    column, and often many ties: 0/1 or small counts, repeated rows."""
+    p, m = (int(x) for x in rng.integers(1, 13, 2))
+    table = rng.integers(0, int(rng.choice([2, 3, 5, 50])), (p, m))
+    if rng.random() < 0.5:
+        table[rng.integers(0, p, max(1, p // 2))] = table[0]
+    for i in np.flatnonzero(table.sum(axis=1) == 0):
+        table[i, i % m] = 1
+    for j in np.flatnonzero(table.sum(axis=0) == 0):
+        table[j % p, j] = 1
+    return table
+
+
+def labels_of(table, pred_ids, truth_ids, rng):
+    """Shuffled label arrays whose contingency table is `table`."""
+    cells = np.repeat(np.arange(table.size), table.ravel())
+    rng.shuffle(cells)
+    rows, cols = np.divmod(cells, table.shape[1])
+    return pred_ids[rows], truth_ids[cols]
+
+
+def test_hungarian_reaches_the_optimal_overlap_of_a_reference_solver():
+    rng = np.random.default_rng(20)
+    for _ in range(600):
+        table = random_table(rng)
+        p, m = table.shape
+        pred_ids = np.sort(rng.choice(1000, p, replace=False)) - 500
+        truth_ids = np.sort(rng.choice(1000, m, replace=False))
+        pred, truth = labels_of(table, pred_ids, truth_ids, rng)
+        mapping = hungarian_match(pred, truth)
+        assert set(mapping) <= set(pred_ids.tolist())
+        assert set(mapping.values()) <= set(truth_ids.tolist())
+        assert len(set(mapping.values())) == len(mapping) == min(p, m)
+        overlap = sum(int(table[np.searchsorted(pred_ids, a), np.searchsorted(truth_ids, b)])
+                      for a, b in mapping.items())
+        rows, cols = linear_sum_assignment(table, maximize=True)
+        assert overlap == int(table[rows, cols].sum())
+
+
+def test_accuracy_equals_the_per_sample_formula_bit_for_bit():
+    rng = np.random.default_rng(21)
+    for _ in range(300):
+        n = int(rng.integers(1, 200))
+        pred = rng.integers(0, int(rng.integers(1, 9)), n) * 3  # often more clusters than labels
+        truth = rng.integers(0, int(rng.integers(1, 6)), n) - 2
+        mapping = hungarian_match(pred, truth)
+        expected = float(np.array([mapping.get(p, None) == t for p, t in zip(pred, truth)]).mean())
+        assert accuracy(pred, truth) == expected
+
+
+def test_importing_the_package_loads_no_scipy_optimize():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    code = "import entnmf, entnmf.cli, sys; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def test_nmi_hand_value():
