@@ -8,10 +8,7 @@ from .core import (
     FactorPair,
     ResidualWeights,
     column_norms,
-    guarded_norms,
     residual_matrix,
-    update_basis,
-    update_coeff,
 )
 from .data import (
     inject_block_noise,
@@ -34,20 +31,18 @@ from .experiment import (
 )
 from .graph import (
     SimilarityGraph,
-    gemmf_update_coeff,
     knn_graph,
     normalize_graph,
 )
 from .losses import (
     InfluenceReport,
-    default_epsilon,
     entropy_objective,
     entropy_weights,
     influence_ratios,
     influence_upper_bound,
     single_outlier_share,
 )
-from .metrics import MetricSummary, accuracy, hungarian_match, nmi, summarize
+from .metrics import MetricSummary, accuracy, nmi, summarize
 from .solvers import (
     FitResult,
     SolverConfig,
@@ -73,14 +68,10 @@ __all__ = [
     "Sweep",
     "accuracy",
     "column_norms",
-    "default_epsilon",
     "entropy_objective",
     "entropy_weights",
     "extend_factors",
     "fit",
-    "gemmf_update_coeff",
-    "guarded_norms",
-    "hungarian_match",
     "influence_ratios",
     "influence_upper_bound",
     "init_factors",
@@ -101,8 +92,6 @@ __all__ = [
     "synth_outliers",
     "synth_random",
     "unit_normalize",
-    "update_basis",
-    "update_coeff",
 ]
 
 __version__ = "0.1.0"

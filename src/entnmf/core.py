@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError
 
 # Additive guard on multiplicative-rule denominators. Keeps fixed points
 # within ~DELTA of exact.
@@ -155,8 +155,9 @@ def guarded_norms(M: np.ndarray, epsilon: float) -> np.ndarray:
 # same-shape problems alike: X (..., d, n), U (..., d, c), V (..., n, c),
 # q (..., n). A stacked call computes exactly what the per-problem calls
 # would, slice by slice. They neither check their inputs or outputs nor
-# silence floating-point warnings; the DataMatrix functions after them and
-# the fit loop do both.
+# silence floating-point warnings: `solvers.fit_stack` validates shapes once
+# at entry, runs them under `np.errstate`, and turns a non-finite objective
+# into a NumericalError naming the factor and the iteration.
 
 
 def residual(X: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -189,34 +190,3 @@ def residual_matrix(X: DataMatrix, U: np.ndarray, V: np.ndarray) -> np.ndarray:
         )
     return residual(X.values, U, V)
 
-
-def _check_finite(A: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(A)):
-        raise NumericalError(f"non-finite entries produced while updating {what}")
-    return A
-
-
-def _check_shapes(X: DataMatrix, U: np.ndarray, V: np.ndarray, q: np.ndarray) -> None:
-    if U.shape[0] != X.d or V.shape[0] != X.n or q.shape[0] != X.n:
-        raise InputError("shapes of data, factors and weights disagree")
-
-
-def update_basis(X: DataMatrix, U: np.ndarray, V: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """One multiplicative step on U for the weighted quadratic objective.
-
-    See `basis_step`. Returns a new array; zeros in U stay zero, and X = U V^T
-    is a fixed point up to the guard. Non-finite output raises NumericalError.
-    """
-    _check_shapes(X, U, V, q)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return _check_finite(basis_step(X.values, U, V, q), "U")
-
-
-def update_coeff(X: DataMatrix, U: np.ndarray, V: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """One multiplicative step on V for the weighted quadratic objective.
-
-    See `coeff_step`. Non-finite output raises NumericalError.
-    """
-    _check_shapes(X, U, V, q)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return _check_finite(coeff_step(X.values, U, V, q), "V")

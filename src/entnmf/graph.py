@@ -8,8 +8,9 @@ the penalty is evaluated in its expanded form
 
     ||S - V V^T||_F^2 = ||S||_F^2 - 2 sum((S V) o V) + ||V^T V||_F^2,
 
-clamped at zero against cancellation when V V^T is close to S. The
-multiplicative update absorbs the orthogonality multiplier through the split
+clamped at zero against cancellation when V V^T is close to S
+(`graph_penalty`). The multiplicative update `graph_coeff_step` absorbs the
+orthogonality multiplier through the split
 
     L5 = V^T Q X^T U + 2 lambda V^T S V - V^T Q V U^T U = L5+ - L5-,
     L5- = V^T Q V U^T U,    L5+ = V^T Q X^T U + 2 lambda V^T S V,
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_array, issparse
 
-from .core import DELTA, DataMatrix, _check_finite
+from .core import DELTA, DataMatrix
 from .errors import InputError
 
 # Bytes of one block of float64 distance rows in the neighbor search. A block
@@ -70,10 +71,6 @@ class SimilarityGraph:
     def n(self) -> int:
         return self.S.shape[0]
 
-    def penalty(self, V: np.ndarray) -> float:
-        """||S - V V^T||_F^2 in the expanded form, without an n x n temporary."""
-        return float(graph_penalty(self.sq_norm, self.S @ V, V))
-
 
 def graph_penalty(sq_norm, SV: np.ndarray, V: np.ndarray):
     """||S - V V^T||_F^2 from ||S||_F^2 and S V, for one V or a stack (..., n, c)."""
@@ -101,15 +98,11 @@ class GraphStack:
             ),
             shape=(len(graphs) * n,) * 2,
         )
-        self.sq_norm = np.array([g.sq_norm for g in graphs])
+        self.sq_norm = np.array([g.sq_norm for g in graphs])  # for graph_penalty
 
     def product(self, V: np.ndarray) -> np.ndarray:
         """S_b V_b for every member b of the stack V (B, n, c)."""
         return (self.S @ V.reshape(-1, V.shape[-1])).reshape(V.shape)
-
-    def penalty(self, V: np.ndarray, SV: np.ndarray) -> np.ndarray:
-        """||S_b - V_b V_b^T||_F^2 per member, given SV = product(V)."""
-        return graph_penalty(self.sq_norm, SV, V)
 
 
 def knn_graph(X: DataMatrix, k: int) -> SimilarityGraph:
@@ -190,21 +183,3 @@ def graph_coeff_step(X: np.ndarray, U: np.ndarray, V: np.ndarray, q: np.ndarray,
     denom = B + V @ plus
     return V * np.sqrt(numer / (denom + DELTA))
 
-
-def gemmf_update_coeff(
-    X: DataMatrix,
-    U: np.ndarray,
-    V: np.ndarray,
-    q: np.ndarray,
-    graph: SimilarityGraph,
-    lam: float,
-) -> np.ndarray:
-    """Graph-regularized multiplicative step on V, Q = diag(q); zeros stay zero."""
-    if not graph.normalized:
-        raise InputError("graph must be normalized before the coefficient update")
-    if graph.n != X.n or V.shape[0] != X.n or U.shape[0] != X.d or q.shape[0] != X.n:
-        raise InputError("shapes of data, factors and graph disagree")
-    if lam < 0:
-        raise InputError(f"graph weight must be nonnegative, got {lam}")
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return _check_finite(graph_coeff_step(X.values, U, V, q, graph.S @ V, lam), "V")

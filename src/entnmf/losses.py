@@ -111,12 +111,19 @@ def influence_ratios(X: DataMatrix, F: FactorPair, i: int) -> InfluenceReport:
     )
 
 
+def _share_terms(p, n: int):
+    """Numerator p log p and denominator of the single-outlier share."""
+    numer = p * np.log(p)
+    return numer, numer + (1.0 - p) * (np.log1p(-p) - np.log(n - 1))
+
+
 def single_outlier_share(p: float, n: int) -> float:
     """Entropy share of one outlier at residue ratio p, the rest uniform.
 
     phi(p) = p log p / (p log p + (1 - p) [log(1 - p) - log(n - 1)]).
     """
-    return p * np.log(p) / (p * np.log(p) + (1.0 - p) * (np.log1p(-p) - np.log(n - 1)))
+    numer, denom = _share_terms(p, n)
+    return numer / denom
 
 
 def influence_upper_bound(n: int, p_step: float) -> tuple[float, float]:
@@ -134,10 +141,10 @@ def influence_upper_bound(n: int, p_step: float) -> tuple[float, float]:
     while k * p_step < 1.0 - 1e-12:
         p = k * p_step
         k += 1
-        denom = p * np.log(p) + (1.0 - p) * (np.log1p(-p) - np.log(n - 1))
+        numer, denom = _share_terms(p, n)
         if abs(denom) < _DENOM_CUTOFF:
             continue
-        value = p * np.log(p) / denom
+        value = numer / denom
         if value > best:
             best, best_p = value, p
     return float(best), float(best_p)

@@ -106,17 +106,6 @@ def _match(pred, truth):
     return pred_ids, truth_ids, table, rows, cols[rows]
 
 
-def hungarian_match(pred, truth):
-    """Best one-to-one map from predicted cluster ids to true labels.
-
-    Maximizes total overlap; the cost matrix is zero-padded to square so the
-    label sets may differ in size. When several maps reach the largest
-    overlap, any one of them may be returned. Returns {pred id: truth
-    label}."""
-    pred_ids, truth_ids, _, rows, cols = _match(pred, truth)
-    return {pred_ids[r]: truth_ids[c] for r, c in zip(rows, cols)}
-
-
 def accuracy(pred, truth) -> float:
     """Fraction of samples whose matched predicted label equals the truth."""
     _, _, table, rows, cols = _match(pred, truth)

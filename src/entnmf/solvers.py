@@ -35,13 +35,15 @@ weights come from one set of column norms.
   L21_NMF  weighted engine with Q_ii = 1/(2 ||m_i||); records ||X - UV^T||_{2,1}.
 
 All fits are deterministic given the seed. Each iteration checks the whole
-stack once: a member whose factors or objective turn non-finite leaves the
-stack with a NumericalError carrying its iteration and its objective trace;
-a member whose relative objective change falls below `tol` leaves with its
-result; the rest leave after `max_iter` iterations. Departures shrink the
-stack and change nothing for the members that stay. Inputs are validated
-once, at entry; `FactorPair` and `ResidualWeights` are built once per member,
-for the result.
+stack once, through the objective alone: a non-finite factor entry makes the
+residual and so the objective non-finite (`np.maximum` keeps NaN, and
+inf * 0 is NaN). A member whose factors or objective turn non-finite leaves
+the stack with a NumericalError that names the factor and carries its
+iteration and its objective trace; a member whose relative objective change
+falls below `tol` leaves with its result; the rest leave after `max_iter`
+iterations. Departures shrink the stack and change nothing for the members
+that stay. Inputs are validated once, at entry; `FactorPair` and
+`ResidualWeights` are built once per member, for the result.
 """
 
 from __future__ import annotations
@@ -64,7 +66,8 @@ from .core import (
     residual,
 )
 from .errors import InputError, NumericalError
-from .graph import GraphStack, SimilarityGraph, graph_coeff_step, normalize_graph
+from .graph import (GraphStack, SimilarityGraph, graph_coeff_step, graph_penalty,
+                    normalize_graph)
 from .losses import default_epsilon, entropy_terms
 
 METHODS = ("EMMF", "GEMMF", "NMF_FRO", "NMF_DIV", "L21_NMF")
@@ -219,7 +222,7 @@ def _method(X: np.ndarray, eps: np.ndarray, cfg: SolverConfig, graphs):
 
         def measure(U, V):
             value, norms, q = entropy(U, V)
-            return value + cfg.lam * S.penalty(V, S.product(V)), norms, q
+            return value + cfg.lam * graph_penalty(S.sq_norm, S.product(V), V), norms, q
 
         def step(U, V, q):
             U = basis_step(X, U, V, q)
@@ -335,8 +338,8 @@ def fit_stack(Xs, cfg: SolverConfig, initials, graphs=None) -> list:
             converged = ([abs(v - p) / max(p, 1e-30) < cfg.tol
                           for v, p in zip(values, prev.tolist())] if t > 0
                          else [False] * len(values))
-            finite = (all(map(math.isfinite, values))
-                      and np.isfinite(U).all() and np.isfinite(V).all())
+            # a non-finite factor shows in the objective; _failures names it
+            finite = all(map(math.isfinite, values))
             if finite and t < cfg.max_iter and not any(converged):
                 for b, v in zip(members, values):
                     objective[b].append(v)

@@ -1,5 +1,5 @@
-"""Shared fixtures: seeded random problem instances, weight helpers and the
-weighted-surrogate oracle."""
+"""Shared fixtures: seeded random problem instances, weight helpers, the
+checked call of an update kernel, and the weighted-surrogate oracle."""
 
 import numpy as np
 import pytest
@@ -9,9 +9,9 @@ from entnmf import (
     FactorPair,
     InputError,
     ResidualWeights,
-    guarded_norms,
     residual_matrix,
 )
+from entnmf.core import guarded_norms
 
 
 @pytest.fixture
@@ -41,6 +41,21 @@ def ones_weights():
         )
 
     return make
+
+
+@pytest.fixture
+def kernel():
+    """Call an update kernel (`core.basis_step`, `core.coeff_step`,
+    `graph.graph_coeff_step`) on X.values as the fit loop runs it: with
+    floating-point warnings silenced, and the step asserted finite."""
+
+    def run(step, X, *args):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            out = step(X.values, *args)
+        assert np.all(np.isfinite(out)), f"{step.__name__} produced non-finite entries"
+        return out
+
+    return run
 
 
 @pytest.fixture

@@ -14,7 +14,6 @@ from entnmf import (
     SolverConfig,
     entropy_weights,
     fit,
-    gemmf_update_coeff,
     init_factors,
     knn_graph,
     normalize_graph,
@@ -22,6 +21,7 @@ from entnmf import (
 )
 from entnmf import graph as graph_module
 from entnmf.core import DELTA
+from entnmf.graph import graph_coeff_step
 
 EPS = 1e-10
 
@@ -222,7 +222,7 @@ class TestNormalizeGraph:
 
 
 class TestMultiplierSplit:
-    def test_matches_direct_dense_formula(self):
+    def test_matches_direct_dense_formula(self, kernel):
         # L5 = L5+ - L5- with both parts nonnegative, and the update is the
         # ratio of the split's numerator and denominator terms
         for seed in range(20):
@@ -237,11 +237,12 @@ class TestMultiplierSplit:
             numer = Q @ X.values.T @ F.U + 2.0 * lam * S @ F.V + F.V @ minus
             denom = Q @ F.V @ F.U.T @ F.U + F.V @ plus
             expected = F.V * np.sqrt(numer / (denom + DELTA))
-            assert np.allclose(gemmf_update_coeff(X, F.U, F.V, w.q, g, lam), expected, atol=1e-12)
+            out = kernel(graph_coeff_step, X, F.U, F.V, w.q, g.S @ F.V, lam)
+            assert np.allclose(out, expected, atol=1e-12)
 
 
 class TestGemmfUpdate:
-    def test_matches_direct_dense_transcription(self):
+    def test_matches_direct_dense_transcription(self, kernel):
         for seed in range(20):
             X, F, w, g = graph_instance(seed)
             lam = 0.5 + seed
@@ -252,33 +253,18 @@ class TestGemmfUpdate:
             numer = A + 2.0 * lam * SV + F.V @ (F.V.T @ B)
             denom = B + F.V @ (F.V.T @ A + 2.0 * lam * F.V.T @ SV)
             expected = F.V * np.sqrt(numer / (denom + DELTA))
-            assert np.allclose(gemmf_update_coeff(X, F.U, F.V, w.q, g, lam), expected, atol=1e-12)
+            out = kernel(graph_coeff_step, X, F.U, F.V, w.q, g.S @ F.V, lam)
+            assert np.allclose(out, expected, atol=1e-12)
 
-    def test_preserves_zeros_and_nonnegativity(self):
+    def test_preserves_zeros_and_nonnegativity(self, kernel):
         X, F, w, g = graph_instance(7)
         V = F.V.copy()
         V[2, 1] = 0.0
         F = FactorPair(U=F.U, V=V)
         w = entropy_weights(residual_matrix(X, F.U, F.V), EPS)
-        out = gemmf_update_coeff(X, F.U, F.V, w.q, g, 10.0)
+        out = kernel(graph_coeff_step, X, F.U, F.V, w.q, g.S @ F.V, 10.0)
         assert out[2, 1] == 0.0
         assert out.min() >= 0 and np.all(np.isfinite(out))
-
-    def test_validations(self):
-        X, F, w, g = graph_instance(0, normalized=False)
-        with pytest.raises(InputError):
-            gemmf_update_coeff(X, F.U, F.V, w.q, g, 1.0)
-        g = normalize_graph(g)
-        with pytest.raises(InputError):
-            gemmf_update_coeff(X, F.U, F.V, w.q, g, -2.0)
-
-    def test_rejects_negative_weight_and_size_mismatch(self):
-        X, F, w, g = graph_instance(0)
-        with pytest.raises(InputError):
-            gemmf_update_coeff(X, F.U, F.V, w.q, g, -1.0)
-        small = normalize_graph(SimilarityGraph(S=np.zeros((3, 3))))
-        with pytest.raises(InputError, match="graph"):
-            gemmf_update_coeff(X, F.U, F.V, w.q, small, 1.0)
 
 
 def test_graph_path_never_allocates_an_n_by_n_array():

@@ -10,7 +10,6 @@ from entnmf import (
     FactorPair,
     InputError,
     NumericalError,
-    default_epsilon,
     entropy_objective,
     entropy_weights,
     influence_ratios,
@@ -18,6 +17,7 @@ from entnmf import (
     residual_matrix,
     single_outlier_share,
 )
+from entnmf.losses import default_epsilon
 
 EPS = 1e-10
 

@@ -1,4 +1,5 @@
-"""Invariants of `fit` over generated shapes, seeds and data scales.
+"""Invariants of `fit` and of its kernels over generated shapes, seeds and
+data scales.
 
 Examples are derandomized and no example database is kept, so the suite
 stays deterministic.
@@ -8,7 +9,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entnmf import DataMatrix, SolverConfig, fit, knn_graph
+from entnmf import DataMatrix, SolverConfig, fit, knn_graph, normalize_graph
+from entnmf import solvers
+from entnmf.core import basis_step, coeff_step
+from entnmf.graph import graph_coeff_step
+from entnmf.losses import entropy_terms
 
 METHODS = ("EMMF", "GEMMF", "NMF_FRO", "NMF_DIV", "L21_NMF")
 # methods whose recorded objective the update rules never increase
@@ -64,3 +69,62 @@ def test_same_seed_gives_the_same_fit(problem):
         assert np.array_equal(a.trace.objective, b.trace.objective), method
         assert np.array_equal(a.factors.U, b.factors.U), method
         assert np.array_equal(a.factors.V, b.factors.V), method
+
+
+@st.composite
+def exact_products(draw):
+    """Strictly positive U (d x c) and V (n x c), and a positive norm vector
+    (n,) to draw weights from. Every factor entry is at least 2 and the data
+    scale at least 1, so the guard DELTA, which moves a fixed point by about
+    DELTA over the update's denominator, stays below the 1e-12 tolerance."""
+    d = draw(st.integers(1, 12))
+    n = draw(st.integers(2, 12))
+    c = draw(st.integers(1, min(d, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    scale = draw(st.sampled_from([1.0, 1e3]))
+    U = scale * (2.0 + rng.random((d, c)))
+    V = 2.0 + rng.random((n, c))
+    return U, V, 0.1 + 0.1 * rng.random(n)
+
+
+def assert_fixed(after, before, what):
+    assert np.all(np.abs(after - before) <= 1e-12 * before), what
+
+
+@PROPERTY
+@given(exact_products())
+def test_exact_products_are_fixed_points_of_the_weighted_kernels(problem):
+    U, V, norms = problem
+    X = U @ V.T
+    weights = {"unit": np.ones(len(norms)), "l2,1": 0.5 / norms,
+               "entropy": entropy_terms(norms)[1]}
+    for name, q in weights.items():
+        assert_fixed(basis_step(X, U, V, q), U, name)
+        assert_fixed(coeff_step(X, U, V, q), V, name)
+    graph = normalize_graph(knn_graph(DataMatrix(values=X), min(3, X.shape[1] - 1)))
+    q = weights["entropy"]
+    assert_fixed(graph_coeff_step(X, U, V, q, graph.S @ V, 0.0), V, "graph")
+
+
+@PROPERTY
+@given(exact_products())
+def test_exact_products_are_fixed_points_of_the_classic_steps(problem):
+    U, V, _ = problem
+    X = (U @ V.T)[None]
+    for method in ("NMF_FRO", "NMF_DIV"):
+        measure, step = solvers._method(X, np.ones((1, 1)), SolverConfig(method=method), None)
+        U1, V1 = step(U[None], V[None], measure(U[None], V[None])[2])
+        assert_fixed(U1[0], U, method)
+        assert_fixed(V1[0], V, method)
+
+
+@PROPERTY
+@given(st.lists(st.floats(0.1, 1.0), min_size=2, max_size=40),
+       st.sampled_from([1e-3, 1e3]))
+def test_entropy_terms_scale_with_the_norms(norms, alpha):
+    # L is homogeneous of degree 1 in the norms, q of degree -1
+    norms = np.array(norms)
+    loss, q = entropy_terms(norms)
+    scaled_loss, scaled_q = entropy_terms(alpha * norms)
+    assert abs(scaled_loss - alpha * loss) <= 1e-12 * alpha * loss
+    assert np.all(np.abs(scaled_q - q / alpha) <= 1e-12 * q / alpha)
