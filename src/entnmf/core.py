@@ -139,9 +139,11 @@ class ConvergenceTrace:
             )
 
 
-def column_norms(M: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each column of M, or of each matrix in a stack (..., d, n)."""
-    return np.sqrt(np.sum(M * M, axis=-2))
+def column_norms(M: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Euclidean norm of each column of M, or of each matrix in a stack (..., d, n).
+
+    The squares go to `out` when given (out=M squares M in place)."""
+    return np.sqrt(np.sum(np.multiply(M, M, out=out), axis=-2))
 
 
 def guarded_norms(M: np.ndarray, epsilon: float) -> np.ndarray:
@@ -154,20 +156,33 @@ def guarded_norms(M: np.ndarray, epsilon: float) -> np.ndarray:
 # The kernels below take raw arrays and work on one problem or on a stack of
 # same-shape problems alike: X (..., d, n), U (..., d, c), V (..., n, c),
 # q (..., n). A stacked call computes exactly what the per-problem calls
-# would, slice by slice. They neither check their inputs or outputs nor
+# would, slice by slice. Given a workspace of X's shape, `residual` and
+# `basis_step` write their d x n intermediate into it (U V^T and then
+# X - U V^T; X Q) instead of allocating one, with the same values bit for
+# bit; with None they allocate. Later products and reductions see the
+# workspace's memory order, so the fit loop hands `basis_step` its workspace
+# in X's order, the order `X * q` allocates, and `residual` a C-ordered view
+# of the same block, the order `X - U V^T` allocates. They neither check their inputs or outputs nor
 # silence floating-point warnings: `solvers.fit_stack` validates shapes once
 # at entry, runs them under `np.errstate`, and turns a non-finite objective
 # into a NumericalError naming the factor and the iteration.
 
 
-def residual(X: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """M = X - U V^T."""
-    return X - U @ V.swapaxes(-1, -2)
+def residual(X: np.ndarray, U: np.ndarray, V: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """M = X - U V^T, written into (and returned as) `out` when given."""
+    if out is None:
+        return X - U @ V.swapaxes(-1, -2)
+    np.matmul(U, V.swapaxes(-1, -2), out=out)
+    return np.subtract(X, out, out=out)
 
 
-def basis_step(X: np.ndarray, U: np.ndarray, V: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """U_ik <- U_ik * sqrt( (X Q V)_ik / (U (V^T Q V))_ik ), Q = diag(q)."""
-    numer = (X * q[..., None, :]) @ V
+def basis_step(X: np.ndarray, U: np.ndarray, V: np.ndarray, q: np.ndarray,
+               work: np.ndarray | None = None) -> np.ndarray:
+    """U_ik <- U_ik * sqrt( (X Q V)_ik / (U (V^T Q V))_ik ), Q = diag(q).
+
+    X Q is formed in `work` when given, overwriting it."""
+    numer = np.multiply(X, q[..., None, :], out=work) @ V
     denom = U @ ((V * q[..., :, None]).swapaxes(-1, -2) @ V)
     return U * np.sqrt(numer / (denom + DELTA))
 

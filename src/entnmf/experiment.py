@@ -26,8 +26,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
-import numpy as np
-
 from .core import DataMatrix, column_norms, residual_matrix
 from .data import (
     inject_block_noise,
@@ -51,8 +49,10 @@ SWEEPS = ("outlier_count", "lambda", "sigma", "block_size")
 INJECTION_SEED_OFFSET = 10007
 
 # Bytes of stacked data matrices in one stack of repetitions: a sweep point's
-# repetitions are fitted max(1, STACK_BYTES // (8 d n)) at a time, and the
-# fit loop's temporaries are a small multiple of that.
+# repetitions are fitted max(1, STACK_BYTES // (8 d n)) at a time. The fit
+# loop holds the stacked copy of the data plus one workspace of the same size,
+# in which every per-iteration d x n quantity is formed (NMF_DIV alone still
+# allocates its own).
 STACK_BYTES = 8 * 2**20
 
 

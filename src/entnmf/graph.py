@@ -118,27 +118,40 @@ def knn_graph(X: DataMatrix, k: int) -> SimilarityGraph:
     P = X.values
     sq = np.sum(P * P, axis=0)
     block = min(256, max(1, BLOCK_BYTES // (8 * n)))
+    # Two float64 buffers serve every block of rows: the Gram rows (then the
+    # partition scratch) and the distance rows. Fresh ones per block are
+    # page-faulted in anew each time, unless malloc happens to serve them
+    # from its heap.
+    gram = np.empty((block, n))
+    dist = np.empty((block, n))
     # every row keeps exactly k neighbors, listed in column order, so the
     # directed graph is a CSR matrix with k entries per row
     cols = []
     for start in range(0, n, block):
         stop = min(start + block, n)
+        G, d2 = gram[: stop - start], dist[: stop - start]
         # (sq_i + sq_j) - 2 p_i.p_j, rounded as the dense formula was
-        G = P[:, start:stop].T @ P
+        np.matmul(P[:, start:stop].T, P, out=G)
         G *= 2.0
-        d2 = np.add.outer(sq[start:stop], sq)
+        np.add.outer(sq[start:stop], sq, out=d2)
         d2 -= G
-        del G
         d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
         # keep every distance below the k-th smallest, then the lowest-index
         # ties at it until the row has k neighbors
-        kth = np.partition(d2, k - 1, axis=1)[:, [k - 1]]
+        np.copyto(G, d2)
+        G.partition(k - 1, axis=1)
+        kth = G[:, [k - 1]]
         below = d2 < kth
-        tied = d2 == kth
-        del d2
+        keep = d2 == kth
         room = k - np.sum(below, axis=1, keepdims=True)
-        keep = below | (tied & (np.cumsum(tied, axis=1) <= room))
+        # only rows with more ties than room need the running tie count
+        over = np.flatnonzero(np.sum(keep, axis=1) > room[:, 0])
+        if over.size:
+            tied = keep[over]
+            keep[over] = tied & (np.cumsum(tied, axis=1) <= room[over])
+        keep |= below
         cols.append(np.nonzero(keep)[1])
+    del gram, dist, G, d2
     cols = np.concatenate(cols)
     A = csr_array((np.ones(n * k), cols, k * np.arange(n + 1)), shape=(n, n))
     del cols

@@ -22,6 +22,16 @@ update, then one V update. So the loop forms the residual X - U V^T once per
 iteration (plus once for the starting point), and the loss and the next
 weights come from one set of column norms.
 
+Each (measure, step) pair owns one workspace with the stacked data's shape,
+built with the pair and so rebuilt only when members leave; it is local to
+the `fit_stack` call, so stacks fitted on different threads never share one.
+Every per-iteration d x n quantity is written into it: measure forms U V^T
+there, subtracts it from X, squares the residual and reduces it to column
+norms, and the U step then overwrites it with X Q before the product with V.
+So an iteration allocates nothing of the data's size, which at n in the
+thousands costs about as much as the arithmetic on it. NMF_DIV keeps its own
+allocations: its U V^T carries over into the next step.
+
   EMMF     weights q from the entropy linearization (`entnmf.losses`),
            shared weighted engine for U and V; records the entropy loss.
   GEMMF    EMMF with the graph-regularized V step on the normalized graph;
@@ -132,8 +142,10 @@ def _kmeans(points: np.ndarray, c: int, rng: np.random.Generator, n_iter: int = 
         d2 = np.minimum(d2, np.sum((points - centers[j]) ** 2, axis=1))
 
     labels = np.zeros(n, dtype=int)
+    dist = np.empty((n, c))  # squared distance of each point to each centroid
     for _ in range(n_iter):
-        dist = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        for j in range(c):
+            dist[:, j] = np.sum((points - centers[j]) ** 2, axis=1)
         new_labels = np.argmin(dist, axis=1)
         for j in range(c):
             mask = new_labels == j
@@ -205,14 +217,24 @@ def _method(X: np.ndarray, eps: np.ndarray, cfg: SolverConfig, graphs):
     """(measure, step) of cfg.method on the stack X (B, d, n); see the module
     docstring. eps is (B, 1); graphs are the members' normalized graphs for
     GEMMF."""
+    # The one d x n workspace of every measure and U step, seen two ways: the
+    # U step forms X Q in it in X's memory order, as `X * q` would allocate
+    # it, and measure the residual in C order, as `X - U V^T` would. BLAS
+    # products and numpy's column sums can round differently in the other
+    # order, and X is C- or Fortran-ordered in every slice (see fit_stack).
+    work = np.empty_like(X)
+    M = work.ravel(order="K").reshape(X.shape)
+
+    def residual_norms(U, V):
+        return column_norms(residual(X, U, V, out=M), out=M)
 
     def entropy(U, V):
-        norms = np.maximum(column_norms(residual(X, U, V)), eps)
+        norms = np.maximum(residual_norms(U, V), eps)
         value, q = entropy_terms(norms)
         return value, norms, q
 
     def weighted_step(U, V, q):
-        U = basis_step(X, U, V, q)
+        U = basis_step(X, U, V, q, work)
         return U, coeff_step(X, U, V, q)
 
     if cfg.method == "EMMF":
@@ -225,20 +247,20 @@ def _method(X: np.ndarray, eps: np.ndarray, cfg: SolverConfig, graphs):
             return value + cfg.lam * graph_penalty(S.sq_norm, S.product(V), V), norms, q
 
         def step(U, V, q):
-            U = basis_step(X, U, V, q)
+            U = basis_step(X, U, V, q, work)
             return U, graph_coeff_step(X, U, V, q, S.product(V), cfg.lam)
 
         return measure, step
     if cfg.method == "L21_NMF":
         def measure(U, V):
-            norms = column_norms(residual(X, U, V))
+            norms = residual_norms(U, V)
             return np.sum(norms, axis=-1), None, 0.5 / np.maximum(norms, eps)
 
         return measure, weighted_step
     if cfg.method == "NMF_FRO":
         def measure(U, V):
-            M = residual(X, U, V)
-            return np.sum(M * M, axis=(-2, -1)), None, None
+            residual(X, U, V, out=M)
+            return np.sum(np.multiply(M, M, out=M), axis=(-2, -1)), None, None
 
         def step(U, V, _):
             U = U * (X @ V) / (U @ (V.swapaxes(-1, -2) @ V) + DELTA)

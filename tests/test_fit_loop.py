@@ -291,9 +291,9 @@ def test_matches_with_an_explicit_epsilon():
 def test_forms_one_residual_per_iteration(monkeypatch, method):
     calls = []
 
-    def counting(X, U, V):
-        calls.append(1)
-        return core.residual(X, U, V)
+    def counting(X, U, V, out=None):
+        calls.append(out)
+        return core.residual(X, U, V, out)
 
     monkeypatch.setattr(solvers_module, "residual", counting)
     X = problem(0)
@@ -303,6 +303,9 @@ def test_forms_one_residual_per_iteration(monkeypatch, method):
         r = fit(X, SolverConfig(method=method, c=3, max_iter=k, tol=0.0, lam=1.0), graph)
         assert r.trace.iterations == k
         assert len(calls) == k + 1
+        # every residual goes into the one workspace of the fit
+        assert calls[0] is not None and calls[0].shape == (1,) + X.values.shape
+        assert all(out is calls[0] for out in calls)
 
 
 def test_validates_factors_and_weights_once_per_fit(monkeypatch):
@@ -424,16 +427,30 @@ def test_members_sharing_data_and_graph_match_with_an_explicit_epsilon():
 
 def test_a_stack_forms_one_residual_per_iteration(monkeypatch):
     calls = []
+    outs = []
 
-    def counting(X, U, V):
+    def counting(X, U, V, out=None):
         calls.append(X.shape[0])
-        return core.residual(X, U, V)
+        outs.append(out)
+        return core.residual(X, U, V, out)
 
     monkeypatch.setattr(solvers_module, "residual", counting)
     Xs = [problem(seed) for seed in range(5)]
     initials = [init_factors(X, 3, seed=0) for X in Xs]
     fit_stack(Xs, SolverConfig(method="EMMF", c=3, max_iter=12, tol=0.0), initials)
     assert calls == [5] * 13
+    # no member leaves before the end, so the stack keeps one workspace
+    assert outs[0] is not None and outs[0].shape == (5,) + Xs[0].values.shape
+    assert all(out is outs[0] for out in outs)
+    # members that meet tol leave at different iterations; the workspace is
+    # replaced exactly when the stack shrinks
+    calls.clear()
+    outs.clear()
+    fit_stack(Xs, SolverConfig(method="EMMF", c=3, max_iter=200, tol=1e-4), initials)
+    assert len(set(calls)) > 2
+    assert [out.shape[0] for out in outs] == calls
+    for i in range(1, len(calls)):
+        assert (outs[i] is outs[i - 1]) == (calls[i] == calls[i - 1])
 
 
 def test_a_failing_member_raises_only_its_own_error(monkeypatch):

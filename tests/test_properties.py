@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from entnmf import DataMatrix, SolverConfig, fit, knn_graph, normalize_graph
 from entnmf import solvers
-from entnmf.core import basis_step, coeff_step
+from entnmf.core import basis_step, coeff_step, column_norms, residual
 from entnmf.graph import graph_coeff_step
 from entnmf.losses import entropy_terms
 
@@ -69,6 +69,42 @@ def test_same_seed_gives_the_same_fit(problem):
         assert np.array_equal(a.trace.objective, b.trace.objective), method
         assert np.array_equal(a.factors.U, b.factors.U), method
         assert np.array_equal(a.factors.V, b.factors.V), method
+
+
+@st.composite
+def stacks(draw):
+    """A stack (B, d, n) of data with factors and weights, each array in C or
+    Fortran order in every slice, as `fit_stack` holds them."""
+    B = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 12))
+    n = draw(st.integers(2, 12))
+    c = draw(st.integers(1, min(d, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+
+    def stack(shape):
+        order = draw(st.sampled_from("CF"))
+        return np.stack([np.asarray(rng.random(shape), order=order) for _ in range(B)])
+
+    return stack((d, n)), stack((d, c)), stack((n, c)), 0.1 + rng.random((B, n))
+
+
+@PROPERTY
+@given(stacks())
+def test_the_workspace_forms_equal_the_allocating_forms(stack):
+    # the fit loop's one workspace: X Q in X's memory order, the residual and
+    # its squares in a C-ordered view of the same block. Pre-filled with NaN,
+    # so stale contents would show.
+    X, U, V, q = stack
+    work = np.full_like(X, np.nan)
+    M = work.ravel(order="K").reshape(X.shape)
+    assert np.shares_memory(M, work)
+    assert residual(X, U, V, out=M) is M
+    assert np.array_equal(M, residual(X, U, V))
+    assert np.array_equal(column_norms(M, out=M), column_norms(residual(X, U, V)))
+    work.fill(np.nan)
+    assert np.array_equal(basis_step(X, U, V, q, work), basis_step(X, U, V, q))
+    work.fill(np.nan)
+    assert np.array_equal(residual(X, U, V, out=work), residual(X, U, V))
 
 
 @st.composite

@@ -24,7 +24,40 @@ from entnmf import (
 )
 from entnmf.graph import graph_penalty
 from entnmf.losses import default_epsilon
-from entnmf.solvers import V_INIT_OFFSET
+from entnmf.solvers import V_INIT_OFFSET, _kmeans
+
+
+def broadcast_kmeans(points, c, rng, n_iter=100):
+    """The earlier `_kmeans`, kept as the oracle: it forms the distances of
+    every point to every centroid as one (n, c, d) broadcast per iteration."""
+    n = points.shape[0]
+    centers = np.empty((c, points.shape[1]))
+    centers[0] = points[rng.integers(n)]
+    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    for j in range(1, c):
+        total = d2.sum()
+        if total > 0:
+            centers[j] = points[rng.choice(n, p=d2 / total)]
+        else:
+            centers[j] = points[rng.integers(n)]
+        d2 = np.minimum(d2, np.sum((points - centers[j]) ** 2, axis=1))
+    labels = np.zeros(n, dtype=int)
+    for _ in range(n_iter):
+        dist = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        new_labels = np.argmin(dist, axis=1)
+        for j in range(c):
+            mask = new_labels == j
+            if mask.any():
+                centers[j] = points[mask].mean(axis=0)
+            else:
+                far = int(np.argmax(dist[np.arange(n), new_labels]))
+                centers[j] = points[far]
+                new_labels[far] = j
+        if np.array_equal(new_labels, labels):
+            labels = new_labels
+            break
+        labels = new_labels
+    return centers, labels
 
 
 def dense_penalty(S, V):
@@ -74,6 +107,21 @@ class TestInitFactors:
         X = synth_blobs(3, 10, 6, 12.0, seed=1)
         F = init_factors(X, 3, seed=1)
         assert accuracy(np.argmax(F.V, axis=1), X.labels) == 1.0
+
+    @pytest.mark.parametrize("order", ("C", "F"))
+    def test_kmeans_matches_the_broadcast_distances(self, order):
+        # quarter-integer entries give tied distances, and data with fewer
+        # distinct points than centroids gives emptied clusters
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n, d = int(rng.integers(2, 40)), int(rng.integers(1, 12))
+            c = int(rng.integers(1, min(n, 6) + 1))
+            values = (rng.integers(0, 8, (d, n)) / 4, rng.integers(0, 3, (min(d, 2), n)) / 4,
+                      rng.random((d, n)))[seed % 3]
+            points = np.asarray(values, order=order).T
+            got = _kmeans(points, c, np.random.default_rng(seed))
+            want = broadcast_kmeans(points, c, np.random.default_rng(seed))
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
     def test_random_init_is_in_the_unit_interval(self):
         X = synth_random(4, 9, seed=0)
