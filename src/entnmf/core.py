@@ -156,16 +156,14 @@ def guarded_norms(M: np.ndarray, epsilon: float) -> np.ndarray:
 # The kernels below take raw arrays and work on one problem or on a stack of
 # same-shape problems alike: X (..., d, n), U (..., d, c), V (..., n, c),
 # q (..., n). A stacked call computes exactly what the per-problem calls
-# would, slice by slice. Given a workspace of X's shape, `residual` and
-# `basis_step` write their d x n intermediate into it (U V^T and then
-# X - U V^T; X Q) instead of allocating one, with the same values bit for
-# bit; with None they allocate. Later products and reductions see the
-# workspace's memory order, so the fit loop hands `basis_step` its workspace
-# in X's order, the order `X * q` allocates, and `residual` a C-ordered view
-# of the same block, the order `X - U V^T` allocates. They neither check their inputs or outputs nor
-# silence floating-point warnings: `solvers.fit_stack` validates shapes once
-# at entry, runs them under `np.errstate`, and turns a non-finite objective
-# into a NumericalError naming the factor and the iteration.
+# would, slice by slice. Given a workspace of X's shape, `residual` writes
+# U V^T and then X - U V^T into it instead of allocating one; the fit loop's
+# workspace is C-ordered, as `X - U V^T` allocates, so the column sums taken
+# from it round as they would on the allocated form. `basis_step` forms no
+# d x n intermediate: it weights V, not X. They neither check their inputs or
+# outputs nor silence floating-point warnings: `solvers.fit_stack` validates
+# shapes once at entry, runs them under `np.errstate`, and turns a non-finite
+# objective into a NumericalError naming the factor and the iteration.
 
 
 def residual(X: np.ndarray, U: np.ndarray, V: np.ndarray,
@@ -177,13 +175,11 @@ def residual(X: np.ndarray, U: np.ndarray, V: np.ndarray,
     return np.subtract(X, out, out=out)
 
 
-def basis_step(X: np.ndarray, U: np.ndarray, V: np.ndarray, q: np.ndarray,
-               work: np.ndarray | None = None) -> np.ndarray:
-    """U_ik <- U_ik * sqrt( (X Q V)_ik / (U (V^T Q V))_ik ), Q = diag(q).
-
-    X Q is formed in `work` when given, overwriting it."""
-    numer = np.multiply(X, q[..., None, :], out=work) @ V
-    denom = U @ ((V * q[..., :, None]).swapaxes(-1, -2) @ V)
+def basis_step(X: np.ndarray, U: np.ndarray, V: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """U_ik <- U_ik * sqrt( (X (Q V))_ik / (U (V^T Q V))_ik ), Q = diag(q)."""
+    Vq = V * q[..., :, None]
+    numer = X @ Vq
+    denom = U @ (Vq.swapaxes(-1, -2) @ V)
     return U * np.sqrt(numer / (denom + DELTA))
 
 

@@ -50,9 +50,9 @@ INJECTION_SEED_OFFSET = 10007
 
 # Bytes of stacked data matrices in one stack of repetitions: a sweep point's
 # repetitions are fitted max(1, STACK_BYTES // (8 d n)) at a time. The fit
-# loop holds the stacked copy of the data plus one workspace of the same size,
-# in which every per-iteration d x n quantity is formed (NMF_DIV alone still
-# allocates its own).
+# loop holds the stacked copy of the data plus one workspace of the same size
+# for U V^T, the residual and its squares, its only per-iteration d x n
+# quantities (NMF_DIV alone still allocates its own).
 STACK_BYTES = 8 * 2**20
 
 

@@ -124,6 +124,11 @@ def knn_graph(X: DataMatrix, k: int) -> SimilarityGraph:
     # from its heap.
     gram = np.empty((block, n))
     dist = np.empty((block, n))
+    # A single block would compute P^T P, which numpy sends to the symmetric
+    # product; its entries for two identical samples can differ in the last
+    # bit, breaking their tie. A copy as the right operand takes the general
+    # product, as every block of a larger search does.
+    right = P.copy() if block >= n else P
     # every row keeps exactly k neighbors, listed in column order, so the
     # directed graph is a CSR matrix with k entries per row
     cols = []
@@ -131,7 +136,7 @@ def knn_graph(X: DataMatrix, k: int) -> SimilarityGraph:
         stop = min(start + block, n)
         G, d2 = gram[: stop - start], dist[: stop - start]
         # (sq_i + sq_j) - 2 p_i.p_j, rounded as the dense formula was
-        np.matmul(P[:, start:stop].T, P, out=G)
+        np.matmul(P[:, start:stop].T, right, out=G)
         G *= 2.0
         np.add.outer(sq[start:stop], sq, out=d2)
         d2 -= G

@@ -22,15 +22,15 @@ update, then one V update. So the loop forms the residual X - U V^T once per
 iteration (plus once for the starting point), and the loss and the next
 weights come from one set of column norms.
 
-Each (measure, step) pair owns one workspace with the stacked data's shape,
-built with the pair and so rebuilt only when members leave; it is local to
-the `fit_stack` call, so stacks fitted on different threads never share one.
-Every per-iteration d x n quantity is written into it: measure forms U V^T
-there, subtracts it from X, squares the residual and reduces it to column
-norms, and the U step then overwrites it with X Q before the product with V.
-So an iteration allocates nothing of the data's size, which at n in the
-thousands costs about as much as the arithmetic on it. NMF_DIV keeps its own
-allocations: its U V^T carries over into the next step.
+Each (measure, step) pair owns one C-ordered workspace with the stacked
+data's shape, built with the pair and so rebuilt only when members leave; it
+is local to the `fit_stack` call, so stacks fitted on different threads never
+share one. measure forms U V^T there, subtracts it from X, squares the
+residual and reduces it to column norms; the U step forms X (Q V), weighting
+V rather than X, so it needs no d x n intermediate. So an iteration allocates
+nothing of the data's size, which at n in the thousands costs about as much
+as the arithmetic on it. NMF_DIV keeps its own allocations: its U V^T carries
+over into the next step.
 
   EMMF     weights q from the entropy linearization (`entnmf.losses`),
            shared weighted engine for U and V; records the entropy loss.
@@ -217,13 +217,7 @@ def _method(X: np.ndarray, eps: np.ndarray, cfg: SolverConfig, graphs):
     """(measure, step) of cfg.method on the stack X (B, d, n); see the module
     docstring. eps is (B, 1); graphs are the members' normalized graphs for
     GEMMF."""
-    # The one d x n workspace of every measure and U step, seen two ways: the
-    # U step forms X Q in it in X's memory order, as `X * q` would allocate
-    # it, and measure the residual in C order, as `X - U V^T` would. BLAS
-    # products and numpy's column sums can round differently in the other
-    # order, and X is C- or Fortran-ordered in every slice (see fit_stack).
-    work = np.empty_like(X)
-    M = work.ravel(order="K").reshape(X.shape)
+    M = np.empty(X.shape)  # the residual workspace
 
     def residual_norms(U, V):
         return column_norms(residual(X, U, V, out=M), out=M)
@@ -234,7 +228,7 @@ def _method(X: np.ndarray, eps: np.ndarray, cfg: SolverConfig, graphs):
         return value, norms, q
 
     def weighted_step(U, V, q):
-        U = basis_step(X, U, V, q, work)
+        U = basis_step(X, U, V, q)
         return U, coeff_step(X, U, V, q)
 
     if cfg.method == "EMMF":
@@ -247,7 +241,7 @@ def _method(X: np.ndarray, eps: np.ndarray, cfg: SolverConfig, graphs):
             return value + cfg.lam * graph_penalty(S.sq_norm, S.product(V), V), norms, q
 
         def step(U, V, q):
-            U = basis_step(X, U, V, q, work)
+            U = basis_step(X, U, V, q)
             return U, graph_coeff_step(X, U, V, q, S.product(V), cfg.lam)
 
         return measure, step

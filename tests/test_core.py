@@ -1,5 +1,7 @@
 """Core types and the shared weighted multiplicative-update engine."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,21 @@ def test_engine_step_never_increases_the_weighted_objective(kernel, make_instanc
             G = FactorPair(U=U, V=kernel(coeff_step, X, U, F.V, w.q))
             after = trace_objective(X, G, w)
             assert after <= before + 1e-10 * max(1.0, abs(before))
+
+
+def test_basis_step_allocates_nothing_of_the_data_size():
+    # at the emmf_2k benchmark's size; weighting V, not X, needs only n x c
+    # and smaller temporaries
+    rng = np.random.default_rng(0)
+    d, n, c = 100, 2000, 5
+    X, U, V, q = rng.random((d, n)), rng.random((d, c)), rng.random((n, c)), rng.random(n)
+    tracemalloc.start()
+    try:
+        basis_step(X, U, V, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < X.nbytes / 4
 
 
 def test_trace_objective_matches_hand_sum(ones_weights, trace_objective):

@@ -7,7 +7,9 @@ validating `FactorPair`/`ResidualWeights` on every step and forming the
 residual once for the step and again for the objective. Its kernels are
 copied with it, so the comparison pins the arithmetic, not only the loop.
 `fit` must reproduce it bit for bit, and `fit_stack` must give every member
-what `fit` gives it alone.
+what `fit` gives it alone. The U step's earlier association, (X diag(q)) V,
+is kept too: `scaled_data_basis_step`, which the current X (diag(q) V) must
+match to rounding.
 """
 
 import os
@@ -15,6 +17,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from entnmf import (
     ConvergenceTrace,
@@ -39,8 +43,9 @@ from entnmf import experiment as experiment_module
 from entnmf import solvers as solvers_module
 from entnmf.experiment import DatasetSpec, ExperimentConfig, Sweep, run_experiment
 from entnmf.graph import graph_penalty
-from entnmf.losses import default_epsilon
+from entnmf.losses import default_epsilon, entropy_terms
 from entnmf.solvers import fit_stack
+from test_properties import PROPERTY, stacks
 
 METHODS = ("EMMF", "GEMMF", "NMF_FRO", "NMF_DIV", "L21_NMF")
 
@@ -75,10 +80,19 @@ def ref_l21_weights(M, eps):
 
 
 def ref_update_basis(X, F, w):
-    q = w.q
-    numer = (X.values * q[None, :]) @ F.V
-    denom = F.U @ ((F.V * q[:, None]).T @ F.V)
+    Vq = F.V * w.q[:, None]
+    numer = X.values @ Vq
+    denom = F.U @ (Vq.T @ F.V)
     return F.U * np.sqrt(numer / (denom + 1e-12))
+
+
+def scaled_data_basis_step(X, U, V, q):
+    """The U step as first written, weighting X instead of V: its numerator
+    is (X diag(q)) V, a d x n pass before the product. Kept as the oracle for
+    the association `core.basis_step` takes, X (diag(q) V)."""
+    numer = (X * q[..., None, :]) @ V
+    denom = U @ ((V * q[..., :, None]).swapaxes(-1, -2) @ V)
+    return U * np.sqrt(numer / (denom + 1e-12))
 
 
 def ref_update_coeff(X, F, w):
@@ -285,6 +299,40 @@ def test_matches_with_an_explicit_epsilon():
         for method in ("EMMF", "L21_NMF"):
             cfg = SolverConfig(method=method, c=3, seed=seed, max_iter=20, tol=0.0, epsilon=0.05)
             assert_identical(X, cfg)
+
+
+# ---- the U step against the scaled-data oracle ----------------------------
+
+
+@PROPERTY
+@given(stacks(), st.sampled_from(["unit", "l2,1", "entropy"]))
+def test_the_basis_step_matches_the_scaled_data_oracle(stack, weights):
+    # the two associations of X Q V differ only in rounding
+    X, U, V = stack
+    norms = np.maximum(core.column_norms(core.residual(X, U, V)), 1e-10)
+    q = {"unit": np.ones_like(norms), "l2,1": 0.5 / norms,
+         "entropy": entropy_terms(norms)[1]}[weights]
+    expected = scaled_data_basis_step(X, U, V, q)
+    assert np.all(np.abs(core.basis_step(X, U, V, q) - expected) <= 1e-13 * expected)
+
+
+@pytest.mark.parametrize("method", ("EMMF", "GEMMF", "L21_NMF"))
+def test_whole_fits_match_the_scaled_data_oracle(monkeypatch, method):
+    # the README sweep: its blobs with 0, 20 and 40 outliers, its solver
+    cfg = SolverConfig(method=method, c=3, max_iter=300, tol=1e-6, lam=5.0, seed=3)
+    base = unit_normalize(synth_blobs(3, 40, 10, 8.0, seed=1))
+    for outliers in (0, 20, 40):
+        X, _ = inject_outlier_vectors(base, outliers,
+                                      seed=cfg.seed + experiment_module.INJECTION_SEED_OFFSET)
+        graph = normalize_graph(knn_graph(X, 5)) if method == "GEMMF" else None
+        r = fit(X, cfg, graph)
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers_module, "basis_step", scaled_data_basis_step)
+            expected = fit(X, cfg, graph)
+        assert np.array_equal(r.assignments, expected.assignments)
+        assert r.trace.iterations == expected.trace.iterations
+        got, want = np.array(r.trace.objective), np.array(expected.trace.objective)
+        assert np.all(np.abs(got - want) <= 1e-12 * want), outliers
 
 
 @pytest.mark.parametrize("method", ("EMMF", "GEMMF", "L21_NMF", "NMF_FRO"))

@@ -26,11 +26,15 @@ from entnmf.graph import graph_coeff_step
 EPS = 1e-10
 
 
-def dense_knn_graph(P, k):
-    """The former dense n x n neighbor search, kept as the reference."""
+def dense_knn_graph(P, k, general=False):
+    """The former dense n x n neighbor search, kept as the reference.
+
+    numpy sends its P^T P to the symmetric product, whose entries for two
+    identical samples can differ in the last bit and so break their tie;
+    `general` takes the general product instead, as `knn_graph` does."""
     n = P.shape[1]
     sq = np.sum(P * P, axis=0)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (P.T @ P)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (P.T @ (P.copy() if general else P))
     d2 = 0.5 * (d2 + d2.T)
     np.fill_diagonal(d2, np.inf)
     order = np.argsort(d2, axis=1, kind="stable")
@@ -144,10 +148,26 @@ class TestKnnGraph:
         for seed in range(25):
             rng = np.random.default_rng(seed)
             n = int(rng.integers(8, 40))
-            P = with_duplicate_columns(rng, rng.random((int(rng.integers(1, 6)), n)))
+            P = rng.random((int(rng.integers(1, 6)), n))
+            tied = with_duplicate_columns(rng, P)
             for k in range(1, 7):
                 g = knn_graph(DataMatrix(values=P), k)
                 assert np.array_equal(g.S.toarray(), dense_knn_graph(P, k)), (seed, k)
+                g = knn_graph(DataMatrix(values=tied), k)
+                assert np.array_equal(g.S.toarray(), dense_knn_graph(tied, k, general=True)), (seed, k)
+
+    @pytest.mark.parametrize("order", "CF")
+    def test_rows_linking_a_duplicated_pair_link_its_lower_index(self, order):
+        # sample 29 copies sample 3, so every other sample is exactly as far
+        # from one as from the other, and the tie goes to sample 3
+        others = np.r_[0:3, 4:29]
+        for seed in range(50):
+            P = np.random.default_rng(seed).random((4, 30))
+            P[:, 29] = P[:, 3]
+            X = DataMatrix(values=np.asarray(P, order=order))
+            for k in range(1, 8):
+                S = knn_graph(X, k).S.toarray()
+                assert np.all(S[others, 29] <= S[others, 3]), (seed, k)
 
     def test_row_blocks_match_the_dense_oracle(self, monkeypatch):
         # quarter-integer coordinates make every distance exact, so ties
