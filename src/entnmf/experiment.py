@@ -52,7 +52,7 @@ INJECTION_SEED_OFFSET = 10007
 # repetitions are fitted max(1, STACK_BYTES // (8 d n)) at a time. The fit
 # loop holds the stacked copy of the data plus one workspace of the same size
 # for U V^T, the residual and its squares, its only per-iteration d x n
-# quantities (NMF_DIV alone still allocates its own).
+# quantities (NMF_DIV adds a second workspace and a d x n boolean mask).
 STACK_BYTES = 8 * 2**20
 
 

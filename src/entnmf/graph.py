@@ -9,7 +9,17 @@ the penalty is evaluated in its expanded form
     ||S - V V^T||_F^2 = ||S||_F^2 - 2 sum((S V) o V) + ||V^T V||_F^2,
 
 clamped at zero against cancellation when V V^T is close to S
-(`graph_penalty`). The multiplicative update `graph_coeff_step` absorbs the
+(`graph_penalty`).
+
+`knn_graph` ranks half squared distances (sq_i + sq_j) / 2 - p_i.p_j, one
+block of rows at a time, and partitions each row at index k, which leaves
+its k-th smallest distance as the largest of slots 0..k-1 and its (k+1)-th
+in slot k. Where the two differ, the row's k neighbors are the distances at
+most the k-th: one comparison into a reused mask and one flat nonzero list
+them in column order. Only rows where the two tie run the lowest-index tie
+rule.
+
+The multiplicative update `graph_coeff_step` absorbs the
 orthogonality multiplier through the split
 
     L5 = V^T Q X^T U + 2 lambda V^T S V - V^T Q V U^T U = L5+ - L5-,
@@ -110,53 +120,78 @@ def knn_graph(X: DataMatrix, k: int) -> SimilarityGraph:
 
     S_ij = 1 if j is among the k Euclidean nearest neighbors of i or vice
     versa. The diagonal is excluded from the search and left zero; distance
-    ties are broken toward the lower sample index for determinism.
+    ties are broken toward the lower sample index for determinism. A sample
+    whose squared norm, doubled, overflows raises InputError.
     """
     n = X.n
     if not 1 <= k < n:
         raise InputError(f"neighbor count {k} outside [1, {n - 1}]")
     P = X.values
-    sq = np.sum(P * P, axis=0)
+    # An overflowed squared norm makes distances NaN (inf - inf), which no
+    # comparison selects, so a row could lose its neighbors to the diagonal.
+    # Nonnegative data keeps every squared distance within 2 max(sq), so a
+    # finite 2 sq keeps them all finite.
+    with np.errstate(over="ignore"):  # reported below
+        sq = np.sum(P * P, axis=0)
+        bad = np.flatnonzero(~np.isfinite(2.0 * sq))
+    if bad.size:
+        raise InputError(f"sample {bad[0]} is too large for squared distances "
+                         f"(squared norm {sq[bad[0]]:.3g})")
+    # The search ranks half distances (sq_i + sq_j) / 2 - p_i.p_j. Halving is
+    # exact barring subnormal values, so each is exactly half of the squared
+    # distance as the dense formula rounded it, with the same order and the
+    # same ties, and no pass doubles the Gram rows.
+    half = 0.5 * sq
     block = min(256, max(1, BLOCK_BYTES // (8 * n)))
-    # Two float64 buffers serve every block of rows: the Gram rows (then the
-    # partition scratch) and the distance rows. Fresh ones per block are
-    # page-faulted in anew each time, unless malloc happens to serve them
-    # from its heap.
+    # Three buffers serve every block of rows: the Gram rows (then the
+    # partition scratch), the distance rows and the neighbor mask. Fresh ones
+    # per block are page-faulted in anew each time, unless malloc happens to
+    # serve them from its heap.
     gram = np.empty((block, n))
     dist = np.empty((block, n))
+    mask = np.empty((block, n), dtype=bool)
     # A single block would compute P^T P, which numpy sends to the symmetric
     # product; its entries for two identical samples can differ in the last
     # bit, breaking their tie. A copy as the right operand takes the general
-    # product, as every block of a larger search does.
+    # product, as every block of a larger search does. The left operand stays
+    # a view of P: BLAS picks its kernel by the operands' strides, and a
+    # one-row block of a contiguous copy would take one that rounds
+    # differently.
     right = P.copy() if block >= n else P
     # every row keeps exactly k neighbors, listed in column order, so the
     # directed graph is a CSR matrix with k entries per row
     cols = []
     for start in range(0, n, block):
         stop = min(start + block, n)
-        G, d2 = gram[: stop - start], dist[: stop - start]
-        # (sq_i + sq_j) - 2 p_i.p_j, rounded as the dense formula was
+        rows = stop - start
+        G, d2, keep = gram[:rows], dist[:rows], mask[:rows]
         np.matmul(P[:, start:stop].T, right, out=G)
-        G *= 2.0
-        np.add.outer(sq[start:stop], sq, out=d2)
+        np.add.outer(half[start:stop], half, out=d2)
         d2 -= G
-        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        # keep every distance below the k-th smallest, then the lowest-index
-        # ties at it until the row has k neighbors
+        d2[np.arange(rows), np.arange(start, stop)] = np.inf
+        # Partitioned at index k, a row holds its k smallest distances in
+        # slots 0..k-1 and its (k+1)-th smallest in slot k. Where the k-th
+        # smallest (their max) is below the (k+1)-th, exactly k distances are
+        # at most the k-th, and they are the row's neighbors.
         np.copyto(G, d2)
-        G.partition(k - 1, axis=1)
-        kth = G[:, [k - 1]]
-        below = d2 < kth
-        keep = d2 == kth
-        room = k - np.sum(below, axis=1, keepdims=True)
-        # only rows with more ties than room need the running tie count
-        over = np.flatnonzero(np.sum(keep, axis=1) > room[:, 0])
+        G.partition(k, axis=1)
+        kth = np.max(G[:, :k], axis=1)
+        np.less_equal(d2, kth[:, None], out=keep)
+        # Where the two are equal, more distances tie at the k-th than the row
+        # has room for: keep every distance below it, then the lowest-index
+        # ties until the row has k neighbors.
+        over = np.flatnonzero(kth == G[:, k])
         if over.size:
-            tied = keep[over]
-            keep[over] = tied & (np.cumsum(tied, axis=1) <= room[over])
-        keep |= below
-        cols.append(np.nonzero(keep)[1])
-    del gram, dist, G, d2
+            below = d2[over] < kth[over, None]
+            tied = d2[over] == kth[over, None]
+            room = k - np.sum(below, axis=1, keepdims=True)
+            keep[over] = below | (tied & (np.cumsum(tied, axis=1) <= room))
+        # k flat indices per row, in row-major order: subtracting each row's
+        # offset leaves its columns
+        flat = np.flatnonzero(keep).reshape(rows, k)
+        flat -= n * np.arange(rows)[:, None]
+        cols.append(flat.ravel())
+    del gram, dist, mask, G, d2, keep
     cols = np.concatenate(cols)
     A = csr_array((np.ones(n * k), cols, k * np.arange(n + 1)), shape=(n, n))
     del cols
@@ -191,13 +226,25 @@ def graph_coeff_step(X: np.ndarray, U: np.ndarray, V: np.ndarray, q: np.ndarray,
     """Graph-regularized multiplicative step on V, given SV = S V.
 
     Raw arrays, one problem or a stack (..., d, n), like the kernels in
-    `entnmf.core`; no checks, no silenced warnings."""
-    A = q[..., :, None] * (X.swapaxes(-1, -2) @ U)      # Q X^T U
-    B = q[..., :, None] * (V @ (U.swapaxes(-1, -2) @ U))  # Q V U^T U
+    `entnmf.core`; no checks, no silenced warnings. The elementwise work runs
+    in place on the n x c products, which gives the same bits as fresh arrays
+    would."""
+    q = q[..., :, None]
+    A = X.swapaxes(-1, -2) @ U                         # Q X^T U
+    A *= q
+    B = V @ (U.swapaxes(-1, -2) @ U)                   # Q V U^T U
+    B *= q
     Vt = V.swapaxes(-1, -2)
     minus = Vt @ B                                     # L5-
     plus = Vt @ A + 2.0 * lam * (Vt @ SV)              # L5+
-    numer = A + 2.0 * lam * SV + V @ minus
-    denom = B + V @ plus
-    return V * np.sqrt(numer / (denom + DELTA))
+    numer = 2.0 * lam * SV
+    numer += A
+    numer += V @ minus
+    denom = V @ plus
+    denom += B
+    denom += DELTA
+    numer /= denom
+    np.sqrt(numer, out=numer)
+    numer *= V
+    return numer
 

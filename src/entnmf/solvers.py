@@ -29,8 +29,9 @@ share one. measure forms U V^T there, subtracts it from X, squares the
 residual and reduces it to column norms; the U step forms X (Q V), weighting
 V rather than X, so it needs no d x n intermediate. So an iteration allocates
 nothing of the data's size, which at n in the thousands costs about as much
-as the arithmetic on it. NMF_DIV keeps its own allocations: its U V^T carries
-over into the next step.
+as the arithmetic on it. NMF_DIV holds U V^T in a second workspace, because it
+carries over into the next step, and the zero pattern of X, which its loss
+reads every iteration.
 
   EMMF     weights q from the entropy linearization (`entnmf.losses`),
            shared weighted engine for U and V; records the entropy loss.
@@ -206,11 +207,19 @@ def extend_factors(F: FactorPair, X: DataMatrix) -> FactorPair:
     return FactorPair(U=F.U.copy(), V=np.vstack([F.V, V_new]))
 
 
-def _divergence(X: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """DIV(X || B) = sum_ij X_ij log(X_ij / B_ij) - X_ij + B_ij, with 0 log 0 = 0."""
-    guarded = B + 1e-12
-    log_term = np.where(X > 0, X * np.log(np.where(X > 0, X, 1.0) / guarded), 0.0)
-    return np.sum(log_term - X + B, axis=(-2, -1))
+def _divergence(X: np.ndarray, B: np.ndarray, zero: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """DIV(X || B) = sum_ij X_ij log(X_ij / B_ij) - X_ij + B_ij, with 0 log 0 = 0.
+
+    Formed in `out`; `zero` marks the entries where X_ij = 0. Their log term
+    is computed from 0 / B_ij and then replaced by 0, so it never counts."""
+    np.add(B, 1e-12, out=out)
+    np.divide(X, out, out=out)
+    np.log(out, out=out)
+    out *= X
+    np.copyto(out, 0.0, where=zero)
+    out -= X
+    out += B
+    return np.sum(out, axis=(-2, -1))
 
 
 def _method(X: np.ndarray, eps: np.ndarray, cfg: SolverConfig, graphs):
@@ -262,13 +271,22 @@ def _method(X: np.ndarray, eps: np.ndarray, cfg: SolverConfig, graphs):
 
         return measure, step
 
-    def measure(U, V):  # NMF_DIV; the next step's first ratio reuses UV^T
-        B = U @ V.swapaxes(-1, -2)
-        return _divergence(X, B), None, B
+    # NMF_DIV: UV^T has a workspace of its own, because the next step's first
+    # ratio reuses it; every other d x n quantity goes to M
+    UVt = np.empty(X.shape)
+    zero = ~(X > 0)
+
+    def measure(U, V):
+        B = np.matmul(U, V.swapaxes(-1, -2), out=UVt)
+        return _divergence(X, B, zero, M), None, B
 
     def step(U, V, B):
-        U = U * ((X / (B + DELTA)) @ V) / (np.sum(V, axis=-2)[..., None, :] + DELTA)
-        ratio = X / (U @ V.swapaxes(-1, -2) + DELTA)
+        np.add(B, DELTA, out=M)
+        ratio = np.divide(X, M, out=M)
+        U = U * (ratio @ V) / (np.sum(V, axis=-2)[..., None, :] + DELTA)
+        np.matmul(U, V.swapaxes(-1, -2), out=M)
+        np.add(M, DELTA, out=M)
+        ratio = np.divide(X, M, out=M)
         return U, V * (ratio.swapaxes(-1, -2) @ U) / (np.sum(U, axis=-2)[..., None, :] + DELTA)
 
     return measure, step

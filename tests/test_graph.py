@@ -43,6 +43,79 @@ def dense_knn_graph(P, k, general=False):
     return np.maximum(A, A.T)
 
 
+def former_knn_graph(X, k):
+    """The former per-block neighbor selection, kept as the reference: a
+    partition at k - 1, then below/tied passes over every block entry and a 2-D
+    nonzero. Only BLOCK_BYTES is read from the module, so patching it sizes
+    both searches' blocks alike."""
+    n = X.n
+    if not 1 <= k < n:
+        raise InputError(f"neighbor count {k} outside [1, {n - 1}]")
+    P = X.values
+    sq = np.sum(P * P, axis=0)
+    block = min(256, max(1, graph_module.BLOCK_BYTES // (8 * n)))
+    # Two float64 buffers serve every block of rows: the Gram rows (then the
+    # partition scratch) and the distance rows. Fresh ones per block are
+    # page-faulted in anew each time, unless malloc happens to serve them
+    # from its heap.
+    gram = np.empty((block, n))
+    dist = np.empty((block, n))
+    # A single block would compute P^T P, which numpy sends to the symmetric
+    # product; its entries for two identical samples can differ in the last
+    # bit, breaking their tie. A copy as the right operand takes the general
+    # product, as every block of a larger search does.
+    right = P.copy() if block >= n else P
+    # every row keeps exactly k neighbors, listed in column order, so the
+    # directed graph is a CSR matrix with k entries per row
+    cols = []
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        G, d2 = gram[: stop - start], dist[: stop - start]
+        # (sq_i + sq_j) - 2 p_i.p_j, rounded as the dense formula was
+        np.matmul(P[:, start:stop].T, right, out=G)
+        G *= 2.0
+        np.add.outer(sq[start:stop], sq, out=d2)
+        d2 -= G
+        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        # keep every distance below the k-th smallest, then the lowest-index
+        # ties at it until the row has k neighbors
+        np.copyto(G, d2)
+        G.partition(k - 1, axis=1)
+        kth = G[:, [k - 1]]
+        below = d2 < kth
+        keep = d2 == kth
+        room = k - np.sum(below, axis=1, keepdims=True)
+        # only rows with more ties than room need the running tie count
+        over = np.flatnonzero(np.sum(keep, axis=1) > room[:, 0])
+        if over.size:
+            tied = keep[over]
+            keep[over] = tied & (np.cumsum(tied, axis=1) <= room[over])
+        keep |= below
+        cols.append(np.nonzero(keep)[1])
+    del gram, dist, G, d2
+    cols = np.concatenate(cols)
+    A = sparse.csr_array((np.ones(n * k), cols, k * np.arange(n + 1)), shape=(n, n))
+    del cols
+    S = A.maximum(A.T)
+    del A
+    return SimilarityGraph(S=S, normalized=False, k=k)
+
+
+def assert_same_csr(a, b, context):
+    for name in ("data", "indices", "indptr"):
+        x, y = getattr(a.S, name), getattr(b.S, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), (name, context)
+
+
+def tie_rule_rows(P, k):
+    """Rows whose (k+1)-th smallest distance equals the k-th: more ties at the
+    k-th than room, the rows the lowest-index tie rule decides."""
+    d2 = np.sum((P[:, :, None] - P[:, None, :]) ** 2, axis=0)
+    np.fill_diagonal(d2, np.inf)
+    d2.sort(axis=1)
+    return int(np.sum(d2[:, k - 1] == d2[:, k]))
+
+
 def dense_normalize(S):
     """The former dense degree normalization, kept as the reference."""
     deg = np.sum(S, axis=1)
@@ -180,6 +253,51 @@ class TestKnnGraph:
             for k in range(1, 7):
                 g = knn_graph(DataMatrix(values=P), k)
                 assert np.array_equal(g.S.toarray(), dense_knn_graph(P, k)), (seed, k)
+
+    @pytest.mark.parametrize("rows", [1, 7, 256])
+    @pytest.mark.parametrize("order", "CF")
+    def test_matches_the_former_selection_byte_for_byte(self, monkeypatch, rows, order):
+        # tie-heavy inputs, every k up to n - 1 (where slot k of the partition
+        # is the diagonal's inf), blocks of 1, 7 and 256 rows
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(3, 30))
+            monkeypatch.setattr(graph_module, "BLOCK_BYTES", rows * 8 * n)
+            d = int(rng.integers(1, 5))
+            for P in (rng.integers(0, 5, size=(d, n)) / 4.0,
+                      with_duplicate_columns(rng, rng.random((d, n)))):
+                X = DataMatrix(values=np.asarray(P, order=order))
+                for k in range(1, n):
+                    assert_same_csr(knn_graph(X, k), former_knn_graph(X, k), (seed, k))
+
+    @pytest.mark.parametrize("rows", [1, 7, 256])
+    def test_lattice_ties_take_the_former_lowest_index_rule(self, monkeypatch, rows):
+        # points of a 2-D integer grid have up to four neighbors at distance
+        # 1 and four at sqrt(2), so many rows tie at the k-th distance
+        grid = np.stack(np.meshgrid(np.arange(6.0), np.arange(5.0))).reshape(2, -1)
+        n = grid.shape[1]
+        monkeypatch.setattr(graph_module, "BLOCK_BYTES", rows * 8 * n)
+        reached = 0
+        for k in range(1, 12):
+            reached += tie_rule_rows(grid, k)
+            X = DataMatrix(values=grid)
+            assert_same_csr(knn_graph(X, k), former_knn_graph(X, k), k)
+        assert reached > 100
+
+    def test_rejects_samples_whose_squared_distances_overflow(self):
+        # d=3: squared norm 3e400 overflows; 1.47e308 is finite but its double
+        # is not, and a distance can reach twice the largest squared norm
+        for big in (1e200, 7e153):
+            P = np.random.default_rng(0).random((3, 6))
+            P[:, [1, 4]] = big
+            with np.errstate(over="ignore"):
+                assert np.isfinite(np.sum(P * P, axis=0)).all() == (big < 1e154)
+            with pytest.raises(InputError, match="sample 1 "):
+                knn_graph(DataMatrix(values=P), 3)
+        P = np.random.default_rng(0).random((3, 6))
+        P[:, 0:4] = 1e200
+        with pytest.raises(InputError, match="sample 0 "):
+            knn_graph(DataMatrix(values=P), 3)
 
     def test_stores_only_the_edges(self):
         rng = np.random.default_rng(0)

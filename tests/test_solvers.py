@@ -1,5 +1,7 @@
 """Fitting loops: initialization, convergence control, and each method's rules."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from entnmf import (
 )
 from entnmf.graph import graph_penalty
 from entnmf.losses import default_epsilon
-from entnmf.solvers import V_INIT_OFFSET, _kmeans
+from entnmf.solvers import V_INIT_OFFSET, _kmeans, _method
 
 
 def broadcast_kmeans(points, c, rng, n_iter=100):
@@ -388,6 +390,27 @@ class TestBaselines:
         r = fit(X, SolverConfig(method="NMF_DIV", c=2, seed=0, max_iter=60, tol=0.0))
         diffs = np.diff(r.trace.objective)
         assert np.all(diffs <= 1e-8 * np.maximum(1.0, np.abs(r.trace.objective[:-1])))
+
+    def test_divergence_iteration_allocates_nothing_of_the_data_size(self):
+        # at the emmf_2k benchmark's size, with zeros in X: U V^T, both ratios
+        # and the loss terms are written into the pair's workspaces
+        rng = np.random.default_rng(0)
+        d, n, c = 100, 2000, 5
+        X = rng.random((1, d, n))
+        X[X < 0.1] = 0.0
+        U, V = rng.random((1, d, c)), rng.random((1, n, c))
+        measure, step = _method(X, np.ones((1, 1)), SolverConfig(method="NMF_DIV", c=c), None)
+        with np.errstate(all="ignore"):  # log(0) at the zeros, as in the fit loop
+            _, _, B = measure(U, V)
+            tracemalloc.start()
+            try:
+                U, V = step(U, V, B)
+                value = measure(U, V)[0]
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert np.isfinite(value).all()
+        assert peak < X.nbytes / 4
 
     def test_l21_first_iteration_uses_half_inverse_norm_weights(self):
         X = synth_random(5, 8, seed=11)
