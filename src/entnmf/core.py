@@ -153,17 +153,28 @@ def guarded_norms(M: np.ndarray, epsilon: float) -> np.ndarray:
     return np.maximum(column_norms(M), epsilon)
 
 
+# Ratio of a squared residual norm r_i to the sample's squared norm ||x_i||^2
+# at or below which `residual_norms` takes the exact residual. The Gram form
+# cancels: its r_i is off by up to about 4e-15 ||x_i||^2 (at most 3.4e-15
+# measured over the fits of the benchmark configs, d = 10 and 100), so above
+# TAU ||x_i||^2 its relative error is below about 4e-12, and that of the
+# norm, its square root, below about 2e-12.
+TAU = 1e-3
+
+
 # The kernels below take raw arrays and work on one problem or on a stack of
 # same-shape problems alike: X (..., d, n), U (..., d, c), V (..., n, c),
 # q (..., n). A stacked call computes exactly what the per-problem calls
-# would, slice by slice. Given a workspace of X's shape, `residual` writes
-# U V^T and then X - U V^T into it instead of allocating one; the fit loop's
-# workspace is C-ordered, as `X - U V^T` allocates, so the column sums taken
-# from it round as they would on the allocated form. `basis_step` forms no
-# d x n intermediate: it weights V, not X. They neither check their inputs or
-# outputs nor silence floating-point warnings: `solvers.fit_stack` validates
-# shapes once at entry, runs them under `np.errstate`, and turns a non-finite
-# objective into a NumericalError naming the factor and the iteration.
+# would, slice by slice. The V steps take the Gram products A = X^T U and
+# G = U^T U at the U they update against (`gram_products`), and
+# `residual_norms` takes the same two at the same U, so an iteration forms
+# them once and the residual norms need no d x n intermediate. Given a
+# workspace of X's shape, `residual` writes U V^T and then X - U V^T into it
+# instead of allocating one. `basis_step` forms no d x n intermediate: it
+# weights V, not X. They neither check their inputs or outputs nor silence
+# floating-point warnings: `solvers.fit_stack` validates shapes once at
+# entry, runs them under `np.errstate`, and turns a non-finite objective into
+# a NumericalError naming the factor and the iteration.
 
 
 def residual(X: np.ndarray, U: np.ndarray, V: np.ndarray,
@@ -175,6 +186,42 @@ def residual(X: np.ndarray, U: np.ndarray, V: np.ndarray,
     return np.subtract(X, out, out=out)
 
 
+def gram_products(X: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A, G) = (X^T U, U^T U), shared by the V step and the residual norms."""
+    return X.swapaxes(-1, -2) @ U, U.swapaxes(-1, -2) @ U
+
+
+def sample_sq_norms(X: np.ndarray) -> np.ndarray:
+    """||x_i||^2 of every column of X, with no temporary of X's size."""
+    return np.einsum("...ij,...ij->...j", X, X)
+
+
+def residual_norms(X: np.ndarray, sq: np.ndarray, U: np.ndarray, V: np.ndarray,
+                   A: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """||x_i - U v_i|| for every column, given sq = ||x_i||^2 and (A, G) at U.
+
+    The squares come from r = sq + sum_k V o (V G - A - A), formed in place
+    on V G and its c columns added one by one. A problem with some
+    r_i <= TAU sq_i (r_i <= 0 included) takes all its norms from its exact
+    residual instead, so the choice is its own and a stacked problem
+    computes what it would alone. NaN fails the comparison and carries
+    through to the norms."""
+    T = V @ G
+    T -= A
+    T -= A
+    T *= V
+    r = sq + T[..., 0]
+    for k in range(1, T.shape[-1]):
+        r += T[..., k]
+    low = r <= TAU * sq
+    norms = np.sqrt(r)
+    if low.any():
+        for b in np.ndindex(low.shape[:-1]):
+            if low[b].any():
+                norms[b] = column_norms(residual(X[b], U[b], V[b]))
+    return norms
+
+
 def basis_step(X: np.ndarray, U: np.ndarray, V: np.ndarray, q: np.ndarray) -> np.ndarray:
     """U_ik <- U_ik * sqrt( (X (Q V))_ik / (U (V^T Q V))_ik ), Q = diag(q)."""
     Vq = V * q[..., :, None]
@@ -183,14 +230,22 @@ def basis_step(X: np.ndarray, U: np.ndarray, V: np.ndarray, q: np.ndarray) -> np
     return U * np.sqrt(numer / (denom + DELTA))
 
 
-def coeff_step(X: np.ndarray, U: np.ndarray, V: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """V_ik <- V_ik * sqrt( (Q X^T U)_ik / (Q V (U^T U))_ik ).
+def coeff_step(A: np.ndarray, G: np.ndarray, V: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """V_ik <- V_ik * sqrt( (Q X^T U)_ik / (Q V (U^T U))_ik ), given A = X^T U
+    and G = U^T U.
 
     Q being diagonal, the only shape-consistent reading of the denominator is
-    Q (V (U^T U))."""
-    numer = q[..., :, None] * (X.swapaxes(-1, -2) @ U)
-    denom = q[..., :, None] * (V @ (U.swapaxes(-1, -2) @ U))
-    return V * np.sqrt(numer / (denom + DELTA))
+    Q (V (U^T U)). The elementwise work runs in place on the n x c products,
+    which gives the same bits as fresh arrays would."""
+    q = q[..., :, None]
+    numer = q * A
+    denom = V @ G
+    denom *= q
+    denom += DELTA
+    numer /= denom
+    np.sqrt(numer, out=numer)
+    numer *= V
+    return numer
 
 
 def residual_matrix(X: DataMatrix, U: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -200,4 +255,3 @@ def residual_matrix(X: DataMatrix, U: np.ndarray, V: np.ndarray) -> np.ndarray:
             f"factor shapes U {U.shape}, V {V.shape} do not match data {X.values.shape}"
         )
     return residual(X.values, U, V)
-

@@ -49,10 +49,12 @@ SWEEPS = ("outlier_count", "lambda", "sigma", "block_size")
 INJECTION_SEED_OFFSET = 10007
 
 # Bytes of stacked data matrices in one stack of repetitions: a sweep point's
-# repetitions are fitted max(1, STACK_BYTES // (8 d n)) at a time. The fit
-# loop holds the stacked copy of the data plus one workspace of the same size
-# for U V^T, the residual and its squares, its only per-iteration d x n
-# quantities (NMF_DIV adds a second workspace and a d x n boolean mask).
+# repetitions are fitted max(1, STACK_BYTES // (8 d n)) at a time. Under
+# EMMF, GEMMF and L21_NMF the fit loop holds the stacked copy of the data and
+# nothing else of its size, except one member's exact residual on an
+# iteration where that member's norms fall back to it; NMF_FRO adds one
+# workspace of the data's size for U V^T, the residual and its squares, and
+# NMF_DIV two workspaces and a d x n boolean mask.
 STACK_BYTES = 8 * 2**20
 
 

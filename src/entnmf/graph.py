@@ -46,8 +46,9 @@ from .core import DELTA, DataMatrix
 from .errors import InputError
 
 # Bytes of one block of float64 distance rows in the neighbor search. A block
-# has min(256, BLOCK_BYTES // (8 n)) rows (at least one), so its size is
-# bounded for any n, and every n <= 8192 gets the full 256 rows.
+# has min(256, BLOCK_BYTES // (8 n)) rows (at least two), so its size is
+# bounded for any n, and every n <= 8192 gets the full 256 rows. A one-row
+# remainder joins the block before it (`_row_blocks`).
 BLOCK_BYTES = 16 * 2**20
 
 
@@ -115,6 +116,20 @@ class GraphStack:
         return (self.S @ V.reshape(-1, V.shape[-1])).reshape(V.shape)
 
 
+def _row_blocks(n: int) -> list:
+    """(start, stop) of each block of rows the neighbor search takes.
+
+    No block has one row: numpy sends a one-row Gram product to BLAS gemv,
+    which on C-ordered data can round the entries of two identical samples
+    apart and so break their tie. Blocks have at least two rows, and a
+    one-row remainder joins the block before it."""
+    block = min(256, max(2, BLOCK_BYTES // (8 * n)))
+    starts = list(range(0, n, block))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
+
+
 def knn_graph(X: DataMatrix, k: int) -> SimilarityGraph:
     """0-1 weighted k-nearest-neighbor graph on the samples (columns) of X.
 
@@ -142,27 +157,25 @@ def knn_graph(X: DataMatrix, k: int) -> SimilarityGraph:
     # distance as the dense formula rounded it, with the same order and the
     # same ties, and no pass doubles the Gram rows.
     half = 0.5 * sq
-    block = min(256, max(1, BLOCK_BYTES // (8 * n)))
+    blocks = _row_blocks(n)
     # Three buffers serve every block of rows: the Gram rows (then the
     # partition scratch), the distance rows and the neighbor mask. Fresh ones
     # per block are page-faulted in anew each time, unless malloc happens to
     # serve them from its heap.
-    gram = np.empty((block, n))
-    dist = np.empty((block, n))
-    mask = np.empty((block, n), dtype=bool)
+    most = max(stop - start for start, stop in blocks)
+    gram = np.empty((most, n))
+    dist = np.empty((most, n))
+    mask = np.empty((most, n), dtype=bool)
     # A single block would compute P^T P, which numpy sends to the symmetric
     # product; its entries for two identical samples can differ in the last
     # bit, breaking their tie. A copy as the right operand takes the general
     # product, as every block of a larger search does. The left operand stays
-    # a view of P: BLAS picks its kernel by the operands' strides, and a
-    # one-row block of a contiguous copy would take one that rounds
-    # differently.
-    right = P.copy() if block >= n else P
+    # a view of P: BLAS picks its kernel by the operands' strides.
+    right = P.copy() if len(blocks) == 1 else P
     # every row keeps exactly k neighbors, listed in column order, so the
     # directed graph is a CSR matrix with k entries per row
     cols = []
-    for start in range(0, n, block):
-        stop = min(start + block, n)
+    for start, stop in blocks:
         rows = stop - start
         G, d2, keep = gram[:rows], dist[:rows], mask[:rows]
         np.matmul(P[:, start:stop].T, right, out=G)
@@ -221,18 +234,18 @@ def normalize_graph(graph: SimilarityGraph) -> SimilarityGraph:
     return SimilarityGraph(S=scaled, normalized=True, k=graph.k)
 
 
-def graph_coeff_step(X: np.ndarray, U: np.ndarray, V: np.ndarray, q: np.ndarray,
+def graph_coeff_step(A: np.ndarray, G: np.ndarray, V: np.ndarray, q: np.ndarray,
                      SV: np.ndarray, lam: float) -> np.ndarray:
-    """Graph-regularized multiplicative step on V, given SV = S V.
+    """Graph-regularized multiplicative step on V, given A = X^T U, G = U^T U
+    and SV = S V.
 
-    Raw arrays, one problem or a stack (..., d, n), like the kernels in
-    `entnmf.core`; no checks, no silenced warnings. The elementwise work runs
-    in place on the n x c products, which gives the same bits as fresh arrays
-    would."""
+    Raw arrays, one problem or a stack (..., n, c), like the kernels in
+    `entnmf.core`; no checks, no silenced warnings. A and G are left as they
+    are, for the residual norms; the elementwise work runs in place on the
+    n x c products, which gives the same bits as fresh arrays would."""
     q = q[..., :, None]
-    A = X.swapaxes(-1, -2) @ U                         # Q X^T U
-    A *= q
-    B = V @ (U.swapaxes(-1, -2) @ U)                   # Q V U^T U
+    A = A * q                                          # Q X^T U
+    B = V @ G                                          # Q V U^T U
     B *= q
     Vt = V.swapaxes(-1, -2)
     minus = Vt @ B                                     # L5-
@@ -247,4 +260,3 @@ def graph_coeff_step(X: np.ndarray, U: np.ndarray, V: np.ndarray, q: np.ndarray,
     np.sqrt(numer, out=numer)
     numer *= V
     return numer
-

@@ -11,27 +11,34 @@ repetitions of a sweep point.
 
 Every method is two functions on the raw stacked arrays:
 
-  measure(U, V) -> (objective, norms, q)
-  step(U, V, q) -> (U, V)
+  measure(U, V, grams) -> (objective, norms, q)
+  step(U, V, q) -> (U, V, grams)
 
 measure records the loss at (U, V), one value per member, and, from the same
-residual, the q the next step reads (per-sample weights, UV^T for NMF_DIV,
-or None); norms are the guarded residual norms behind the entropy weights,
-reported as `final_q`, and None for the other methods. step makes one U
-update, then one V update. So the loop forms the residual X - U V^T once per
-iteration (plus once for the starting point), and the loss and the next
-weights come from one set of column norms.
+residual norms, the q the next step reads (per-sample weights, UV^T for
+NMF_DIV, or None); norms are the guarded residual norms behind the entropy
+weights, reported as `final_q`, and None for the other methods. step makes
+one U update, then one V update, and hands on grams, the Gram products
+(X^T U, U^T U) its V update formed at the new U, or None.
 
-Each (measure, step) pair owns one C-ordered workspace with the stacked
-data's shape, built with the pair and so rebuilt only when members leave; it
-is local to the `fit_stack` call, so stacks fitted on different threads never
-share one. measure forms U V^T there, subtracts it from X, squares the
-residual and reduces it to column norms; the U step forms X (Q V), weighting
-V rather than X, so it needs no d x n intermediate. So an iteration allocates
-nothing of the data's size, which at n in the thousands costs about as much
-as the arithmetic on it. NMF_DIV holds U V^T in a second workspace, because it
-carries over into the next step, and the zero pattern of X, which its loss
-reads every iteration.
+EMMF, GEMMF and L21_NMF take each sample's squared residual norm from them,
+||x_i - U v_i||^2 = ||x_i||^2 - 2 v_i.(X^T U)_i + v_i^T (U^T U) v_i
+(`core.residual_norms`), with ||x_i||^2 computed once per (measure, step)
+pair. So an iteration forms no residual X - U V^T and nothing of the data's
+size: the U step forms X (Q V), weighting V rather than X, and the V step and
+the norms share their products. The first measure of a stack forms the Gram
+products itself. A member whose squares fall to `core.TAU` ||x_i||^2 or
+below, where the identity cancels, takes that iteration's norms from its
+exact residual instead. GEMMF's measure forms S V for its penalty, and the
+step that follows reuses it.
+
+NMF_FRO forms the residual once per iteration (plus once for the starting
+point) in a C-ordered workspace with the stacked data's shape; NMF_DIV
+holds U V^T in one workspace, because it carries over into the next step,
+writes its ratios and loss terms into a second, and keeps the zero pattern
+of X, which its loss reads every iteration. Everything a pair holds is built
+with it and so rebuilt only when members leave; it is local to the
+`fit_stack` call, so stacks fitted on different threads never share it.
 
   EMMF     weights q from the entropy linearization (`entnmf.losses`),
            shared weighted engine for U and V; records the entropy loss.
@@ -47,14 +54,15 @@ reads every iteration.
 
 All fits are deterministic given the seed. Each iteration checks the whole
 stack once, through the objective alone: a non-finite factor entry makes the
-residual and so the objective non-finite (`np.maximum` keeps NaN, and
-inf * 0 is NaN). A member whose factors or objective turn non-finite leaves
-the stack with a NumericalError that names the factor and carries its
-iteration and its objective trace; a member whose relative objective change
-falls below `tol` leaves with its result; the rest leave after `max_iter`
-iterations. Departures shrink the stack and change nothing for the members
-that stay. Inputs are validated once, at entry; `FactorPair` and
-`ResidualWeights` are built once per member, for the result.
+residual norms (through the Gram products or V) or U V^T, and so the
+objective, non-finite (`np.maximum` keeps NaN, and inf * 0 is NaN). A member
+whose factors or objective turn non-finite leaves the stack with a
+NumericalError that names the factor and carries its iteration and its
+objective trace; a member whose relative objective change falls below `tol`
+leaves with its result; the rest leave after `max_iter` iterations.
+Departures shrink the stack and change nothing for the members that stay.
+Inputs are validated once, at entry; `FactorPair` and `ResidualWeights` are
+built once per member, for the result.
 """
 
 from __future__ import annotations
@@ -73,8 +81,10 @@ from .core import (
     ResidualWeights,
     basis_step,
     coeff_step,
-    column_norms,
+    gram_products,
     residual,
+    residual_norms,
+    sample_sq_norms,
 )
 from .errors import InputError, NumericalError
 from .graph import (GraphStack, SimilarityGraph, graph_coeff_step, graph_penalty,
@@ -226,68 +236,85 @@ def _method(X: np.ndarray, eps: np.ndarray, cfg: SolverConfig, graphs):
     """(measure, step) of cfg.method on the stack X (B, d, n); see the module
     docstring. eps is (B, 1); graphs are the members' normalized graphs for
     GEMMF."""
-    M = np.empty(X.shape)  # the residual workspace
-
-    def residual_norms(U, V):
-        return column_norms(residual(X, U, V, out=M), out=M)
-
-    def entropy(U, V):
-        norms = np.maximum(residual_norms(U, V), eps)
-        value, q = entropy_terms(norms)
-        return value, norms, q
-
-    def weighted_step(U, V, q):
-        U = basis_step(X, U, V, q)
-        return U, coeff_step(X, U, V, q)
-
-    if cfg.method == "EMMF":
-        return entropy, weighted_step
-    if cfg.method == "GEMMF":
-        S = GraphStack(graphs)
-
-        def measure(U, V):
-            value, norms, q = entropy(U, V)
-            return value + cfg.lam * graph_penalty(S.sq_norm, S.product(V), V), norms, q
-
-        def step(U, V, q):
-            U = basis_step(X, U, V, q)
-            return U, graph_coeff_step(X, U, V, q, S.product(V), cfg.lam)
-
-        return measure, step
-    if cfg.method == "L21_NMF":
-        def measure(U, V):
-            norms = residual_norms(U, V)
-            return np.sum(norms, axis=-1), None, 0.5 / np.maximum(norms, eps)
-
-        return measure, weighted_step
     if cfg.method == "NMF_FRO":
-        def measure(U, V):
+        # the residual workspace, C-ordered as `X - U V^T` allocates, so the
+        # sums taken from it round as they would on the allocated form
+        M = np.empty(X.shape)
+
+        def measure(U, V, _):
             residual(X, U, V, out=M)
             return np.sum(np.multiply(M, M, out=M), axis=(-2, -1)), None, None
 
         def step(U, V, _):
             U = U * (X @ V) / (U @ (V.swapaxes(-1, -2) @ V) + DELTA)
-            return U, V * (X.swapaxes(-1, -2) @ U) / (V @ (U.swapaxes(-1, -2) @ U) + DELTA)
+            return U, V * (X.swapaxes(-1, -2) @ U) / (V @ (U.swapaxes(-1, -2) @ U) + DELTA), None
+
+        return measure, step
+    if cfg.method == "NMF_DIV":
+        # UV^T has a workspace of its own, because the next step's first
+        # ratio reuses it; every other d x n quantity goes to M
+        M = np.empty(X.shape)
+        UVt = np.empty(X.shape)
+        zero = ~(X > 0)
+
+        def measure(U, V, _):
+            B = np.matmul(U, V.swapaxes(-1, -2), out=UVt)
+            return _divergence(X, B, zero, M), None, B
+
+        def step(U, V, B):
+            np.add(B, DELTA, out=M)
+            ratio = np.divide(X, M, out=M)
+            U = U * (ratio @ V) / (np.sum(V, axis=-2)[..., None, :] + DELTA)
+            np.matmul(U, V.swapaxes(-1, -2), out=M)
+            np.add(M, DELTA, out=M)
+            ratio = np.divide(X, M, out=M)
+            V = V * (ratio.swapaxes(-1, -2) @ U) / (np.sum(U, axis=-2)[..., None, :] + DELTA)
+            return U, V, None
 
         return measure, step
 
-    # NMF_DIV: UV^T has a workspace of its own, because the next step's first
-    # ratio reuses it; every other d x n quantity goes to M
-    UVt = np.empty(X.shape)
-    zero = ~(X > 0)
+    # EMMF, GEMMF and L21_NMF: residual norms from the Gram products
+    sq = sample_sq_norms(X)
 
-    def measure(U, V):
-        B = np.matmul(U, V.swapaxes(-1, -2), out=UVt)
-        return _divergence(X, B, zero, M), None, B
+    def norms_at(U, V, grams):
+        A, G = gram_products(X, U) if grams is None else grams
+        return residual_norms(X, sq, U, V, A, G)
 
-    def step(U, V, B):
-        np.add(B, DELTA, out=M)
-        ratio = np.divide(X, M, out=M)
-        U = U * (ratio @ V) / (np.sum(V, axis=-2)[..., None, :] + DELTA)
-        np.matmul(U, V.swapaxes(-1, -2), out=M)
-        np.add(M, DELTA, out=M)
-        ratio = np.divide(X, M, out=M)
-        return U, V * (ratio.swapaxes(-1, -2) @ U) / (np.sum(U, axis=-2)[..., None, :] + DELTA)
+    def entropy(U, V, grams):
+        norms = np.maximum(norms_at(U, V, grams), eps)
+        value, q = entropy_terms(norms)
+        return value, norms, q
+
+    def weighted_step(U, V, q):
+        U = basis_step(X, U, V, q)
+        A, G = gram_products(X, U)
+        return U, coeff_step(A, G, V, q), (A, G)
+
+    if cfg.method == "EMMF":
+        return entropy, weighted_step
+    if cfg.method == "L21_NMF":
+        def measure(U, V, grams):
+            norms = norms_at(U, V, grams)
+            return np.sum(norms, axis=-1), None, 0.5 / np.maximum(norms, eps)
+
+        return measure, weighted_step
+
+    # GEMMF: the step reuses the S V its measure formed at the same V; a pair
+    # built after members leave starts its first step without one
+    S = GraphStack(graphs)
+    SV = None
+
+    def measure(U, V, grams):
+        nonlocal SV
+        SV = S.product(V)
+        value, norms, q = entropy(U, V, grams)
+        return value + cfg.lam * graph_penalty(S.sq_norm, SV, V), norms, q
+
+    def step(U, V, q):
+        U = basis_step(X, U, V, q)
+        A, G = gram_products(X, U)
+        SV_now = S.product(V) if SV is None else SV
+        return U, graph_coeff_step(A, G, V, q, SV_now, cfg.lam), (A, G)
 
     return measure, step
 
@@ -363,7 +390,7 @@ def fit_stack(Xs, cfg: SolverConfig, initials, graphs=None) -> list:
     results = [None] * B
     start = time.perf_counter()
     with np.errstate(all="ignore"):  # non-finite values become NumericalErrors below
-        value, norms, q = measure(U, V)
+        value, norms, q = measure(U, V, None)
         t = 0
         while True:
             # On a few members, Python floats are much cheaper than numpy calls
@@ -406,8 +433,8 @@ def fit_stack(Xs, cfg: SolverConfig, initials, graphs=None) -> list:
                                         graphs and [graphs[b] for b in members])
             t += 1
             prev = value
-            U, V = step(U, V, q)
-            value, norms, q = measure(U, V)
+            U, V, grams = step(U, V, q)
+            value, norms, q = measure(U, V, grams)
 
 
 def fit(X: DataMatrix, cfg: SolverConfig, graph: SimilarityGraph | None = None,

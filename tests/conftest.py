@@ -11,7 +11,8 @@ from entnmf import (
     ResidualWeights,
     residual_matrix,
 )
-from entnmf.core import guarded_norms
+from entnmf.core import coeff_step, gram_products, guarded_norms
+from entnmf.graph import graph_coeff_step
 
 
 @pytest.fixture
@@ -46,12 +47,16 @@ def ones_weights():
 @pytest.fixture
 def kernel():
     """Call an update kernel (`core.basis_step`, `core.coeff_step`,
-    `graph.graph_coeff_step`) on X.values as the fit loop runs it: with
-    floating-point warnings silenced, and the step asserted finite."""
+    `graph.graph_coeff_step`) on X.values as the fit loop runs it: the V
+    steps on the Gram products at the given U, with floating-point warnings
+    silenced, and the step asserted finite."""
 
-    def run(step, X, *args):
+    def run(step, X, U, *args):
         with np.errstate(invalid="ignore", divide="ignore"):
-            out = step(X.values, *args)
+            if step in (coeff_step, graph_coeff_step):
+                out = step(*gram_products(X.values, U), *args)
+            else:
+                out = step(X.values, U, *args)
         assert np.all(np.isfinite(out)), f"{step.__name__} produced non-finite entries"
         return out
 

@@ -4,12 +4,14 @@ stacked fits against fits of each member alone.
 `reference_fit` below is the earlier implementation, kept as the oracle: one
 fit function per method family over a shared outer loop, rebuilding and
 validating `FactorPair`/`ResidualWeights` on every step and forming the
-residual once for the step and again for the objective. Its kernels are
-copied with it, so the comparison pins the arithmetic, not only the loop.
-`fit` must reproduce it bit for bit, and `fit_stack` must give every member
-what `fit` gives it alone. The U step's earlier association, (X diag(q)) V,
-is kept too: `scaled_data_basis_step`, which the current X (diag(q) V) must
-match to rounding.
+residual norms once for the step and again for the objective. Its kernels
+are copied with it, so the comparison pins the arithmetic, not only the
+loop. `fit` must reproduce it bit for bit, and `fit_stack` must give every
+member what `fit` gives it alone. Two earlier forms are kept as oracles that
+the current ones must match to rounding: the U step's association
+(X diag(q)) V, `scaled_data_basis_step`, against X (diag(q) V); and the
+residual norms from the whole residual X - U V^T, `exact_residual_norms`,
+against those from the Gram products X^T U and U^T U.
 """
 
 import os
@@ -57,25 +59,44 @@ def ref_residual(X, F):
     return X.values - F.U @ F.V.T
 
 
-def ref_guarded_norms(M, eps):
-    return np.maximum(np.sqrt(np.sum(M * M, axis=0)), eps)
+def ref_norms(X, F):
+    """Residual norms from the Gram products: each sample's
+    ||x||^2 + v.(v (U^T U) - a - a) with a its row of X^T U, or, when any
+    sample's square is at most TAU ||x||^2, every norm from the whole
+    residual."""
+    P = X.values
+    sq = np.einsum("ij,ij->j", P, P)
+    A = P.T @ F.U
+    T = F.V @ (F.U.T @ F.U) - A - A
+    T *= F.V
+    r = sq + T[:, 0]
+    for k in range(1, F.c):
+        r += T[:, k]
+    if np.any(r <= core.TAU * sq):
+        M = ref_residual(X, F)
+        return np.sqrt(np.sum(M * M, axis=0))
+    return np.sqrt(r)
 
 
-def ref_entropy_weights(M, eps):
-    norms = ref_guarded_norms(M, eps)
+def ref_guarded_norms(X, F, eps):
+    return np.maximum(ref_norms(X, F), eps)
+
+
+def ref_entropy_weights(X, F, eps):
+    norms = ref_guarded_norms(X, F, eps)
     total = float(np.sum(norms))
     q = np.maximum(-np.log(norms / total) / norms, 0.0)
     return ResidualWeights(norms=norms, total=total, q=q, epsilon=eps)
 
 
 def ref_entropy_objective(X, F, eps):
-    norms = ref_guarded_norms(ref_residual(X, F), eps)
+    norms = ref_guarded_norms(X, F, eps)
     total = float(np.sum(norms))
     return max(float(-np.sum(norms * np.log(norms / total))), 0.0)
 
 
-def ref_l21_weights(M, eps):
-    norms = ref_guarded_norms(M, eps)
+def ref_l21_weights(X, F, eps):
+    norms = ref_guarded_norms(X, F, eps)
     return ResidualWeights(norms=norms, total=float(norms.sum()), q=0.5 / norms, epsilon=eps)
 
 
@@ -84,6 +105,13 @@ def ref_update_basis(X, F, w):
     numer = X.values @ Vq
     denom = F.U @ (Vq.T @ F.V)
     return F.U * np.sqrt(numer / (denom + 1e-12))
+
+
+def exact_residual_norms(X, sq, U, V, A, G):
+    """The residual norms as first computed, from the whole residual
+    X - U V^T. Kept as the oracle for `core.residual_norms`, which takes
+    them from the Gram products."""
+    return core.column_norms(core.residual(X, U, V))
 
 
 def scaled_data_basis_step(X, U, V, q):
@@ -140,14 +168,14 @@ def ref_fit_emmf(X, cfg, initial=None):
     eps = cfg.epsilon if cfg.epsilon is not None else default_epsilon(X.values)
 
     def step(F):
-        w = ref_entropy_weights(ref_residual(X, F), eps)
+        w = ref_entropy_weights(X, F, eps)
         U = ref_update_basis(X, F, w)
         F = FactorPair(U=U, V=F.V)
         return FactorPair(U=U, V=ref_update_coeff(X, F, w))
 
     F, trace = ref_run_loop(X, cfg, lambda F: ref_entropy_objective(X, F, eps), step,
                             lambda F: ref_entropy_objective(X, F, eps), initial)
-    return F, trace, ref_entropy_weights(ref_residual(X, F), eps)
+    return F, trace, ref_entropy_weights(X, F, eps)
 
 
 def ref_fit_gemmf(X, graph, cfg, initial=None):
@@ -159,13 +187,13 @@ def ref_fit_gemmf(X, graph, cfg, initial=None):
             graph_penalty(S.sq_norm, S.S @ F.V, F.V))
 
     def step(F):
-        w = ref_entropy_weights(ref_residual(X, F), eps)
+        w = ref_entropy_weights(X, F, eps)
         U = ref_update_basis(X, F, w)
         F = FactorPair(U=U, V=F.V)
         return FactorPair(U=U, V=ref_gemmf_update_coeff(X, F, w, S, cfg.lam))
 
     F, trace = ref_run_loop(X, cfg, objective_of, step, objective_of, initial)
-    return F, trace, ref_entropy_weights(ref_residual(X, F), eps)
+    return F, trace, ref_entropy_weights(X, F, eps)
 
 
 def ref_fit_baseline(X, cfg, initial=None):
@@ -194,14 +222,13 @@ def ref_fit_baseline(X, cfg, initial=None):
             return float(np.sum(M * M))
     else:
         def step(F):
-            w = ref_l21_weights(ref_residual(X, F), eps)
+            w = ref_l21_weights(X, F, eps)
             U = ref_update_basis(X, F, w)
             F = FactorPair(U=U, V=F.V)
             return FactorPair(U=U, V=ref_update_coeff(X, F, w))
 
         def objective_of(F):
-            M = ref_residual(X, F)
-            return float(np.sum(np.sqrt(np.sum(M * M, axis=0))))
+            return float(np.sum(ref_norms(X, F)))
 
     F, trace = ref_run_loop(X, cfg, objective_of, step, objective_of, initial)
     return F, trace, None
@@ -316,9 +343,11 @@ def test_the_basis_step_matches_the_scaled_data_oracle(stack, weights):
     assert np.all(np.abs(core.basis_step(X, U, V, q) - expected) <= 1e-13 * expected)
 
 
-@pytest.mark.parametrize("method", ("EMMF", "GEMMF", "L21_NMF"))
-def test_whole_fits_match_the_scaled_data_oracle(monkeypatch, method):
-    # the README sweep: its blobs with 0, 20 and 40 outliers, its solver
+def assert_whole_fits_match(monkeypatch, method, name, oracle):
+    """Fits on the README sweep data (its blobs with 0, 20 and 40 outliers,
+    its solver) against the same fits with `solvers.<name>` replaced by the
+    oracle: the same assignments and iteration counts, objectives within
+    1e-12."""
     cfg = SolverConfig(method=method, c=3, max_iter=300, tol=1e-6, lam=5.0, seed=3)
     base = unit_normalize(synth_blobs(3, 40, 10, 8.0, seed=1))
     for outliers in (0, 20, 40):
@@ -327,7 +356,7 @@ def test_whole_fits_match_the_scaled_data_oracle(monkeypatch, method):
         graph = normalize_graph(knn_graph(X, 5)) if method == "GEMMF" else None
         r = fit(X, cfg, graph)
         with monkeypatch.context() as patch:
-            patch.setattr(solvers_module, "basis_step", scaled_data_basis_step)
+            patch.setattr(solvers_module, name, oracle)
             expected = fit(X, cfg, graph)
         assert np.array_equal(r.assignments, expected.assignments)
         assert r.trace.iterations == expected.trace.iterations
@@ -335,7 +364,42 @@ def test_whole_fits_match_the_scaled_data_oracle(monkeypatch, method):
         assert np.all(np.abs(got - want) <= 1e-12 * want), outliers
 
 
-@pytest.mark.parametrize("method", ("EMMF", "GEMMF", "L21_NMF", "NMF_FRO"))
+@pytest.mark.parametrize("method", ("EMMF", "GEMMF", "L21_NMF"))
+def test_whole_fits_match_the_scaled_data_oracle(monkeypatch, method):
+    assert_whole_fits_match(monkeypatch, method, "basis_step", scaled_data_basis_step)
+
+
+@pytest.mark.parametrize("method", ("EMMF", "GEMMF", "L21_NMF"))
+def test_whole_fits_match_the_exact_residual_oracle(monkeypatch, method):
+    assert_whole_fits_match(monkeypatch, method, "residual_norms", exact_residual_norms)
+
+
+def test_an_exact_product_fit_falls_back_and_keeps_descending(monkeypatch):
+    # X = U V^T exactly and a start near it: the residual norms fall far
+    # below the samples', so every measure forms the exact residual, the fit
+    # is the exact-residual fit bit for bit, and its objective never increases
+    rng = np.random.default_rng(7)
+    U, V = 0.5 + rng.random((8, 3)), 0.5 + rng.random((40, 3))
+    X = DataMatrix(values=U @ V.T)
+    initial = FactorPair(U=U * (1.0 + 0.01 * rng.random(U.shape)), V=V)
+    real = core.residual
+    fallbacks = []
+
+    def counting(X, U, V, out=None):
+        fallbacks.append(1)
+        return real(X, U, V, out)
+
+    cfg = SolverConfig(method="EMMF", c=3, max_iter=200, tol=0.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "residual", counting)
+        r = fit(X, cfg, initial=initial)
+    assert len(fallbacks) == cfg.max_iter + 1
+    assert np.all(np.diff(r.trace.objective) <= 0.0)
+    monkeypatch.setattr(solvers_module, "residual_norms", exact_residual_norms)
+    assert_same_fit(r, fit(X, cfg, initial=initial))
+
+
+@pytest.mark.parametrize("method", ("NMF_FRO",))
 def test_forms_one_residual_per_iteration(monkeypatch, method):
     calls = []
 
@@ -345,15 +409,45 @@ def test_forms_one_residual_per_iteration(monkeypatch, method):
 
     monkeypatch.setattr(solvers_module, "residual", counting)
     X = problem(0)
-    graph = knn_graph(X, 4) if method == "GEMMF" else None
     for k in (1, 7, 30):
         calls.clear()
-        r = fit(X, SolverConfig(method=method, c=3, max_iter=k, tol=0.0, lam=1.0), graph)
+        r = fit(X, SolverConfig(method=method, c=3, max_iter=k, tol=0.0))
         assert r.trace.iterations == k
         assert len(calls) == k + 1
         # every residual goes into the one workspace of the fit
         assert calls[0] is not None and calls[0].shape == (1,) + X.values.shape
         assert all(out is calls[0] for out in calls)
+
+
+@pytest.mark.parametrize("method", ("EMMF", "GEMMF", "L21_NMF"))
+def test_forms_no_residual_outside_the_fallback(monkeypatch, method):
+    # the residual norms come from the Gram products the V step formed; only
+    # a member with a square at most TAU ||x||^2 forms its exact residual,
+    # one of its own shape per measure
+    real = core.residual
+    calls = []
+
+    def counting(X, U, V, out=None):
+        calls.append(X.shape)
+        return real(X, U, V, out)
+
+    monkeypatch.setattr(core, "residual", counting)
+    monkeypatch.setattr(solvers_module, "residual", counting)
+    # the README sweep's blobs with 20 outliers, on which no member falls back
+    base = unit_normalize(synth_blobs(3, 40, 10, 8.0, seed=1))
+    Xs = [inject_outlier_vectors(base, 20, seed=seed)[0] for seed in range(3)]
+    graphs = [knn_graph(X, 5) for X in Xs] if method == "GEMMF" else None
+    initials = [init_factors(X, 3, seed=seed) for seed, X in enumerate(Xs)]
+    for k in (1, 7, 30):
+        cfg = SolverConfig(method=method, c=3, max_iter=k, tol=0.0, lam=5.0)
+        calls.clear()
+        results = fit_stack(Xs, cfg, initials, graphs)
+        assert [r.trace.iterations for r in results] == [k] * 3
+        assert calls == []
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "TAU", np.inf)  # every member falls back
+            fit_stack(Xs, cfg, initials, graphs)
+        assert calls == [Xs[0].values.shape] * (3 * (k + 1))
 
 
 def test_validates_factors_and_weights_once_per_fit(monkeypatch):
@@ -474,6 +568,7 @@ def test_members_sharing_data_and_graph_match_with_an_explicit_epsilon():
 
 
 def test_a_stack_forms_one_residual_per_iteration(monkeypatch):
+    # NMF_FRO, the method that still writes its residual into the workspace
     calls = []
     outs = []
 
@@ -485,7 +580,7 @@ def test_a_stack_forms_one_residual_per_iteration(monkeypatch):
     monkeypatch.setattr(solvers_module, "residual", counting)
     Xs = [problem(seed) for seed in range(5)]
     initials = [init_factors(X, 3, seed=0) for X in Xs]
-    fit_stack(Xs, SolverConfig(method="EMMF", c=3, max_iter=12, tol=0.0), initials)
+    fit_stack(Xs, SolverConfig(method="NMF_FRO", c=3, max_iter=12, tol=0.0), initials)
     assert calls == [5] * 13
     # no member leaves before the end, so the stack keeps one workspace
     assert outs[0] is not None and outs[0].shape == (5,) + Xs[0].values.shape
@@ -494,7 +589,7 @@ def test_a_stack_forms_one_residual_per_iteration(monkeypatch):
     # replaced exactly when the stack shrinks
     calls.clear()
     outs.clear()
-    fit_stack(Xs, SolverConfig(method="EMMF", c=3, max_iter=200, tol=1e-4), initials)
+    fit_stack(Xs, SolverConfig(method="NMF_FRO", c=3, max_iter=200, tol=1e-4), initials)
     assert len(set(calls)) > 2
     assert [out.shape[0] for out in outs] == calls
     for i in range(1, len(calls)):
@@ -540,11 +635,12 @@ def test_a_non_finite_factor_names_itself_and_leaves_the_others(monkeypatch, met
         measure, step = real(*args)
 
         def broken_step(U, V, q):
-            U, V = step(U, V, q)
+            U, V, grams = step(U, V, q)
             calls.append(1)
             if len(calls) == 3:
                 (U if factor == "U" else V)[1, 0, 0] = bad
-            return U, V
+                grams = None  # the step's Gram products predate the bad entry
+            return U, V, grams
 
         return measure, broken_step
 

@@ -46,30 +46,30 @@ def dense_knn_graph(P, k, general=False):
 def former_knn_graph(X, k):
     """The former per-block neighbor selection, kept as the reference: a
     partition at k - 1, then below/tied passes over every block entry and a 2-D
-    nonzero. Only BLOCK_BYTES is read from the module, so patching it sizes
-    both searches' blocks alike."""
+    nonzero. Its blocks are the module's `_row_blocks`, so patching
+    BLOCK_BYTES sizes both searches' blocks alike."""
     n = X.n
     if not 1 <= k < n:
         raise InputError(f"neighbor count {k} outside [1, {n - 1}]")
     P = X.values
     sq = np.sum(P * P, axis=0)
-    block = min(256, max(1, graph_module.BLOCK_BYTES // (8 * n)))
+    blocks = graph_module._row_blocks(n)
     # Two float64 buffers serve every block of rows: the Gram rows (then the
     # partition scratch) and the distance rows. Fresh ones per block are
     # page-faulted in anew each time, unless malloc happens to serve them
     # from its heap.
-    gram = np.empty((block, n))
-    dist = np.empty((block, n))
+    most = max(stop - start for start, stop in blocks)
+    gram = np.empty((most, n))
+    dist = np.empty((most, n))
     # A single block would compute P^T P, which numpy sends to the symmetric
     # product; its entries for two identical samples can differ in the last
     # bit, breaking their tie. A copy as the right operand takes the general
     # product, as every block of a larger search does.
-    right = P.copy() if block >= n else P
+    right = P.copy() if len(blocks) == 1 else P
     # every row keeps exactly k neighbors, listed in column order, so the
     # directed graph is a CSR matrix with k entries per row
     cols = []
-    for start in range(0, n, block):
-        stop = min(start + block, n)
+    for start, stop in blocks:
         G, d2 = gram[: stop - start], dist[: stop - start]
         # (sq_i + sq_j) - 2 p_i.p_j, rounded as the dense formula was
         np.matmul(P[:, start:stop].T, right, out=G)
@@ -230,17 +230,24 @@ class TestKnnGraph:
                 assert np.array_equal(g.S.toarray(), dense_knn_graph(tied, k, general=True)), (seed, k)
 
     @pytest.mark.parametrize("order", "CF")
-    def test_rows_linking_a_duplicated_pair_link_its_lower_index(self, order):
-        # sample 29 copies sample 3, so every other sample is exactly as far
-        # from one as from the other, and the tie goes to sample 3
-        others = np.r_[0:3, 4:29]
-        for seed in range(50):
-            P = np.random.default_rng(seed).random((4, 30))
-            P[:, 29] = P[:, 3]
-            X = DataMatrix(values=np.asarray(P, order=order))
-            for k in range(1, 8):
-                S = knn_graph(X, k).S.toarray()
-                assert np.all(S[others, 29] <= S[others, 3]), (seed, k)
+    def test_rows_linking_a_duplicated_pair_link_its_lower_index(self, monkeypatch, order):
+        # the last sample copies sample 3, so every other sample is exactly
+        # as far from one as from the other, and the tie goes to sample 3. At
+        # n=30 the rows come in one block or, on a one-row budget, in blocks
+        # of two; at n=257 the last row joins the block before it.
+        default = graph_module.BLOCK_BYTES
+        for n, seeds in ((30, 50), (257, 10)):
+            copy = n - 1
+            others = np.setdiff1d(np.arange(n), [3, copy])
+            for budget in (default, 8 * n):
+                monkeypatch.setattr(graph_module, "BLOCK_BYTES", budget)
+                for seed in range(seeds):
+                    P = np.random.default_rng(seed).random((4, n))
+                    P[:, copy] = P[:, 3]
+                    X = DataMatrix(values=np.asarray(P, order=order))
+                    for k in range(1, 8):
+                        S = knn_graph(X, k).S.toarray()
+                        assert np.all(S[others, copy] <= S[others, 3]), (n, budget, seed, k)
 
     def test_row_blocks_match_the_dense_oracle(self, monkeypatch):
         # quarter-integer coordinates make every distance exact, so ties

@@ -5,13 +5,16 @@ Examples are derandomized and no example database is kept, so the suite
 stays deterministic.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entnmf import DataMatrix, SolverConfig, fit, knn_graph, normalize_graph
+from entnmf import DataMatrix, SolverConfig, core, fit, knn_graph, normalize_graph
 from entnmf import solvers
-from entnmf.core import basis_step, coeff_step, column_norms, residual
+from entnmf.core import (basis_step, coeff_step, column_norms, gram_products, residual,
+                         residual_norms, sample_sq_norms)
 from entnmf.graph import graph_coeff_step
 from entnmf.losses import entropy_terms
 
@@ -103,6 +106,52 @@ def test_the_workspace_forms_equal_the_allocating_forms(stack):
 
 
 @st.composite
+def near_products(draw):
+    """A stack (B, d, n) of data X = s U V^T + s e E with its factors s U and
+    V, each array in C or Fortran order in every slice. A member with e = 0
+    or 1e-4 has residual norms far below its samples' and takes the exact
+    residual; e = 0.1 puts it near the switch, e = 1 well above it."""
+    B = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 12))
+    n = draw(st.integers(2, 12))
+    c = draw(st.integers(1, min(d, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    noise = np.array([draw(st.sampled_from([0.0, 1e-4, 0.1, 1.0])) for _ in range(B)])
+
+    def stack(A):
+        order = draw(st.sampled_from("CF"))
+        return np.stack([np.asarray(a, order=order) for a in A])
+
+    U = scale * rng.random((B, d, c))
+    V = rng.random((B, n, c))
+    X = U @ V.swapaxes(-1, -2) + scale * noise[:, None, None] * rng.random((B, d, n))
+    return stack(X), stack(U), stack(V)
+
+
+@PROPERTY
+@given(near_products())
+def test_gram_residual_norms_are_exact_or_within_their_bound(stack):
+    X, U, V = stack
+    sq = sample_sq_norms(X)
+    A, G = gram_products(X, U)
+    with np.errstate(invalid="ignore"):  # the square root of a cancelled square
+        norms = residual_norms(X, sq, U, V, A, G)
+        for b in range(X.shape[0]):
+            exact = column_norms(residual(X[b], U[b], V[b]))
+            with mock.patch.object(core, "residual", wraps=core.residual) as formed:
+                alone = residual_norms(X[b:b + 1], sq[b:b + 1], U[b:b + 1], V[b:b + 1],
+                                       A[b:b + 1], G[b:b + 1])[0]
+            # a stacked member computes what it would alone
+            assert np.array_equal(norms[b], alone)
+            if formed.called:  # the fallback: the exact norms, bit for bit
+                assert np.array_equal(alone, exact)
+            else:  # every square above TAU ||x||^2: within the bound TAU implies
+                assert np.all(alone ** 2 > 0.999 * core.TAU * sq[b])
+                assert np.all(np.abs(alone - exact) <= 2e-12 * exact)
+
+
+@st.composite
 def exact_products(draw):
     """Strictly positive U (d x c) and V (n x c), and a positive norm vector
     (n,) to draw weights from. Every factor entry is at least 2 and the data
@@ -131,10 +180,10 @@ def test_exact_products_are_fixed_points_of_the_weighted_kernels(problem):
                "entropy": entropy_terms(norms)[1]}
     for name, q in weights.items():
         assert_fixed(basis_step(X, U, V, q), U, name)
-        assert_fixed(coeff_step(X, U, V, q), V, name)
+        assert_fixed(coeff_step(*gram_products(X, U), V, q), V, name)
     graph = normalize_graph(knn_graph(DataMatrix(values=X), min(3, X.shape[1] - 1)))
     q = weights["entropy"]
-    assert_fixed(graph_coeff_step(X, U, V, q, graph.S @ V, 0.0), V, "graph")
+    assert_fixed(graph_coeff_step(*gram_products(X, U), V, q, graph.S @ V, 0.0), V, "graph")
 
 
 @PROPERTY
@@ -144,7 +193,7 @@ def test_exact_products_are_fixed_points_of_the_classic_steps(problem):
     X = (U @ V.T)[None]
     for method in ("NMF_FRO", "NMF_DIV"):
         measure, step = solvers._method(X, np.ones((1, 1)), SolverConfig(method=method), None)
-        U1, V1 = step(U[None], V[None], measure(U[None], V[None])[2])
+        U1, V1, _ = step(U[None], V[None], measure(U[None], V[None], None)[2])
         assert_fixed(U1[0], U, method)
         assert_fixed(V1[0], V, method)
 

@@ -262,6 +262,28 @@ class TestEmmf:
         assert r.trace.converged
 
 
+    def test_an_iteration_allocates_nothing_of_the_data_size(self):
+        # at the emmf_2k benchmark's size, building the pair included: the
+        # residual norms come from the Gram products the V step forms, so no
+        # workspace and no temporary has X's size
+        rng = np.random.default_rng(0)
+        d, n, c = 100, 2000, 5
+        X = rng.random((1, d, n))
+        U, V = rng.random((1, d, c)), rng.random((1, n, c))
+        with np.errstate(all="ignore"):
+            tracemalloc.start()
+            try:
+                measure, step = _method(X, np.full((1, 1), 1e-10), SolverConfig(c=c), None)
+                _, _, q = measure(U, V, None)
+                U, V, grams = step(U, V, q)
+                value = measure(U, V, grams)[0]
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert np.isfinite(value).all()
+        assert peak < X.nbytes / 4
+
+
 class TestGemmf:
     def test_requires_a_graph_through_the_dispatcher(self):
         X = synth_random(4, 8, seed=0)
@@ -401,11 +423,11 @@ class TestBaselines:
         U, V = rng.random((1, d, c)), rng.random((1, n, c))
         measure, step = _method(X, np.ones((1, 1)), SolverConfig(method="NMF_DIV", c=c), None)
         with np.errstate(all="ignore"):  # log(0) at the zeros, as in the fit loop
-            _, _, B = measure(U, V)
+            _, _, B = measure(U, V, None)
             tracemalloc.start()
             try:
-                U, V = step(U, V, B)
-                value = measure(U, V)[0]
+                U, V, grams = step(U, V, B)
+                value = measure(U, V, grams)[0]
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
