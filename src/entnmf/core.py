@@ -130,7 +130,6 @@ class ConvergenceTrace:
     objective: list[float] = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
-    wall_time: float = 0.0
 
     def __post_init__(self):
         if len(self.objective) != self.iterations + 1:
@@ -139,11 +138,9 @@ class ConvergenceTrace:
             )
 
 
-def column_norms(M: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Euclidean norm of each column of M, or of each matrix in a stack (..., d, n).
-
-    The squares go to `out` when given (out=M squares M in place)."""
-    return np.sqrt(np.sum(np.multiply(M, M, out=out), axis=-2))
+def column_norms(M: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each column of M, or of each matrix in a stack (..., d, n)."""
+    return np.sqrt(np.sum(M * M, axis=-2))
 
 
 def guarded_norms(M: np.ndarray, epsilon: float) -> np.ndarray:

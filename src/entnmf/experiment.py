@@ -25,6 +25,7 @@ import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from typing import get_args, get_type_hints
 
 from .core import DataMatrix, column_norms, residual_matrix
 from .data import (
@@ -97,18 +98,48 @@ class ExperimentConfig:
             raise InputError(f"graph_k must be >= 1, got {self.graph_k}")
 
 
-def _build_section(section, cls, known, path):
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# What a config value must be, by the type of its dataclass field. Values are
+# checked, not converted, so a manifest written from the config keeps them.
+_KINDS = {
+    int: ("an integer", _is_int),
+    float: ("a real number", lambda v: _is_int(v) or isinstance(v, float)),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    dict: ("an object", lambda v: isinstance(v, dict)),
+    list: ("a list", lambda v: isinstance(v, list)),
+}
+
+
+def _section(section, cls, path) -> dict:
+    """The keyword arguments of cls in the config object `section`, checked
+    against its fields' names and types; `path` names it in errors."""
     if not isinstance(section, dict):
-        raise InputError(f"config field {path!r} must be an object")
-    for key in section:
-        if key not in known:
-            raise InputError(f"config field {path!r} has unknown key {key!r}")
+        raise InputError(f"{path}: must be an object")
     kwargs = dict(section)
     # JSON cannot spell the Python keyword-free field name "lam" naturally;
     # accept "lambda" as the public spelling.
     if cls is SolverConfig and "lambda" in kwargs:
+        if "lam" in kwargs:
+            raise InputError(f"{path}: give 'lambda' or 'lam', not both")
         kwargs["lam"] = kwargs.pop("lambda")
-    return cls(**kwargs)
+    hints = get_type_hints(cls)
+    for key, value in kwargs.items():
+        if key not in hints:
+            raise InputError(f"{path}: unknown key {key!r}")
+        types = get_args(hints[key]) or (hints[key],)
+        kind = next((t for t in types if t in _KINDS), None)
+        nullable = type(None) in types
+        if kind is None or (value is None and nullable):
+            continue
+        name, ok = _KINDS[kind]
+        if not ok(value):
+            null = " or null" if nullable else ""
+            raise InputError(f"{path}: {key!r} must be {name}{null}, got {value!r}")
+    return kwargs
 
 
 def load_config(path) -> ExperimentConfig:
@@ -126,32 +157,20 @@ def load_config(path) -> ExperimentConfig:
 
 
 def config_from_dict(obj, where="config") -> ExperimentConfig:
-    if not isinstance(obj, dict):
-        raise InputError(f"{where}: top level must be an object")
-    known = {"dataset", "solver", "repetitions", "sweep", "output_dir", "graph_k"}
-    for key in obj:
-        if key not in known:
-            raise InputError(f"{where}: unknown key {key!r}")
-    if "dataset" not in obj:
+    """The ExperimentConfig in the parsed JSON `obj`; keys, defaults and value
+    types come from the dataclasses, and `where` names the source in errors."""
+    kwargs = _section(obj, ExperimentConfig, where)
+    if "dataset" not in kwargs:
         raise InputError(f"{where}: missing required key 'dataset'")
-    dataset = _build_section(obj["dataset"], DatasetSpec, {"source", "params", "normalize"}, "dataset")
-    solver = _build_section(
-        obj.get("solver", {}),
-        SolverConfig,
-        {"method", "c", "max_iter", "tol", "lam", "lambda", "epsilon", "seed", "init"},
-        "solver",
-    )
-    sweep = None
-    if obj.get("sweep") is not None:
-        sweep = _build_section(obj["sweep"], Sweep, {"name", "values"}, "sweep")
-    return ExperimentConfig(
-        dataset=dataset,
-        solver=solver,
-        repetitions=obj.get("repetitions", 20),
-        sweep=sweep,
-        output_dir=obj.get("output_dir", "."),
-        graph_k=obj.get("graph_k", 5),
-    )
+
+    def build(key, cls, section):
+        return cls(**_section(section, cls, f"{where}, section {key!r}"))
+
+    kwargs["dataset"] = build("dataset", DatasetSpec, kwargs["dataset"])
+    kwargs["solver"] = build("solver", SolverConfig, kwargs.get("solver", {}))
+    if kwargs.get("sweep") is not None:
+        kwargs["sweep"] = build("sweep", Sweep, kwargs["sweep"])
+    return ExperimentConfig(**kwargs)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -292,8 +311,10 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list:
 
 def _run_experiment_inner(cfg, threads, written):
     X_base = realize_dataset(cfg.dataset)
-    out = cfg.output_dir
-
+    if cfg.sweep is not None and cfg.sweep.name == "sigma":
+        written.append(_run_influence(cfg, X_base))
+    else:
+        _run_fits(cfg, X_base, threads, written)
     manifest = {
         "config": config_to_dict(cfg),
         "seeds": {
@@ -301,16 +322,18 @@ def _run_experiment_inner(cfg, threads, written):
             "injection": [cfg.solver.seed + r + INJECTION_SEED_OFFSET for r in range(cfg.repetitions)],
         },
     }
+    path = os.path.join(cfg.output_dir, "manifest.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    written.append(path)
+    return written
 
-    if cfg.sweep is not None and cfg.sweep.name == "sigma":
-        written.append(_run_influence(cfg, X_base))
-        path = os.path.join(out, "manifest.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        written.append(path)
-        return written
 
+def _run_fits(cfg, X_base, threads, written):
+    """Every (sweep value, repetition) fit: the trace, errors, metrics and
+    summary files, appended to `written`."""
+    out = cfg.output_dir
     sweep_name = cfg.sweep.name if cfg.sweep else None
     values = cfg.sweep.values if cfg.sweep else [None]
     tasks = [
@@ -417,13 +440,6 @@ def _run_experiment_inner(cfg, threads, written):
             summary_rows,
         )
     )
-
-    path = os.path.join(out, "manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    written.append(path)
-    return written
 
 
 def _run_influence(cfg: ExperimentConfig, X_base: DataMatrix) -> str:

@@ -62,7 +62,6 @@ class SimilarityGraph:
 
     S: csr_array
     normalized: bool = False
-    k: int = 0
     sq_norm: float = field(init=False, repr=False)  # ||S||_F^2
 
     def __post_init__(self):
@@ -210,7 +209,7 @@ def knn_graph(X: DataMatrix, k: int) -> SimilarityGraph:
     del cols
     S = A.maximum(A.T)
     del A
-    return SimilarityGraph(S=S, normalized=False, k=k)
+    return SimilarityGraph(S=S, normalized=False)
 
 
 def normalize_graph(graph: SimilarityGraph) -> SimilarityGraph:
@@ -231,7 +230,7 @@ def normalize_graph(graph: SimilarityGraph) -> SimilarityGraph:
     rows = np.repeat(np.arange(graph.n), np.diff(S.indptr))
     data = S.data * (inv_sqrt[rows] * inv_sqrt[S.indices])
     scaled = csr_array((data, S.indices, S.indptr), shape=S.shape)
-    return SimilarityGraph(S=scaled, normalized=True, k=graph.k)
+    return SimilarityGraph(S=scaled, normalized=True)
 
 
 def graph_coeff_step(A: np.ndarray, G: np.ndarray, V: np.ndarray, q: np.ndarray,

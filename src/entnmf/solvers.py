@@ -11,15 +11,18 @@ repetitions of a sweep point.
 
 Every method is two functions on the raw stacked arrays:
 
-  measure(U, V, grams) -> (objective, norms, q)
-  step(U, V, q) -> (U, V, grams)
+  measure(U, V, grams) -> (objective, norms, carry)
+  step(U, V, *carry) -> (U, V, grams)
 
-measure records the loss at (U, V), one value per member, and, from the same
-residual norms, the q the next step reads (per-sample weights, UV^T for
-NMF_DIV, or None); norms are the guarded residual norms behind the entropy
-weights, reported as `final_q`, and None for the other methods. step makes
-one U update, then one V update, and hands on grams, the Gram products
-(X^T U, U^T U) its V update formed at the new U, or None.
+measure records the loss at (U, V), one value per member, and hands the next
+step the carry: the stacked arrays it formed on the way that the step reads.
+That is () for NMF_FRO, (UV^T,) for NMF_DIV, (q,) for EMMF and L21_NMF, and
+(q, S V) for GEMMF, q being the per-sample weights. norms are the guarded
+residual norms behind the entropy weights, reported with q as `final_q`,
+and None for the other methods. step makes one U update, then one V update,
+and hands on grams, the Gram products (X^T U, U^T U) its V update formed at
+the new U, or None. Members that leave take their rows of the carry with
+them, so the members that stay need nothing formed again.
 
 EMMF, GEMMF and L21_NMF take each sample's squared residual norm from them,
 ||x_i - U v_i||^2 = ||x_i||^2 - 2 v_i.(X^T U)_i + v_i^T (U^T U) v_i
@@ -29,8 +32,11 @@ size: the U step forms X (Q V), weighting V rather than X, and the V step and
 the norms share their products. The first measure of a stack forms the Gram
 products itself. A member whose squares fall to `core.TAU` ||x_i||^2 or
 below, where the identity cancels, takes that iteration's norms from its
-exact residual instead. GEMMF's measure forms S V for its penalty, and the
-step that follows reuses it.
+exact residual instead. These three are one measure and one step: L21_NMF
+differs from EMMF only in its objective and weights, and GEMMF is EMMF with
+the graph as an optional term. Its measure forms S V once, adds the penalty
+from it and carries it to the step, whose V update is then the
+graph-regularized one.
 
 NMF_FRO forms the residual once per iteration (plus once for the starting
 point) in a C-ordered workspace with the stacked data's shape; NMF_DIV
@@ -68,7 +74,6 @@ built once per member, for the result.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,8 +239,8 @@ def _divergence(X: np.ndarray, B: np.ndarray, zero: np.ndarray, out: np.ndarray)
 
 def _method(X: np.ndarray, eps: np.ndarray, cfg: SolverConfig, graphs):
     """(measure, step) of cfg.method on the stack X (B, d, n); see the module
-    docstring. eps is (B, 1); graphs are the members' normalized graphs for
-    GEMMF."""
+    docstring. eps is (B, 1); graphs are the members' normalized graphs, read
+    only by GEMMF."""
     if cfg.method == "NMF_FRO":
         # the residual workspace, C-ordered as `X - U V^T` allocates, so the
         # sums taken from it round as they would on the allocated form
@@ -243,9 +248,9 @@ def _method(X: np.ndarray, eps: np.ndarray, cfg: SolverConfig, graphs):
 
         def measure(U, V, _):
             residual(X, U, V, out=M)
-            return np.sum(np.multiply(M, M, out=M), axis=(-2, -1)), None, None
+            return np.sum(np.multiply(M, M, out=M), axis=(-2, -1)), None, ()
 
-        def step(U, V, _):
+        def step(U, V):
             U = U * (X @ V) / (U @ (V.swapaxes(-1, -2) @ V) + DELTA)
             return U, V * (X.swapaxes(-1, -2) @ U) / (V @ (U.swapaxes(-1, -2) @ U) + DELTA), None
 
@@ -259,7 +264,7 @@ def _method(X: np.ndarray, eps: np.ndarray, cfg: SolverConfig, graphs):
 
         def measure(U, V, _):
             B = np.matmul(U, V.swapaxes(-1, -2), out=UVt)
-            return _divergence(X, B, zero, M), None, B
+            return _divergence(X, B, zero, M), None, (B,)
 
         def step(U, V, B):
             np.add(B, DELTA, out=M)
@@ -273,48 +278,28 @@ def _method(X: np.ndarray, eps: np.ndarray, cfg: SolverConfig, graphs):
 
         return measure, step
 
-    # EMMF, GEMMF and L21_NMF: residual norms from the Gram products
+    # EMMF, GEMMF and L21_NMF: one weighted engine, residual norms from the
+    # Gram products, and for GEMMF the graph term on the same S V
     sq = sample_sq_norms(X)
-
-    def norms_at(U, V, grams):
-        A, G = gram_products(X, U) if grams is None else grams
-        return residual_norms(X, sq, U, V, A, G)
-
-    def entropy(U, V, grams):
-        norms = np.maximum(norms_at(U, V, grams), eps)
-        value, q = entropy_terms(norms)
-        return value, norms, q
-
-    def weighted_step(U, V, q):
-        U = basis_step(X, U, V, q)
-        A, G = gram_products(X, U)
-        return U, coeff_step(A, G, V, q), (A, G)
-
-    if cfg.method == "EMMF":
-        return entropy, weighted_step
-    if cfg.method == "L21_NMF":
-        def measure(U, V, grams):
-            norms = norms_at(U, V, grams)
-            return np.sum(norms, axis=-1), None, 0.5 / np.maximum(norms, eps)
-
-        return measure, weighted_step
-
-    # GEMMF: the step reuses the S V its measure formed at the same V; a pair
-    # built after members leave starts its first step without one
-    S = GraphStack(graphs)
-    SV = None
+    S = GraphStack(graphs) if cfg.method == "GEMMF" else None
 
     def measure(U, V, grams):
-        nonlocal SV
+        A, G = gram_products(X, U) if grams is None else grams
+        norms = residual_norms(X, sq, U, V, A, G)
+        if cfg.method == "L21_NMF":
+            return np.sum(norms, axis=-1), None, (0.5 / np.maximum(norms, eps),)
+        norms = np.maximum(norms, eps)
+        value, q = entropy_terms(norms)
+        if S is None:
+            return value, norms, (q,)
         SV = S.product(V)
-        value, norms, q = entropy(U, V, grams)
-        return value + cfg.lam * graph_penalty(S.sq_norm, SV, V), norms, q
+        return value + cfg.lam * graph_penalty(S.sq_norm, SV, V), norms, (q, SV)
 
-    def step(U, V, q):
+    def step(U, V, q, SV=None):
         U = basis_step(X, U, V, q)
         A, G = gram_products(X, U)
-        SV_now = S.product(V) if SV is None else SV
-        return U, graph_coeff_step(A, G, V, q, SV_now, cfg.lam), (A, G)
+        V = coeff_step(A, G, V, q) if SV is None else graph_coeff_step(A, G, V, q, SV, cfg.lam)
+        return U, V, (A, G)
 
     return measure, step
 
@@ -332,10 +317,12 @@ def _failures(U: np.ndarray, V: np.ndarray, value: np.ndarray) -> list:
     ]
 
 
-def _result(U, V, norms, q, eps: float, trace: ConvergenceTrace) -> FitResult:
-    """One member's FitResult from its slices of the stack."""
+def _result(U, V, weights, eps: float, trace: ConvergenceTrace) -> FitResult:
+    """One member's FitResult from its slices of the stack; weights is its
+    (norms, q), or None."""
     final_q = None
-    if norms is not None:
+    if weights is not None:
+        norms, q = weights
         final_q = ResidualWeights(norms=norms, total=float(np.sum(norms)), q=q, epsilon=eps)
     return FitResult(
         factors=FactorPair(U=U, V=V),
@@ -388,9 +375,8 @@ def fit_stack(Xs, cfg: SolverConfig, initials, graphs=None) -> list:
     measure, step = _method(X, eps[:, None], cfg, graphs)
     objective = [[] for _ in range(B)]
     results = [None] * B
-    start = time.perf_counter()
     with np.errstate(all="ignore"):  # non-finite values become NumericalErrors below
-        value, norms, q = measure(U, V, None)
+        value, norms, carry = measure(U, V, None)
         t = 0
         while True:
             # On a few members, Python floats are much cheaper than numpy calls
@@ -417,24 +403,25 @@ def fit_stack(Xs, cfg: SolverConfig, initials, graphs=None) -> list:
                         results[b] = NumericalError(failed[j], iteration=t, objective=objective[b])
                     else:
                         trace = ConvergenceTrace(objective=objective[b], iterations=t,
-                                                 converged=converged[j],
-                                                 wall_time=time.perf_counter() - start)
-                        results[b] = _result(U[j], V[j], None if norms is None else norms[j],
-                                             None if q is None else q[j], float(eps[b]), trace)
+                                                 converged=converged[j])
+                        # only EMMF and GEMMF report norms; their carry starts with q
+                        weights = None if norms is None else (norms[j], carry[0][j])
+                        results[b] = _result(U[j], V[j], weights, float(eps[b]), trace)
                 keep = np.ones(len(members), dtype=bool)
                 keep[leaving] = False
                 members = [b for b, kept in zip(members, keep.tolist()) if kept]
                 if not members:
                     return results
-                # indexing keeps each slice's memory order
-                X, U, V, value, norms, q = (None if A is None else A[keep]
-                                            for A in (X, U, V, value, norms, q))
+                # indexing keeps each slice's memory order; the next measure
+                # replaces norms
+                X, U, V, value = X[keep], U[keep], V[keep], value[keep]
+                carry = tuple(A[keep] for A in carry)
                 measure, step = _method(X, eps[members][:, None], cfg,
                                         graphs and [graphs[b] for b in members])
             t += 1
             prev = value
-            U, V, grams = step(U, V, q)
-            value, norms, q = measure(U, V, grams)
+            U, V, grams = step(U, V, *carry)
+            value, norms, carry = measure(U, V, grams)
 
 
 def fit(X: DataMatrix, cfg: SolverConfig, graph: SimilarityGraph | None = None,

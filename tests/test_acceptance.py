@@ -10,6 +10,7 @@ harness.
 import itertools
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -333,14 +334,14 @@ def test_runs_reproduce_exactly(tmp_path):
     cfg_path.write_text(json.dumps(config), encoding="utf-8")
 
     paths = run_experiment(load_config(cfg_path))
-    snapshot = {p: open(p, "rb").read() for p in paths}
+    snapshot = {p: Path(p).read_bytes() for p in paths}
 
     # round trip: the manifest is itself a valid config for the same run
     manifest_path = out / "manifest.json"
     run_experiment(load_config(manifest_path))
-    assert open(out / "metrics.csv", "rb").read() == snapshot[str(out / "metrics.csv")]
+    assert (out / "metrics.csv").read_bytes() == snapshot[str(out / "metrics.csv")]
 
     # parallel execution changes nothing at all
     run_experiment(load_config(cfg_path), threads=4)
     for path, blob in snapshot.items():
-        assert open(path, "rb").read() == blob, f"{path} changed under threads=4"
+        assert Path(path).read_bytes() == blob, f"{path} changed under threads=4"

@@ -124,6 +124,13 @@ def test_malformed_config_exits_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_a_mistyped_config_value_exits_1_before_any_output(tmp_path, capsys):
+    cfg = base_config(tmp_path, repetitions=2.5)
+    assert main(["fit", "--config", cfg]) == 1
+    assert "error: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_bound_curve_writes_its_table(tmp_path, capsys):
     out = tmp_path / "curve"
     assert main(["bound-curve", "--n-max", "12", "--p-step", "0.05", "--output", str(out)]) == 0

@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,6 +91,19 @@ class TestConfigParsing:
             {"dataset": {"source": "SYNTH_RANDOM", "params": {}}, "sweep": {"name": "gamma", "values": [1]}},
             {"dataset": {"source": "SYNTH_RANDOM", "params": {}}, "sweep": {"name": "lambda", "values": []}},
             [1, 2, 3],
+            # values of the wrong type, checked against the dataclass fields
+            {"dataset": {"source": "SYNTH_RANDOM", "params": {}}, "solver": {"lam": 1.0, "lambda": 2.0}},
+            {"dataset": {"source": "SYNTH_RANDOM", "params": {}}, "solver": {"c": "3"}},
+            {"dataset": {"source": "SYNTH_RANDOM", "params": {}}, "solver": {"tol": "x"}},
+            {"dataset": {"source": "SYNTH_RANDOM", "params": {}}, "graph_k": "5"},
+            {"dataset": {"source": "SYNTH_RANDOM", "params": {}}, "solver": {"c": 2.5}},
+            {"dataset": {"source": "SYNTH_RANDOM", "params": {}}, "repetitions": 2.5},
+            {"dataset": {"source": "SYNTH_RANDOM", "params": {}}, "solver": {"max_iter": 10.5}},
+            {"dataset": {"source": "SYNTH_RANDOM", "params": {}}, "repetitions": True},
+            {"dataset": {"source": "SYNTH_RANDOM", "params": {}}, "solver": {"seed": False}},
+            {"dataset": {"source": "SYNTH_RANDOM", "params": {}}, "solver": {"epsilon": "1e-3"}},
+            {"dataset": {"source": "SYNTH_RANDOM", "params": {}, "normalize": 1}},
+            {"dataset": {"source": "SYNTH_RANDOM", "params": None}},
         ],
     )
     def test_bad_configs_are_rejected(self, obj):
@@ -298,7 +312,7 @@ class TestRunExperiment:
 class TestRunBoundCurve:
     def test_writes_one_row_per_sample_count(self, tmp_path):
         path = run_bound_curve(10, 0.05, output_dir=str(tmp_path))
-        lines = open(path).read().strip().splitlines()
+        lines = Path(path).read_text().strip().splitlines()
         assert lines[0] == "n,upper_bound"
         assert len(lines) == 1 + 8  # n from 3 to 10
         for row in lines[1:]:

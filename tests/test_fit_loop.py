@@ -16,6 +16,7 @@ against those from the Gram products X^T U and U^T U.
 
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -567,6 +568,27 @@ def test_members_sharing_data_and_graph_match_with_an_explicit_epsilon():
         assert_stack_matches([X] * 4, cfg, initials, [graph] * 4)
 
 
+def test_a_gemmf_stack_forms_s_v_once_per_measure_across_departures(monkeypatch):
+    # the measure's S V serves its penalty and the next V step; members that
+    # leave take their rows of it with them, so no product is formed again
+    calls = []
+    real = solvers_module.GraphStack.product
+
+    def counting(self, V):
+        calls.append(V.shape[0])
+        return real(self, V)
+
+    monkeypatch.setattr(solvers_module.GraphStack, "product", counting)
+    Xs = [problem(seed) for seed in range(5)]
+    graphs = [knn_graph(X, 4) for X in Xs]
+    initials = [init_factors(X, 3, seed=seed) for seed, X in enumerate(Xs)]
+    cfg = SolverConfig(method="GEMMF", c=3, tol=1e-4, lam=2.0)
+    results = fit_stack(Xs, cfg, initials, graphs)
+    iterations = [r.trace.iterations for r in results]
+    assert len(set(iterations)) > 1
+    assert len(calls) == max(iterations) + 1
+
+
 def test_a_stack_forms_one_residual_per_iteration(monkeypatch):
     # NMF_FRO, the method that still writes its residual into the workspace
     calls = []
@@ -634,8 +656,8 @@ def test_a_non_finite_factor_names_itself_and_leaves_the_others(monkeypatch, met
     def injecting(*args):
         measure, step = real(*args)
 
-        def broken_step(U, V, q):
-            U, V, grams = step(U, V, q)
+        def broken_step(U, V, *carry):
+            U, V, grams = step(U, V, *carry)
             calls.append(1)
             if len(calls) == 3:
                 (U if factor == "U" else V)[1, 0, 0] = bad
@@ -693,7 +715,7 @@ def sweep_config(out, method, sweep, repetitions=4, **solver):
 
 def written_bytes(cfg, threads=1):
     paths = run_experiment(cfg, threads=threads)
-    contents = {os.path.basename(p): open(p, "rb").read() for p in paths}
+    contents = {os.path.basename(p): Path(p).read_bytes() for p in paths}
     for p in paths:
         os.remove(p)
     return contents

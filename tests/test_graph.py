@@ -98,7 +98,7 @@ def former_knn_graph(X, k):
     del cols
     S = A.maximum(A.T)
     del A
-    return SimilarityGraph(S=S, normalized=False, k=k)
+    return SimilarityGraph(S=S, normalized=False)
 
 
 def assert_same_csr(a, b, context):
@@ -209,7 +209,7 @@ class TestKnnGraph:
             k = int(rng.integers(1, 6))
             g = knn_graph(X, k)
             S = g.S.toarray()
-            assert g.k == k and not g.normalized
+            assert not g.normalized
             assert np.array_equal(S, S.T)
             assert set(np.unique(S)) <= {0.0, 1.0}
             assert np.all(np.diag(S) == 0)
@@ -343,9 +343,11 @@ class TestNormalizeGraph:
         _, _, _, g = graph_instance(3, normalized=True)
         assert normalize_graph(g) is g
 
-    def test_keeps_neighbor_count_metadata(self):
+    def test_keeps_the_neighbor_structure(self):
         _, _, _, g = graph_instance(4, normalized=False)
-        assert normalize_graph(g).k == g.k
+        h = normalize_graph(g)
+        assert np.array_equal(h.S.indptr, g.S.indptr)
+        assert np.array_equal(h.S.indices, g.S.indices)
 
     def test_matches_the_dense_formula(self):
         for seed in range(25):

@@ -182,7 +182,6 @@ class TestFitLoop:
         assert r.trace.iterations == 7
         assert not r.trace.converged
         assert len(r.trace.objective) == 8
-        assert r.trace.wall_time > 0
 
     def test_zero_tolerance_never_stops_early(self):
         X = synth_random(5, 8, seed=2)
@@ -274,8 +273,8 @@ class TestEmmf:
             tracemalloc.start()
             try:
                 measure, step = _method(X, np.full((1, 1), 1e-10), SolverConfig(c=c), None)
-                _, _, q = measure(U, V, None)
-                U, V, grams = step(U, V, q)
+                _, _, carry = measure(U, V, None)
+                U, V, grams = step(U, V, *carry)
                 value = measure(U, V, grams)[0]
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
@@ -423,10 +422,10 @@ class TestBaselines:
         U, V = rng.random((1, d, c)), rng.random((1, n, c))
         measure, step = _method(X, np.ones((1, 1)), SolverConfig(method="NMF_DIV", c=c), None)
         with np.errstate(all="ignore"):  # log(0) at the zeros, as in the fit loop
-            _, _, B = measure(U, V, None)
+            _, _, carry = measure(U, V, None)
             tracemalloc.start()
             try:
-                U, V, grams = step(U, V, B)
+                U, V, grams = step(U, V, *carry)
                 value = measure(U, V, grams)[0]
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
