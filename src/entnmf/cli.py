@@ -24,8 +24,6 @@ DEFAULT_SIGMAS = [1.0, 10.0, 100.0, 1000.0, 10000.0]
 def _add_common(parser):
     parser.add_argument("--config", required=True, help="JSON experiment config")
     parser.add_argument("--output", default=None, help="output directory (overrides config)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="stacks of repetitions fitted in parallel (>= 1)")
     parser.add_argument("--seed", type=int, default=None, help="override solver seed")
 
 
@@ -71,7 +69,7 @@ def _run(args) -> int:
             cfg = replace(cfg, sweep=Sweep(name="sigma", values=list(DEFAULT_SIGMAS)))
         elif cfg.sweep.name != "sigma":
             raise InputError("'influence' requires a sigma sweep")
-    for path in run_experiment(cfg, threads=args.threads):
+    for path in run_experiment(cfg):
         print(path)
     return 0
 

@@ -143,13 +143,6 @@ def column_norms(M: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(M * M, axis=-2))
 
 
-def guarded_norms(M: np.ndarray, epsilon: float) -> np.ndarray:
-    """Column norms floored at epsilon, the guard used by all weight formulas."""
-    if epsilon <= 0:
-        raise InputError(f"epsilon must be positive, got {epsilon}")
-    return np.maximum(column_norms(M), epsilon)
-
-
 # Ratio of a squared residual norm r_i to the sample's squared norm ||x_i||^2
 # at or below which `residual_norms` takes the exact residual. The Gram form
 # cancels: its r_i is off by up to about 4e-15 ||x_i||^2 (at most 3.4e-15

@@ -11,6 +11,7 @@ columns are byte-identical to the input.
 from __future__ import annotations
 
 import csv
+import os
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .core import DataMatrix, column_norms
 from .errors import InputError
 
 
-def load_csv(path, has_labels: bool = False) -> DataMatrix:
+def load_csv(path: str | os.PathLike, has_labels: bool = False) -> DataMatrix:
     """Read a rectangular numeric CSV; optional integer label column last.
 
     A non-numeric first row is treated as a header and skipped. Ragged rows,

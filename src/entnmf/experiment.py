@@ -13,17 +13,17 @@ optional sweep over one named parameter. Running it produces:
 Determinism: the fit seed for repetition r is solver.seed + r, and each
 injection seed is the fit seed plus a fixed offset, so a manifest fed back
 as a config reproduces every output byte for byte. The repetitions of a
-sweep point are fitted together as stacks (`STACK_BYTES`), and every fit in
-a stack computes exactly what it would alone, so the outputs depend neither
-on the stacking nor on the thread count.
+sweep point are fitted together as stacks (`STACK_BYTES`), one stack after
+another, and every fit in a stack computes exactly what it would alone, so
+the outputs do not depend on the stacking.
 """
 
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from typing import get_args, get_type_hints
 
@@ -43,8 +43,21 @@ from .losses import influence_ratios, influence_upper_bound
 from .metrics import accuracy, nmi, summarize
 from .solvers import SolverConfig, extend_factors, fit, fit_stack, init_factors
 
-SOURCES = ("CSV_FILE", "SYNTH_OUTLIERS", "SYNTH_BLOBS", "SYNTH_RANDOM")
-SWEEPS = ("outlier_count", "lambda", "sigma", "block_size")
+# The generator of each dataset source; a dataset's params are its keyword
+# arguments, plus `samples_per_class`, which block_size sweeps read.
+GENERATORS = {
+    "CSV_FILE": load_csv,
+    "SYNTH_OUTLIERS": synth_outliers,
+    "SYNTH_BLOBS": synth_blobs,
+    "SYNTH_RANDOM": synth_random,
+}
+# The type of each sweep's values and their lower bound, if any.
+SWEEPS = {
+    "outlier_count": (int, 0),
+    "lambda": (float, 0),
+    "sigma": (float, None),
+    "block_size": (int, 0),
+}
 
 # Offset separating injection randomness from fit randomness within a repetition.
 INJECTION_SEED_OFFSET = 10007
@@ -66,8 +79,11 @@ class DatasetSpec:
     normalize: bool = False
 
     def __post_init__(self):
-        if self.source not in SOURCES:
-            raise InputError(f"unknown dataset source {self.source!r}, expected one of {SOURCES}")
+        if self.source not in GENERATORS:
+            raise InputError(f"unknown dataset source {self.source!r}, expected one of {list(GENERATORS)}")
+        _check_kwargs(
+            self.params, GENERATORS[self.source], "dataset params", extra={"samples_per_class": int}
+        )
 
 
 @dataclass
@@ -77,15 +93,21 @@ class Sweep:
 
     def __post_init__(self):
         if self.name not in SWEEPS:
-            raise InputError(f"unknown sweep {self.name!r}, expected one of {SWEEPS}")
+            raise InputError(f"unknown sweep {self.name!r}, expected one of {list(SWEEPS)}")
         if not self.values:
             raise InputError("sweep values must be a nonempty list")
+        kind, low = SWEEPS[self.name]
+        name, ok = _KINDS[kind]
+        for value in self.values:
+            if not ok(value) or (low is not None and not value >= low):
+                at_least = "" if low is None else f" >= {low}"
+                raise InputError(f"each {self.name} sweep value must be {name}{at_least}, got {value!r}")
 
 
 @dataclass
 class ExperimentConfig:
     dataset: DatasetSpec
-    solver: SolverConfig
+    solver: SolverConfig = field(default_factory=SolverConfig)
     repetitions: int = 20
     sweep: Sweep | None = None
     output_dir: str = "."
@@ -114,6 +136,30 @@ _KINDS = {
 }
 
 
+def _check_kwargs(kwargs: dict, fn, path, extra=None) -> None:
+    """Check `kwargs` as the keyword arguments of the class or function `fn`,
+    plus the keys typed in `extra`: required ones given, no others, each of
+    its annotated type. `path` names the arguments in errors."""
+    params = inspect.signature(fn).parameters
+    hints = {**get_type_hints(fn), **(extra or {})}
+    missing = [key for key, p in params.items() if p.default is p.empty and key not in kwargs]
+    if missing:
+        raise InputError(f"{path}: missing required key {missing[0]!r}")
+    unknown = sorted(set(kwargs) - set(params) - set(extra or ()))
+    if unknown:
+        raise InputError(f"{path}: unknown keys {unknown}")
+    for key, value in kwargs.items():
+        types = get_args(hints.get(key)) or (hints.get(key),)
+        kind = next((t for t in types if t in _KINDS), None)
+        nullable = type(None) in types
+        if kind is None or (value is None and nullable):
+            continue
+        name, ok = _KINDS[kind]
+        if not ok(value):
+            null = " or null" if nullable else ""
+            raise InputError(f"{path}: {key!r} must be {name}{null}, got {value!r}")
+
+
 def _section(section, cls, path) -> dict:
     """The keyword arguments of cls in the config object `section`, checked
     against its fields' names and types; `path` names it in errors."""
@@ -126,19 +172,7 @@ def _section(section, cls, path) -> dict:
         if "lam" in kwargs:
             raise InputError(f"{path}: give 'lambda' or 'lam', not both")
         kwargs["lam"] = kwargs.pop("lambda")
-    hints = get_type_hints(cls)
-    for key, value in kwargs.items():
-        if key not in hints:
-            raise InputError(f"{path}: unknown key {key!r}")
-        types = get_args(hints[key]) or (hints[key],)
-        kind = next((t for t in types if t in _KINDS), None)
-        nullable = type(None) in types
-        if kind is None or (value is None and nullable):
-            continue
-        name, ok = _KINDS[kind]
-        if not ok(value):
-            null = " or null" if nullable else ""
-            raise InputError(f"{path}: {key!r} must be {name}{null}, got {value!r}")
+    _check_kwargs(kwargs, cls, path)
     return kwargs
 
 
@@ -160,8 +194,6 @@ def config_from_dict(obj, where="config") -> ExperimentConfig:
     """The ExperimentConfig in the parsed JSON `obj`; keys, defaults and value
     types come from the dataclasses, and `where` names the source in errors."""
     kwargs = _section(obj, ExperimentConfig, where)
-    if "dataset" not in kwargs:
-        raise InputError(f"{where}: missing required key 'dataset'")
 
     def build(key, cls, section):
         return cls(**_section(section, cls, f"{where}, section {key!r}"))
@@ -189,28 +221,8 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 def realize_dataset(spec: DatasetSpec) -> DataMatrix:
     """Materialize the configured dataset, normalized if requested."""
-    p = dict(spec.params)
-    # consumed by block_size sweeps, not by any generator
-    p.pop("samples_per_class", None)
-    try:
-        if spec.source == "CSV_FILE":
-            X = load_csv(p.pop("path"), has_labels=p.pop("has_labels", False))
-        elif spec.source == "SYNTH_OUTLIERS":
-            X = synth_outliers(seed=p.pop("seed", 0))
-        elif spec.source == "SYNTH_BLOBS":
-            X = synth_blobs(
-                c=p.pop("c"),
-                per_cluster=p.pop("per_cluster"),
-                d=p.pop("d"),
-                separation=p.pop("separation"),
-                seed=p.pop("seed", 0),
-            )
-        else:
-            X = synth_random(d=p.pop("d"), n=p.pop("n"), seed=p.pop("seed", 0))
-    except KeyError as err:
-        raise InputError(f"dataset params missing required key {err.args[0]!r}") from None
-    if p:
-        raise InputError(f"dataset params has unknown keys {sorted(p)}")
+    p = {key: value for key, value in spec.params.items() if key != "samples_per_class"}
+    X = GENERATORS[spec.source](**p)
     if spec.normalize:
         X = unit_normalize(X)
     return X
@@ -235,14 +247,14 @@ def _fit_stack(cfg: ExperimentConfig, X_base: DataMatrix, sweep_name, value, rep
         X = X_base
         score_mask = None
         if sweep_name == "outlier_count":
-            X, injected = inject_outlier_vectors(X_base, int(value), seed=inject_seed)
+            X, injected = inject_outlier_vectors(X_base, value, seed=inject_seed)
             score_mask = ~injected
             # Anchor the starting factors on the clean data so the sweep measures
             # how injected columns move the basis, not how they break k-means.
             initial = extend_factors(bases[rep], X)
         elif sweep_name == "block_size":
-            per_class = int(cfg.dataset.params.get("samples_per_class", 3))
-            X, _ = inject_block_noise(X_base, int(value), per_class, seed=inject_seed)
+            per_class = cfg.dataset.params.get("samples_per_class", 3)
+            X, _ = inject_block_noise(X_base, value, per_class, seed=inject_seed)
             initial = init_factors(X, solver_cfg.c, fit_seed, solver_cfg.init)
         else:
             initial = bases[rep]
@@ -292,14 +304,15 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list:
 
     Returns the list of written paths. On any failure every file written so
     far is removed before the error propagates. The repetitions of a sweep
-    point are fitted as one stack (see `entnmf.solvers`); `threads` runs
-    whole stacks in parallel, and the outputs do not depend on it."""
+    point are fitted as stacks (see `entnmf.solvers`), one after another in
+    the calling thread; BLAS uses the cores. `threads` (>= 1) changes
+    nothing, and it is removed once the benchmark harness stops passing it."""
     if threads < 1:
         raise InputError(f"threads must be >= 1, got {threads}")
     os.makedirs(cfg.output_dir, exist_ok=True)
     written = []
     try:
-        return _run_experiment_inner(cfg, threads, written)
+        return _run_experiment_inner(cfg, written)
     except BaseException:
         for path in written:
             try:
@@ -309,12 +322,12 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list:
         raise
 
 
-def _run_experiment_inner(cfg, threads, written):
+def _run_experiment_inner(cfg, written):
     X_base = realize_dataset(cfg.dataset)
     if cfg.sweep is not None and cfg.sweep.name == "sigma":
         written.append(_run_influence(cfg, X_base))
     else:
-        _run_fits(cfg, X_base, threads, written)
+        _run_fits(cfg, X_base, written)
     manifest = {
         "config": config_to_dict(cfg),
         "seeds": {
@@ -330,17 +343,12 @@ def _run_experiment_inner(cfg, threads, written):
     return written
 
 
-def _run_fits(cfg, X_base, threads, written):
+def _run_fits(cfg, X_base, written):
     """Every (sweep value, repetition) fit: the trace, errors, metrics and
     summary files, appended to `written`."""
     out = cfg.output_dir
     sweep_name = cfg.sweep.name if cfg.sweep else None
     values = cfg.sweep.values if cfg.sweep else [None]
-    tasks = [
-        (idx, value, rep)
-        for idx, value in enumerate(values)
-        for rep in range(cfg.repetitions)
-    ]
 
     # Work that does not change between tasks is done once: each
     # repetition's k-means start on the clean data (outlier_count sweeps
@@ -356,31 +364,24 @@ def _run_fits(cfg, X_base, threads, written):
         graph = normalize_graph(knn_graph(X_base, cfg.graph_k))
 
     # The repetitions of a sweep point form stacks of at most STACK_BYTES of
-    # data; the grouping does not depend on `threads`.
+    # data.
     stacks = []
     for value in values:
-        n = X_base.n + (int(value) if sweep_name == "outlier_count" else 0)
+        n = X_base.n + (value if sweep_name == "outlier_count" else 0)
         size = max(1, STACK_BYTES // (8 * X_base.d * n))
         for first in range(0, cfg.repetitions, size):
             stacks.append((value, range(first, min(first + size, cfg.repetitions))))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_fit_stack, cfg, X_base, sweep_name, value, reps, bases, graph)
-                for value, reps in stacks
-            ]
-            results = [r for f in futures for r in f.result()]
-    else:
-        results = [
-            r
-            for value, reps in stacks
-            for r in _fit_stack(cfg, X_base, sweep_name, value, reps, bases, graph)
-        ]
+    results = [
+        r
+        for value, reps in stacks
+        for r in _fit_stack(cfg, X_base, sweep_name, value, reps, bases, graph)
+    ]
 
     metric_rows = []
-    for (idx, value, rep), (fit_seed, result, acc_val, nmi_val, errors) in zip(tasks, results):
-        run = idx * cfg.repetitions + rep
+    for run, (fit_seed, result, acc_val, nmi_val, errors) in enumerate(results):
+        idx, rep = divmod(run, cfg.repetitions)
+        value = values[idx]
         metric_rows.append(
             [
                 sweep_name or "none",

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataMatrix, FactorPair, ResidualWeights, guarded_norms, residual_matrix
+from .core import DataMatrix, FactorPair, ResidualWeights, column_norms, residual_matrix
 from .errors import InputError, NumericalError
 
 # Grid points whose denominator is closer to zero than this are removable
@@ -62,26 +62,29 @@ def entropy_terms(norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return -np.sum(norms * log_share, axis=-1), np.maximum(-log_share / norms, 0.0)
 
 
-def _finite_entropy_terms(norms: np.ndarray) -> tuple[float, np.ndarray]:
-    """entropy_terms of one norm vector; a non-finite loss raises NumericalError."""
+def _guarded_entropy_terms(M: np.ndarray, epsilon: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """The column norms of one residual M floored at epsilon, with their loss
+    and weights; a non-finite loss raises NumericalError."""
+    if epsilon <= 0:
+        raise InputError(f"epsilon must be positive, got {epsilon}")
+    norms = np.maximum(column_norms(M), epsilon)
     value, q = entropy_terms(norms)
     if not np.isfinite(value):
         with np.errstate(all="ignore"):
             bad = int(np.argmax(~np.isfinite(norms * np.log(norms / np.sum(norms)))))
         raise NumericalError(f"entropy objective is non-finite at sample {bad}")
-    return float(value), q
+    return float(value), norms, q
 
 
 def entropy_weights(M: np.ndarray, epsilon: float) -> ResidualWeights:
     """Diagonal weights Q_ii = -log(||m_i|| / ||M||_{2,1}) / ||m_i||, guarded."""
-    norms = guarded_norms(np.asarray(M, dtype=float), epsilon)
-    _, q = _finite_entropy_terms(norms)
+    _, norms, q = _guarded_entropy_terms(np.asarray(M, dtype=float), epsilon)
     return ResidualWeights(norms=norms, total=float(np.sum(norms)), q=q, epsilon=epsilon)
 
 
 def entropy_objective(X: DataMatrix, F: FactorPair, epsilon: float) -> float:
     """Entropy loss -sum_i ||m_i|| log(||m_i|| / ||M||_{2,1}) with guarded norms."""
-    return _finite_entropy_terms(guarded_norms(residual_matrix(X, F.U, F.V), epsilon))[0]
+    return _guarded_entropy_terms(residual_matrix(X, F.U, F.V), epsilon)[0]
 
 
 def influence_ratios(X: DataMatrix, F: FactorPair, i: int) -> InfluenceReport:

@@ -44,7 +44,7 @@ holds U V^T in one workspace, because it carries over into the next step,
 writes its ratios and loss terms into a second, and keeps the zero pattern
 of X, which its loss reads every iteration. Everything a pair holds is built
 with it and so rebuilt only when members leave; it is local to the
-`fit_stack` call, so stacks fitted on different threads never share it.
+`fit_stack` call.
 
   EMMF     weights q from the entropy linearization (`entnmf.losses`),
            shared weighted engine for U and V; records the entropy loss.
@@ -124,11 +124,11 @@ class SolverConfig:
             raise InputError(f"cluster count must be >= 1, got {self.c}")
         if self.max_iter < 1:
             raise InputError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.tol < 0:
+        if not self.tol >= 0:
             raise InputError(f"tol must be >= 0, got {self.tol}")
-        if self.lam < 0:
+        if not self.lam >= 0:
             raise InputError(f"lambda must be >= 0, got {self.lam}")
-        if self.epsilon is not None and self.epsilon <= 0:
+        if self.epsilon is not None and not self.epsilon > 0:
             raise InputError(f"epsilon must be positive, got {self.epsilon}")
 
 

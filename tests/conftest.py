@@ -9,9 +9,10 @@ from entnmf import (
     FactorPair,
     InputError,
     ResidualWeights,
+    column_norms,
     residual_matrix,
 )
-from entnmf.core import coeff_step, gram_products, guarded_norms
+from entnmf.core import coeff_step, gram_products
 from entnmf.graph import graph_coeff_step
 
 
@@ -36,7 +37,7 @@ def ones_weights():
     """Unit diagonal weights for a given residual; realizes the plain quadratic."""
 
     def make(M, epsilon=1e-10):
-        norms = guarded_norms(M, epsilon)
+        norms = np.maximum(column_norms(M), epsilon)
         return ResidualWeights(
             norms=norms, total=float(norms.sum()), q=np.ones(norms.shape), epsilon=epsilon
         )

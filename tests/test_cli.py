@@ -100,23 +100,6 @@ def test_output_and_seed_overrides(tmp_path):
     assert manifest["seeds"]["fit"] == [42, 43]
 
 
-def test_threads_flag_produces_identical_results(tmp_path):
-    cfg = base_config(tmp_path)
-    a = tmp_path / "a"
-    b = tmp_path / "b"
-    assert main(["fit", "--config", cfg, "--output", str(a)]) == 0
-    assert main(["fit", "--config", cfg, "--output", str(b), "--threads", "4"]) == 0
-    assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
-
-
-@pytest.mark.parametrize("threads", ("0", "-2"))
-def test_thread_counts_below_one_exit_1_before_any_output(tmp_path, capsys, threads):
-    cfg = base_config(tmp_path)
-    assert main(["fit", "--config", cfg, "--threads", threads]) == 1
-    assert "threads must be >= 1" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
 def test_malformed_config_exits_1(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
@@ -125,10 +108,16 @@ def test_malformed_config_exits_1(tmp_path, capsys):
 
 
 def test_a_mistyped_config_value_exits_1_before_any_output(tmp_path, capsys):
-    cfg = base_config(tmp_path, repetitions=2.5)
-    assert main(["fit", "--config", cfg]) == 1
-    assert "error: " in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    blobs = {"c": "2", "per_cluster": 4, "d": 3, "separation": 10.0}
+    for command, extra in (
+        ("fit", {"repetitions": 2.5}),
+        ("fit", {"dataset": {"source": "SYNTH_BLOBS", "params": blobs}}),
+        ("sweep", {"sweep": {"name": "outlier_count", "values": ["a"]}}),
+        ("sweep", {"sweep": {"name": "outlier_count", "values": [2.5]}}),
+    ):
+        assert main([command, "--config", base_config(tmp_path, **extra)]) == 1
+        assert "error: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_bound_curve_writes_its_table(tmp_path, capsys):
@@ -145,7 +134,11 @@ def test_bound_curve_validates_arguments(tmp_path, capsys):
     assert "n_max" in capsys.readouterr().err
 
 
-def test_missing_required_flags_exit_with_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        main(["fit"])
-    assert exc.value.code == 2
+def test_missing_required_flags_exit_with_usage_error(tmp_path):
+    # --threads is an unknown flag like any other
+    cfg = base_config(tmp_path)
+    for argv in (["fit"], ["fit", "--config", cfg, "--threads", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()

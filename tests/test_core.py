@@ -16,7 +16,7 @@ from entnmf import (
     entropy_weights,
     residual_matrix,
 )
-from entnmf.core import basis_step, coeff_step, guarded_norms
+from entnmf.core import basis_step, coeff_step
 
 EPS = 1e-10
 
@@ -95,13 +95,6 @@ def test_convergence_trace_requires_one_value_per_iteration():
 def test_column_norms_hand_value():
     M = np.array([[3.0, 0.0], [4.0, 0.0]])
     assert np.array_equal(column_norms(M), [5.0, 0.0])
-
-
-def test_guarded_norms_floor_and_validation():
-    M = np.array([[3.0, 0.0], [4.0, 0.0]])
-    assert np.array_equal(guarded_norms(M, 0.5), [5.0, 0.5])
-    with pytest.raises(InputError):
-        guarded_norms(M, -1.0)
 
 
 def test_residual_matrix_hand_value():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,10 @@ def small_config(tmp_path, **overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+# a valid dataset section, for configs that are wrong elsewhere
+RANDOM = {"source": "SYNTH_RANDOM", "params": {"d": 3, "n": 5}}
 
 
 def write_json(tmp_path, obj, name="config.json"):
@@ -84,26 +89,51 @@ class TestConfigParsing:
     @pytest.mark.parametrize(
         "obj",
         [
-            {"dataset": {"source": "SYNTH_RANDOM", "params": {}}, "mystery": 1},
-            {"dataset": {"source": "SYNTH_RANDOM", "params": {}, "shuffle": True}},
-            {"dataset": {"source": "SYNTH_RANDOM", "params": {}}, "solver": {"rank": 2}},
+            {"dataset": RANDOM, "mystery": 1},
+            {"dataset": {"source": "SYNTH_RANDOM", "params": {"d": 3, "n": 5}, "shuffle": True}},
+            {"dataset": RANDOM, "solver": {"rank": 2}},
             {"solver": {"method": "EMMF"}},
-            {"dataset": {"source": "SYNTH_RANDOM", "params": {}}, "sweep": {"name": "gamma", "values": [1]}},
-            {"dataset": {"source": "SYNTH_RANDOM", "params": {}}, "sweep": {"name": "lambda", "values": []}},
+            {"dataset": RANDOM, "sweep": {"name": "gamma", "values": [1]}},
+            {"dataset": RANDOM, "sweep": {"name": "lambda", "values": []}},
             [1, 2, 3],
             # values of the wrong type, checked against the dataclass fields
-            {"dataset": {"source": "SYNTH_RANDOM", "params": {}}, "solver": {"lam": 1.0, "lambda": 2.0}},
-            {"dataset": {"source": "SYNTH_RANDOM", "params": {}}, "solver": {"c": "3"}},
-            {"dataset": {"source": "SYNTH_RANDOM", "params": {}}, "solver": {"tol": "x"}},
-            {"dataset": {"source": "SYNTH_RANDOM", "params": {}}, "graph_k": "5"},
-            {"dataset": {"source": "SYNTH_RANDOM", "params": {}}, "solver": {"c": 2.5}},
-            {"dataset": {"source": "SYNTH_RANDOM", "params": {}}, "repetitions": 2.5},
-            {"dataset": {"source": "SYNTH_RANDOM", "params": {}}, "solver": {"max_iter": 10.5}},
-            {"dataset": {"source": "SYNTH_RANDOM", "params": {}}, "repetitions": True},
-            {"dataset": {"source": "SYNTH_RANDOM", "params": {}}, "solver": {"seed": False}},
-            {"dataset": {"source": "SYNTH_RANDOM", "params": {}}, "solver": {"epsilon": "1e-3"}},
-            {"dataset": {"source": "SYNTH_RANDOM", "params": {}, "normalize": 1}},
+            {"dataset": RANDOM, "solver": {"lam": 1.0, "lambda": 2.0}},
+            {"dataset": RANDOM, "solver": {"c": "3"}},
+            {"dataset": RANDOM, "solver": {"tol": "x"}},
+            {"dataset": RANDOM, "graph_k": "5"},
+            {"dataset": RANDOM, "solver": {"c": 2.5}},
+            {"dataset": RANDOM, "repetitions": 2.5},
+            {"dataset": RANDOM, "solver": {"max_iter": 10.5}},
+            {"dataset": RANDOM, "repetitions": True},
+            {"dataset": RANDOM, "solver": {"seed": False}},
+            {"dataset": RANDOM, "solver": {"epsilon": "1e-3"}},
+            {"dataset": {"source": "SYNTH_RANDOM", "params": {"d": 3, "n": 5}, "normalize": 1}},
             {"dataset": {"source": "SYNTH_RANDOM", "params": None}},
+            # sweep values that do not fit their sweep
+            {"dataset": RANDOM, "sweep": {"name": "outlier_count", "values": ["a"]}},
+            {"dataset": RANDOM, "sweep": {"name": "outlier_count", "values": [2.5]}},
+            {"dataset": RANDOM, "sweep": {"name": "outlier_count", "values": [0, -1]}},
+            {"dataset": RANDOM, "sweep": {"name": "block_size", "values": [True]}},
+            {"dataset": RANDOM, "sweep": {"name": "lambda", "values": ["x"]}},
+            {"dataset": RANDOM, "sweep": {"name": "lambda", "values": [1.0, -0.5]}},
+            {"dataset": RANDOM, "sweep": {"name": "sigma", "values": [None]}},
+            {"dataset": RANDOM, "sweep": {"name": "lambda"}},
+            # dataset params checked against the source's generator
+            {
+                "dataset": {
+                    "source": "SYNTH_BLOBS",
+                    "params": {"c": "2", "per_cluster": 4, "d": 3, "separation": 10.0},
+                }
+            },
+            {"dataset": {"source": "SYNTH_RANDOM", "params": {"d": 3, "n": 5, "seed": 1.5}}},
+            {"dataset": {"source": "SYNTH_RANDOM", "params": {"d": 3, "n": 5, "samples_per_class": "x"}}},
+            {"dataset": {"params": {"d": 3, "n": 5}}},
+            {"dataset": {"source": "CSV_FILE", "params": {"path": 0}}},
+            # NaN, which Python's json module reads, fails every bound
+            {"dataset": RANDOM, "solver": {"tol": float("nan")}},
+            {"dataset": RANDOM, "solver": {"lambda": float("nan")}},
+            {"dataset": RANDOM, "solver": {"epsilon": float("nan")}},
+            {"dataset": RANDOM, "sweep": {"name": "lambda", "values": [float("nan")]}},
         ],
     )
     def test_bad_configs_are_rejected(self, obj):
@@ -115,7 +145,7 @@ class TestConfigParsing:
             DatasetSpec(source="MNIST")
         with pytest.raises(InputError):
             ExperimentConfig(
-                dataset=DatasetSpec(source="SYNTH_RANDOM"),
+                dataset=DatasetSpec(source="SYNTH_RANDOM", params={"d": 3, "n": 5}),
                 solver=SolverConfig(),
                 repetitions=0,
             )
@@ -149,6 +179,16 @@ class TestRealizeDataset:
             realize_dataset(DatasetSpec(source="SYNTH_BLOBS", params={"c": 2}))
         with pytest.raises(InputError, match="unknown keys"):
             realize_dataset(DatasetSpec(source="SYNTH_RANDOM", params={"d": 3, "n": 7, "mu": 1}))
+        # values are checked against the generator's annotations
+        with pytest.raises(InputError, match="'c' must be an integer"):
+            realize_dataset(
+                DatasetSpec(
+                    source="SYNTH_BLOBS",
+                    params={"c": "2", "per_cluster": 3, "d": 4, "separation": 9.0},
+                )
+            )
+        with pytest.raises(InputError, match="'has_labels' must be true or false"):
+            realize_dataset(DatasetSpec(source="CSV_FILE", params={"path": "x.csv", "has_labels": 1}))
 
 
 class TestRunExperiment:
@@ -288,6 +328,13 @@ class TestRunExperiment:
             run_experiment(cfg)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("threads", (0, -2))
+    def test_thread_counts_below_one_are_rejected_before_any_output(self, tmp_path, threads):
+        out = tmp_path / "out"
+        with pytest.raises(InputError, match="threads must be >= 1"):
+            run_experiment(small_config(out), threads=threads)
+        assert not out.exists()
+
     def test_late_failure_removes_partial_outputs(self, tmp_path, monkeypatch):
         import entnmf.experiment as experiment
 
@@ -300,11 +347,18 @@ class TestRunExperiment:
         # metrics and per-run files were already on disk; all must be gone
         assert list(tmp_path.iterdir()) == []
 
-    def test_parallel_runs_match_sequential_runs(self, tmp_path):
+    def test_parallel_runs_match_sequential_runs(self, tmp_path, monkeypatch):
         seq_dir = tmp_path / "seq"
         par_dir = tmp_path / "par"
         run_experiment(small_config(seq_dir, repetitions=3), threads=1)
-        run_experiment(small_config(par_dir, repetitions=3), threads=3)
+
+        def no_threads(thread):
+            raise AssertionError("run_experiment started a thread")
+
+        # stacks run in the calling thread whatever `threads` says
+        with monkeypatch.context() as patch:
+            patch.setattr(threading.Thread, "start", no_threads)
+            run_experiment(small_config(par_dir, repetitions=3), threads=3)
         for name in ("metrics.csv", "summary.csv", "trace_1.csv", "errors_2.csv"):
             assert (seq_dir / name).read_bytes() == (par_dir / name).read_bytes()
 

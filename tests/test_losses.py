@@ -57,6 +57,19 @@ def test_single_sample_carries_all_mass_and_gets_zero_weight():
     assert w.q[0] == 0.0
 
 
+def test_norms_are_floored_at_epsilon_and_epsilon_must_be_positive():
+    M = np.array([[3.0, 0.0], [4.0, 0.0]])
+    assert np.array_equal(entropy_weights(M, 0.5).norms, [5.0, 0.5])
+    X, F = residual_only(M)
+    expected = -(5.0 * math.log(5.0 / 5.5) + 0.5 * math.log(0.5 / 5.5))
+    assert entropy_objective(X, F, 0.5) == pytest.approx(expected, rel=1e-15)
+    for eps in (0.0, -1.0):
+        with pytest.raises(InputError, match="epsilon must be positive"):
+            entropy_weights(M, eps)
+        with pytest.raises(InputError, match="epsilon must be positive"):
+            entropy_objective(X, F, eps)
+
+
 def test_entropy_objective_hand_value():
     # norms (1, 3): -(1 ln(1/4) + 3 ln(3/4)) = ln 4 + 3 ln(4/3)
     X, F = residual_only([[1.0, 3.0]])
