@@ -2,6 +2,7 @@
 
 import json
 import os
+from functools import partial
 
 import pytest
 
@@ -98,6 +99,19 @@ def test_output_and_seed_overrides(tmp_path):
     manifest = json.loads((override / "manifest.json").read_text())
     assert manifest["config"]["solver"]["seed"] == 42
     assert manifest["seeds"]["fit"] == [42, 43]
+
+
+@pytest.mark.parametrize("threads", ("0", "-2"))
+def test_thread_counts_below_one_exit_1_before_any_output(tmp_path, capsys, monkeypatch, threads):
+    # the CLI has no --threads flag; route a bad count into run_experiment,
+    # whose InputError must still surface as exit 1 with nothing written
+    import entnmf.cli as cli
+
+    monkeypatch.setattr(cli, "run_experiment", partial(cli.run_experiment, threads=int(threads)))
+    cfg = base_config(tmp_path)
+    assert main(["fit", "--config", cfg]) == 1
+    assert "threads must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_malformed_config_exits_1(tmp_path, capsys):
