@@ -181,12 +181,12 @@ def inject_block_noise(X: DataMatrix, block_side: int, samples_per_class: int, s
     run = block_side * block_side
     if run > X.d:
         raise InputError(f"block of side {block_side} needs {run} features, data has {X.d}")
+    if samples_per_class < 0:
+        raise InputError(f"samples_per_class must be >= 0, got {samples_per_class}")
     mask = np.zeros(X.n, dtype=bool)
     values = X.values.copy()
     if block_side == 0 or samples_per_class == 0:
         return DataMatrix(values=values, labels=X.labels, name=X.name), mask
-    if samples_per_class < 0:
-        raise InputError(f"samples_per_class must be >= 0, got {samples_per_class}")
     rng = np.random.default_rng(seed)
     high = float(X.values.max())
     for cls in np.unique(X.labels):

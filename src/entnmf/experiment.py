@@ -15,7 +15,9 @@ injection seed is the fit seed plus a fixed offset, so a manifest fed back
 as a config reproduces every output byte for byte. The repetitions of a
 sweep point are fitted together as stacks (`STACK_BYTES`), one stack after
 another, and every fit in a stack computes exactly what it would alone, so
-the outputs do not depend on the stacking.
+the outputs do not depend on the stacking. Each run's trace and errors
+files are written as its stack returns, so only one stack's results are
+held at a time; the metrics and summary rows are kept until the end.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import csv
 import inspect
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, replace
 from typing import get_args, get_type_hints
@@ -84,6 +87,9 @@ class DatasetSpec:
         _check_kwargs(
             self.params, GENERATORS[self.source], "dataset params", extra={"samples_per_class": int}
         )
+        per_class = self.params.get("samples_per_class", 0)
+        if per_class < 0:
+            raise InputError(f"samples_per_class must be >= 0, got {per_class}")
 
 
 @dataclass
@@ -99,7 +105,9 @@ class Sweep:
         kind, low = SWEEPS[self.name]
         name, ok = _KINDS[kind]
         for value in self.values:
-            if not ok(value) or (low is not None and not value >= low):
+            # NaN and the infinities are not real numbers: no sweep can use them
+            real = ok(value) and (kind is int or math.isfinite(value))
+            if not real or (low is not None and value < low):
                 at_least = "" if low is None else f" >= {low}"
                 raise InputError(f"each {self.name} sweep value must be {name}{at_least}, got {value!r}")
 
@@ -206,16 +214,8 @@ def config_from_dict(obj, where="config") -> ExperimentConfig:
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    out = {
-        "dataset": asdict(cfg.dataset),
-        "solver": asdict(cfg.solver),
-        "repetitions": cfg.repetitions,
-        "sweep": asdict(cfg.sweep) if cfg.sweep else None,
-        "output_dir": cfg.output_dir,
-        "graph_k": cfg.graph_k,
-    }
-    solver = out["solver"]
-    solver["lambda"] = solver.pop("lam")
+    out = asdict(cfg)
+    out["solver"]["lambda"] = out["solver"].pop("lam")
     return out
 
 
@@ -228,60 +228,32 @@ def realize_dataset(spec: DatasetSpec) -> DataMatrix:
     return X
 
 
-def _fit_stack(cfg: ExperimentConfig, X_base: DataMatrix, sweep_name, value, reps, bases, graph):
-    """The repetitions `reps` of one sweep point, fitted as one stack.
-
-    `bases` holds each repetition's k-means start on X_base and `graph` the
-    normalized graph of X_base, where the tasks share them (see
-    `_run_experiment_inner`). Returns one (fit_seed, result, acc, nmi, errors)
-    per repetition, in order; the first member that failed numerically
-    raises its NumericalError. Pure function of its arguments.
-    """
-    solver_cfg = cfg.solver
-    if sweep_name == "lambda":
-        solver_cfg = replace(solver_cfg, lam=float(value))
-    Xs, masks, initials, graphs = [], [], [], []
-    for rep in reps:
-        fit_seed = cfg.solver.seed + rep
-        inject_seed = fit_seed + INJECTION_SEED_OFFSET
-        X = X_base
-        score_mask = None
-        if sweep_name == "outlier_count":
-            X, injected = inject_outlier_vectors(X_base, value, seed=inject_seed)
-            score_mask = ~injected
-            # Anchor the starting factors on the clean data so the sweep measures
-            # how injected columns move the basis, not how they break k-means.
-            initial = extend_factors(bases[rep], X)
-        elif sweep_name == "block_size":
-            per_class = cfg.dataset.params.get("samples_per_class", 3)
-            X, _ = inject_block_noise(X_base, value, per_class, seed=inject_seed)
-            initial = init_factors(X, solver_cfg.c, fit_seed, solver_cfg.init)
-        else:
-            initial = bases[rep]
-        if solver_cfg.method == "GEMMF" and graph is None:
-            graphs.append(knn_graph(X, cfg.graph_k))
-        else:
-            graphs.append(graph)
-        Xs.append(X)
-        masks.append(score_mask)
-        initials.append(initial)
-
-    out = []
-    for rep, X, score_mask, result in zip(reps, Xs, masks, fit_stack(Xs, solver_cfg, initials, graphs)):
-        if isinstance(result, NumericalError):
-            raise result
-        acc_val = nmi_val = float("nan")
-        if X.labels is not None:
-            pred = result.assignments
-            truth = X.labels
-            if score_mask is not None:
-                pred = pred[score_mask]
-                truth = truth[score_mask]
-            acc_val = accuracy(pred, truth)
-            nmi_val = nmi(pred, truth)
-        errors = column_norms(residual_matrix(X, result.factors.U, result.factors.V))
-        out.append((cfg.solver.seed + rep, result, acc_val, nmi_val, errors))
-    return out
+def _problem(cfg: ExperimentConfig, X_base: DataMatrix, value, rep, bases, graph):
+    """Repetition `rep` at sweep value `value`: its data, score mask (None to
+    score every sample), starting factors and similarity graph (None unless
+    GEMMF). `bases` holds each repetition's k-means start on X_base and
+    `graph` the normalized graph of X_base, where the sweep leaves them valid
+    (see `_run_fits`)."""
+    sweep_name = cfg.sweep.name if cfg.sweep else None
+    fit_seed = cfg.solver.seed + rep
+    inject_seed = fit_seed + INJECTION_SEED_OFFSET
+    X = X_base
+    score_mask = None
+    if sweep_name == "outlier_count":
+        X, injected = inject_outlier_vectors(X_base, value, seed=inject_seed)
+        score_mask = ~injected
+        # Anchor the starting factors on the clean data so the sweep measures
+        # how injected columns move the basis, not how they break k-means.
+        initial = extend_factors(bases[rep], X)
+    elif sweep_name == "block_size":
+        per_class = cfg.dataset.params.get("samples_per_class", 3)
+        X, _ = inject_block_noise(X_base, value, per_class, seed=inject_seed)
+        initial = init_factors(X, cfg.solver.c, fit_seed, cfg.solver.init)
+    else:
+        initial = bases[rep]
+    if cfg.solver.method == "GEMMF" and graph is None:
+        graph = knn_graph(X, cfg.graph_k)
+    return X, score_mask, initial, graph
 
 
 def _write_csv(path, header, rows):
@@ -344,69 +316,94 @@ def _run_experiment_inner(cfg, written):
 
 
 def _run_fits(cfg, X_base, written):
-    """Every (sweep value, repetition) fit: the trace, errors, metrics and
-    summary files, appended to `written`."""
+    """Every (sweep value, repetition) fit, one stack at a time. Each run's
+    trace and errors files are written as its stack returns; the metrics and
+    summary files follow the last stack. Paths are appended to `written`."""
     out = cfg.output_dir
-    sweep_name = cfg.sweep.name if cfg.sweep else None
-    values = cfg.sweep.values if cfg.sweep else [None]
+    sweep_name = cfg.sweep.name if cfg.sweep else "none"
+    values = cfg.sweep.values if cfg.sweep else [0]
 
-    # Work that does not change between tasks is done once: each
-    # repetition's k-means start on the clean data (outlier_count sweeps
+    # Each repetition's k-means start on the clean data (outlier_count sweeps
     # extend it, lambda sweeps and single points start from it), and the
-    # normalized graph when the data is the same for every task.
+    # normalized graph when the data is the same for every fit, are computed
+    # once.
     bases = graph = None
     if sweep_name != "block_size":
         bases = [
             init_factors(X_base, cfg.solver.c, cfg.solver.seed + rep, cfg.solver.init)
             for rep in range(cfg.repetitions)
         ]
-    if sweep_name in (None, "lambda") and cfg.solver.method == "GEMMF":
+    if sweep_name in ("none", "lambda") and cfg.solver.method == "GEMMF":
         graph = normalize_graph(knn_graph(X_base, cfg.graph_k))
 
-    # The repetitions of a sweep point form stacks of at most STACK_BYTES of
-    # data.
-    stacks = []
+    metric_rows, summary_rows = [], []
     for value in values:
+        solver_cfg = cfg.solver
+        if sweep_name == "lambda":
+            solver_cfg = replace(solver_cfg, lam=float(value))
+        # The repetitions of a sweep value form stacks of at most STACK_BYTES
+        # of data.
         n = X_base.n + (value if sweep_name == "outlier_count" else 0)
         size = max(1, STACK_BYTES // (8 * X_base.d * n))
+        accs, nmis = [], []
         for first in range(0, cfg.repetitions, size):
-            stacks.append((value, range(first, min(first + size, cfg.repetitions))))
-
-    results = [
-        r
-        for value, reps in stacks
-        for r in _fit_stack(cfg, X_base, sweep_name, value, reps, bases, graph)
-    ]
-
-    metric_rows = []
-    for run, (fit_seed, result, acc_val, nmi_val, errors) in enumerate(results):
-        idx, rep = divmod(run, cfg.repetitions)
-        value = values[idx]
-        metric_rows.append(
+            reps = range(first, min(first + size, cfg.repetitions))
+            problems = [_problem(cfg, X_base, value, rep, bases, graph) for rep in reps]
+            Xs, masks, initials, graphs = zip(*problems)
+            fits = fit_stack(Xs, solver_cfg, initials, graphs)
+            for rep, X, score_mask, result in zip(reps, Xs, masks, fits):
+                if isinstance(result, NumericalError):
+                    raise result
+                acc_val = nmi_val = float("nan")
+                if X.labels is not None:
+                    pred = result.assignments
+                    truth = X.labels
+                    if score_mask is not None:
+                        pred = pred[score_mask]
+                        truth = truth[score_mask]
+                    acc_val = accuracy(pred, truth)
+                    nmi_val = nmi(pred, truth)
+                accs.append(acc_val)
+                nmis.append(nmi_val)
+                run = len(metric_rows)
+                metric_rows.append(
+                    [
+                        sweep_name,
+                        _fmt(value),
+                        rep,
+                        cfg.solver.seed + rep,
+                        _fmt(acc_val),
+                        _fmt(nmi_val),
+                        result.trace.iterations,
+                        _fmt(result.trace.objective[-1]),
+                    ]
+                )
+                written.append(
+                    _write_csv(
+                        os.path.join(out, f"trace_{run}.csv"),
+                        ["iteration", "objective"],
+                        [[t, _fmt(v)] for t, v in enumerate(result.trace.objective)],
+                    )
+                )
+                errors = column_norms(residual_matrix(X, result.factors.U, result.factors.V))
+                written.append(
+                    _write_csv(
+                        os.path.join(out, f"errors_{run}.csv"),
+                        ["sample", "error"],
+                        [[i, _fmt(float(e))] for i, e in enumerate(errors)],
+                    )
+                )
+        s = summarize(accs, nmis)
+        summary_rows.append(
             [
-                sweep_name or "none",
-                _fmt(value if value is not None else 0),
-                rep,
-                fit_seed,
-                _fmt(acc_val),
-                _fmt(nmi_val),
-                result.trace.iterations,
-                _fmt(result.trace.objective[-1]),
+                sweep_name,
+                _fmt(value),
+                _fmt(s.acc_mean),
+                _fmt(s.acc_std),
+                _fmt(s.nmi_mean),
+                _fmt(s.nmi_std),
+                s.runs,
             ]
-        )
-        written.append(
-            _write_csv(
-                os.path.join(out, f"trace_{run}.csv"),
-                ["iteration", "objective"],
-                [[t, _fmt(v)] for t, v in enumerate(result.trace.objective)],
-            )
-        )
-        written.append(
-            _write_csv(
-                os.path.join(out, f"errors_{run}.csv"),
-                ["sample", "error"],
-                [[i, _fmt(float(e))] for i, e in enumerate(errors)],
-            )
         )
 
     written.append(
@@ -416,24 +413,6 @@ def _run_fits(cfg, X_base, written):
             metric_rows,
         )
     )
-
-    summary_rows = []
-    for idx, value in enumerate(values):
-        block = results[idx * cfg.repetitions : (idx + 1) * cfg.repetitions]
-        accs = [r[2] for r in block]
-        nmis = [r[3] for r in block]
-        s = summarize(accs, nmis)
-        summary_rows.append(
-            [
-                sweep_name or "none",
-                _fmt(value if value is not None else 0),
-                _fmt(s.acc_mean),
-                _fmt(s.acc_std),
-                _fmt(s.nmi_mean),
-                _fmt(s.nmi_std),
-                s.runs,
-            ]
-        )
     written.append(
         _write_csv(
             os.path.join(out, "summary.csv"),
@@ -445,14 +424,17 @@ def _run_fits(cfg, X_base, written):
 
 def _run_influence(cfg: ExperimentConfig, X_base: DataMatrix) -> str:
     """Sigma sweep: fit once on clean data, then perturb one entry and record
-    each method's share of its objective attributed to the perturbed sample."""
-    result = fit(X_base, cfg.solver)
-    rows = []
+    each method's share of its objective attributed to the perturbed sample.
+    The perturbed matrices are built, and so checked, before the fit."""
+    perturbed = []
     for sigma in cfg.sweep.values:
         values = X_base.values.copy()
         values[0, 0] += float(sigma)
-        perturbed = DataMatrix(values=values, labels=X_base.labels, name=X_base.name)
-        report = influence_ratios(perturbed, result.factors, 0)
+        perturbed.append(DataMatrix(values=values, labels=X_base.labels, name=X_base.name))
+    result = fit(X_base, cfg.solver)
+    rows = []
+    for sigma, X in zip(cfg.sweep.values, perturbed):
+        report = influence_ratios(X, result.factors, 0)
         rows.append([_fmt(float(sigma)), _fmt(report.phi_nmf), _fmt(report.phi_l21), _fmt(report.phi_emmf)])
     return _write_csv(
         os.path.join(cfg.output_dir, "phi_curves.csv"),

@@ -150,4 +150,6 @@ def influence_upper_bound(n: int, p_step: float) -> tuple[float, float]:
         value = numer / denom
         if value > best:
             best, best_p = value, p
+    if best_p is None:
+        raise InputError(f"p_step {p_step} leaves no usable point of the p grid in (0, 1)")
     return float(best), float(best_p)

@@ -126,10 +126,10 @@ class SolverConfig:
             raise InputError(f"max_iter must be >= 1, got {self.max_iter}")
         if not self.tol >= 0:
             raise InputError(f"tol must be >= 0, got {self.tol}")
-        if not self.lam >= 0:
-            raise InputError(f"lambda must be >= 0, got {self.lam}")
-        if self.epsilon is not None and not self.epsilon > 0:
-            raise InputError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 <= self.lam < math.inf:
+            raise InputError(f"lambda must be finite and >= 0, got {self.lam}")
+        if self.epsilon is not None and not 0 < self.epsilon < math.inf:
+            raise InputError(f"epsilon must be finite and positive, got {self.epsilon}")
 
 
 @dataclass

@@ -134,6 +134,37 @@ def test_a_mistyped_config_value_exits_1_before_any_output(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("fit", {"solver": {"method": "GEMMF", "c": 2, "lambda": float("inf")}}),
+    ("fit", {"solver": {"method": "EMMF", "c": 2, "epsilon": float("inf")}}),
+    ("influence", {"sweep": {"name": "sigma", "values": [1.0, float("nan")]}}),
+    ("sweep", {
+        "dataset": {
+            "source": "SYNTH_BLOBS",
+            "params": {"c": 2, "per_cluster": 4, "d": 3, "separation": 10.0, "samples_per_class": -2},
+        },
+        "sweep": {"name": "block_size", "values": [0, 1]},
+    }),
+])
+def test_non_finite_or_negative_config_values_exit_1_before_any_output(tmp_path, capsys, command, extra):
+    assert main([command, "--config", base_config(tmp_path, **extra)]) == 1
+    assert "error: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_perturbation_below_zero_exits_1_before_the_fit(tmp_path, capsys, monkeypatch):
+    import entnmf.experiment as experiment
+
+    def no_fit(*args):
+        raise AssertionError("fitted before every perturbed matrix was checked")
+
+    monkeypatch.setattr(experiment, "fit", no_fit)
+    cfg = base_config(tmp_path, sweep={"name": "sigma", "values": [1.0, -1000.0]})
+    assert main(["influence", "--config", cfg]) == 1
+    assert "error: data matrix must be nonnegative" in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def test_bound_curve_writes_its_table(tmp_path, capsys):
     out = tmp_path / "curve"
     assert main(["bound-curve", "--n-max", "12", "--p-step", "0.05", "--output", str(out)]) == 0
@@ -146,6 +177,14 @@ def test_bound_curve_writes_its_table(tmp_path, capsys):
 def test_bound_curve_validates_arguments(tmp_path, capsys):
     assert main(["bound-curve", "--n-max", "1", "--output", str(tmp_path)]) == 1
     assert "n_max" in capsys.readouterr().err
+
+
+def test_bound_curve_with_no_usable_grid_point_exits_1(tmp_path, capsys):
+    out = tmp_path / "curve"
+    argv = ["bound-curve", "--n-max", "5", "--p-step", "0.9999999999999", "--output", str(out)]
+    assert main(argv) == 1
+    assert "error: p_step" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_required_flags_exit_with_usage_error(tmp_path):

@@ -234,3 +234,9 @@ class TestInjectBlockNoise:
         X = synth_blobs(2, 2, 9, 9.0, seed=0)
         with pytest.raises(InputError, match="class 0"):
             inject_block_noise(X, 2, 3)
+
+    def test_rejects_a_negative_sample_count_at_any_side(self):
+        X = synth_blobs(2, 4, 9, 9.0, seed=0)
+        for side in (0, 2):
+            with pytest.raises(InputError, match="samples_per_class must be >= 0"):
+                inject_block_noise(X, side, -2)

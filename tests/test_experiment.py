@@ -12,6 +12,7 @@ from entnmf import (
     DatasetSpec,
     ExperimentConfig,
     InputError,
+    NumericalError,
     SolverConfig,
     Sweep,
     load_config,
@@ -134,6 +135,15 @@ class TestConfigParsing:
             {"dataset": RANDOM, "solver": {"lambda": float("nan")}},
             {"dataset": RANDOM, "solver": {"epsilon": float("nan")}},
             {"dataset": RANDOM, "sweep": {"name": "lambda", "values": [float("nan")]}},
+            # and so do the infinities, which it reads too
+            {"dataset": RANDOM, "sweep": {"name": "sigma", "values": [1.0, float("nan")]}},
+            {"dataset": RANDOM, "sweep": {"name": "sigma", "values": [float("inf")]}},
+            {"dataset": RANDOM, "sweep": {"name": "sigma", "values": [float("-inf")]}},
+            {"dataset": RANDOM, "sweep": {"name": "lambda", "values": [1.0, float("inf")]}},
+            {"dataset": RANDOM, "solver": {"method": "GEMMF", "lambda": float("inf")}},
+            {"dataset": RANDOM, "solver": {"method": "EMMF", "epsilon": float("inf")}},
+            # block noise picks a count of samples from every class
+            {"dataset": {"source": "SYNTH_RANDOM", "params": {"d": 3, "n": 5, "samples_per_class": -2}}},
         ],
     )
     def test_bad_configs_are_rejected(self, obj):
@@ -344,7 +354,43 @@ class TestRunExperiment:
         monkeypatch.setattr(experiment, "summarize", boom)
         with pytest.raises(RuntimeError):
             run_experiment(small_config(tmp_path))
-        # metrics and per-run files were already on disk; all must be gone
+        # per-run files were already on disk; all must be gone
+        assert list(tmp_path.iterdir()) == []
+
+    def test_each_stack_writes_its_runs_before_the_next_is_fitted(self, tmp_path, monkeypatch):
+        import entnmf.experiment as experiment
+
+        real = experiment.fit_stack
+        on_disk = []
+
+        def recording(Xs, *args):
+            on_disk.append(sorted(p.name for p in tmp_path.iterdir()))
+            return real(Xs, *args)
+
+        monkeypatch.setattr(experiment, "STACK_BYTES", 1)  # one repetition per stack
+        monkeypatch.setattr(experiment, "fit_stack", recording)
+        run_experiment(small_config(tmp_path))
+        assert on_disk == [[], ["errors_0.csv", "trace_0.csv"]]
+
+    def test_a_failure_in_a_later_stack_removes_the_earlier_runs(self, tmp_path, monkeypatch):
+        import entnmf.experiment as experiment
+
+        real = experiment.fit_stack
+        stacks = []
+
+        def fails_in_the_third_stack(Xs, *args):
+            stacks.append(len(Xs))
+            results = real(Xs, *args)
+            if len(stacks) == 3:
+                results[0] = NumericalError("objective became non-finite", iteration=4)
+            return results
+
+        monkeypatch.setattr(experiment, "STACK_BYTES", 1)
+        monkeypatch.setattr(experiment, "fit_stack", fails_in_the_third_stack)
+        cfg = small_config(tmp_path, sweep=Sweep(name="outlier_count", values=[0, 2]))
+        with pytest.raises(NumericalError, match="non-finite"):
+            run_experiment(cfg)
+        assert stacks == [1, 1, 1]
         assert list(tmp_path.iterdir()) == []
 
     def test_parallel_runs_match_sequential_runs(self, tmp_path, monkeypatch):

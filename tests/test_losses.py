@@ -172,3 +172,6 @@ def test_upper_bound_validates_inputs():
         influence_upper_bound(10, 0.0)
     with pytest.raises(InputError):
         influence_upper_bound(10, 1.0)
+    # a grid whose only point lies within 1e-12 of 1 has nothing to maximize
+    with pytest.raises(InputError, match="no usable point"):
+        influence_upper_bound(10, 0.9999999999999)
