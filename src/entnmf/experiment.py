@@ -87,9 +87,9 @@ class DatasetSpec:
         _check_kwargs(
             self.params, GENERATORS[self.source], "dataset params", extra={"samples_per_class": int}
         )
-        per_class = self.params.get("samples_per_class", 0)
-        if per_class < 0:
-            raise InputError(f"samples_per_class must be >= 0, got {per_class}")
+        for key in ("samples_per_class", "seed"):
+            if self.params.get(key, 0) < 0:
+                raise InputError(f"{key} must be >= 0, got {self.params[key]}")
 
 
 @dataclass
@@ -105,9 +105,7 @@ class Sweep:
         kind, low = SWEEPS[self.name]
         name, ok = _KINDS[kind]
         for value in self.values:
-            # NaN and the infinities are not real numbers: no sweep can use them
-            real = ok(value) and (kind is int or math.isfinite(value))
-            if not real or (low is not None and value < low):
+            if not ok(value) or (low is not None and value < low):
                 at_least = "" if low is None else f" >= {low}"
                 raise InputError(f"each {self.name} sweep value must be {name}{at_least}, got {value!r}")
 
@@ -134,9 +132,11 @@ def _is_int(value) -> bool:
 
 # What a config value must be, by the type of its dataclass field. Values are
 # checked, not converted, so a manifest written from the config keeps them.
+# NaN and the infinities, which JSON parsing accepts, are not real numbers.
 _KINDS = {
     int: ("an integer", _is_int),
-    float: ("a real number", lambda v: _is_int(v) or isinstance(v, float)),
+    float: ("a finite real number",
+            lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v))),
     bool: ("true or false", lambda v: isinstance(v, bool)),
     str: ("a string", lambda v: isinstance(v, str)),
     dict: ("an object", lambda v: isinstance(v, dict)),
@@ -257,18 +257,13 @@ def _problem(cfg: ExperimentConfig, X_base: DataMatrix, value, rep, bases, graph
 
 
 def _write_csv(path, header, rows):
+    """Write rows of Python ints, floats and strings; csv writes a float as
+    its repr, so every float keeps its full precision."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\r\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
     return path
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list:
@@ -281,10 +276,12 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list:
     nothing, and it is removed once the benchmark harness stops passing it."""
     if threads < 1:
         raise InputError(f"threads must be >= 1, got {threads}")
+    # the dataset's own range checks come before any output
+    X_base = realize_dataset(cfg.dataset)
     os.makedirs(cfg.output_dir, exist_ok=True)
     written = []
     try:
-        return _run_experiment_inner(cfg, written)
+        return _run_experiment_inner(cfg, X_base, written)
     except BaseException:
         for path in written:
             try:
@@ -294,8 +291,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list:
         raise
 
 
-def _run_experiment_inner(cfg, written):
-    X_base = realize_dataset(cfg.dataset)
+def _run_experiment_inner(cfg, X_base, written):
     if cfg.sweep is not None and cfg.sweep.name == "sigma":
         written.append(_run_influence(cfg, X_base))
     else:
@@ -366,45 +362,17 @@ def _run_fits(cfg, X_base, written):
                 accs.append(acc_val)
                 nmis.append(nmi_val)
                 run = len(metric_rows)
-                metric_rows.append(
-                    [
-                        sweep_name,
-                        _fmt(value),
-                        rep,
-                        cfg.solver.seed + rep,
-                        _fmt(acc_val),
-                        _fmt(nmi_val),
-                        result.trace.iterations,
-                        _fmt(result.trace.objective[-1]),
-                    ]
-                )
-                written.append(
-                    _write_csv(
-                        os.path.join(out, f"trace_{run}.csv"),
-                        ["iteration", "objective"],
-                        [[t, _fmt(v)] for t, v in enumerate(result.trace.objective)],
-                    )
-                )
+                trace = result.trace
+                metric_rows.append([sweep_name, value, rep, cfg.solver.seed + rep, acc_val,
+                                    nmi_val, trace.iterations, trace.objective[-1]])
+                written.append(_write_csv(os.path.join(out, f"trace_{run}.csv"),
+                                          ["iteration", "objective"], enumerate(trace.objective)))
                 errors = column_norms(residual_matrix(X, result.factors.U, result.factors.V))
-                written.append(
-                    _write_csv(
-                        os.path.join(out, f"errors_{run}.csv"),
-                        ["sample", "error"],
-                        [[i, _fmt(float(e))] for i, e in enumerate(errors)],
-                    )
-                )
+                written.append(_write_csv(os.path.join(out, f"errors_{run}.csv"),
+                                          ["sample", "error"], enumerate(errors.tolist())))
         s = summarize(accs, nmis)
-        summary_rows.append(
-            [
-                sweep_name,
-                _fmt(value),
-                _fmt(s.acc_mean),
-                _fmt(s.acc_std),
-                _fmt(s.nmi_mean),
-                _fmt(s.nmi_std),
-                s.runs,
-            ]
-        )
+        summary_rows.append([sweep_name, value, s.acc_mean, s.acc_std, s.nmi_mean, s.nmi_std,
+                             s.runs])
 
     written.append(
         _write_csv(
@@ -435,7 +403,7 @@ def _run_influence(cfg: ExperimentConfig, X_base: DataMatrix) -> str:
     rows = []
     for sigma, X in zip(cfg.sweep.values, perturbed):
         report = influence_ratios(X, result.factors, 0)
-        rows.append([_fmt(float(sigma)), _fmt(report.phi_nmf), _fmt(report.phi_l21), _fmt(report.phi_emmf)])
+        rows.append([float(sigma), report.phi_nmf, report.phi_l21, report.phi_emmf])
     return _write_csv(
         os.path.join(cfg.output_dir, "phi_curves.csv"),
         ["sigma", "phi_nmf", "phi_l21", "phi_emmf"],
@@ -450,6 +418,6 @@ def run_bound_curve(n_max: int, p_step: float, output_dir: str = ".") -> str:
     rows = []
     for n in range(3, n_max + 1):
         bound, _ = influence_upper_bound(n, p_step)
-        rows.append([n, _fmt(bound)])
+        rows.append([n, bound])
     os.makedirs(output_dir, exist_ok=True)
     return _write_csv(os.path.join(output_dir, "bound.csv"), ["n", "upper_bound"], rows)

@@ -58,12 +58,14 @@ with it and so rebuilt only when members leave; it is local to the
            loss and the next U step.
   L21_NMF  weighted engine with Q_ii = 1/(2 ||m_i||); records ||X - UV^T||_{2,1}.
 
-All fits are deterministic given the seed. Each iteration checks the whole
-stack once, through the objective alone: a non-finite factor entry makes the
+All fits are deterministic given the seed. Each iteration makes one pass
+over the members' objectives, as Python floats, and there settles each
+member: it fails, leaves or stays. A non-finite factor entry makes the
 residual norms (through the Gram products or V) or U V^T, and so the
-objective, non-finite (`np.maximum` keeps NaN, and inf * 0 is NaN). A member
-whose factors or objective turn non-finite leaves the stack with a
-NumericalError that names the factor and carries its iteration and its
+objective, non-finite (`np.maximum` keeps NaN, and inf * 0 is NaN), so the
+objective is the only check. A member whose objective turns non-finite
+leaves the stack with a NumericalError that names the factor (its U and V
+are checked then, and only then) and carries its iteration and its
 objective trace; a member whose relative objective change falls below `tol`
 leaves with its result; the rest leave after `max_iter` iterations.
 Departures shrink the stack and change nothing for the members that stay.
@@ -124,20 +126,27 @@ class SolverConfig:
             raise InputError(f"cluster count must be >= 1, got {self.c}")
         if self.max_iter < 1:
             raise InputError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not self.tol >= 0:
-            raise InputError(f"tol must be >= 0, got {self.tol}")
+        if not 0 <= self.tol < math.inf:
+            raise InputError(f"tol must be finite and >= 0, got {self.tol}")
         if not 0 <= self.lam < math.inf:
             raise InputError(f"lambda must be finite and >= 0, got {self.lam}")
         if self.epsilon is not None and not 0 < self.epsilon < math.inf:
             raise InputError(f"epsilon must be finite and positive, got {self.epsilon}")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
 class FitResult:
     factors: FactorPair
     trace: ConvergenceTrace
-    assignments: np.ndarray | None = None
     final_q: ResidualWeights | None = None
+
+    @property
+    def assignments(self) -> np.ndarray:
+        """Each sample's cluster, the argmax of its row of V; ties resolve
+        toward the lowest column."""
+        return np.argmax(self.factors.V, axis=1)
 
 
 def _kmeans(points: np.ndarray, c: int, rng: np.random.Generator, n_iter: int = 100):
@@ -304,34 +313,6 @@ def _method(X: np.ndarray, eps: np.ndarray, cfg: SolverConfig, graphs):
     return measure, step
 
 
-def _failures(U: np.ndarray, V: np.ndarray, value: np.ndarray) -> list:
-    """Each member's first failed finiteness check, or None where all pass."""
-    bad_U = ~np.isfinite(U).all(axis=(-2, -1))
-    bad_V = ~np.isfinite(V).all(axis=(-2, -1))
-    return [
-        "non-finite entries produced while updating U" if u
-        else "non-finite entries produced while updating V" if v
-        else "objective became non-finite" if not np.isfinite(o)
-        else None
-        for u, v, o in zip(bad_U.tolist(), bad_V.tolist(), value.tolist())
-    ]
-
-
-def _result(U, V, weights, eps: float, trace: ConvergenceTrace) -> FitResult:
-    """One member's FitResult from its slices of the stack; weights is its
-    (norms, q), or None."""
-    final_q = None
-    if weights is not None:
-        norms, q = weights
-        final_q = ResidualWeights(norms=norms, total=float(np.sum(norms)), q=q, epsilon=eps)
-    return FitResult(
-        factors=FactorPair(U=U, V=V),
-        trace=trace,
-        assignments=np.argmax(V, axis=1),  # ties resolve toward the lowest column
-        final_q=final_q,
-    )
-
-
 def fit_stack(Xs, cfg: SolverConfig, initials, graphs=None) -> list:
     """Fit the same-shape problems (Xs[b], initials[b], graphs[b]) in one loop.
 
@@ -375,51 +356,49 @@ def fit_stack(Xs, cfg: SolverConfig, initials, graphs=None) -> list:
     measure, step = _method(X, eps[:, None], cfg, graphs)
     objective = [[] for _ in range(B)]
     results = [None] * B
+    prev = [math.inf] * B  # each slice's objective at the last measure
     with np.errstate(all="ignore"):  # non-finite values become NumericalErrors below
         value, norms, carry = measure(U, V, None)
         t = 0
         while True:
-            # On a few members, Python floats are much cheaper than numpy calls
-            # on (B,) arrays, and round exactly like them.
+            # One pass settles each member: it fails, leaves or stays. On a few
+            # members, Python floats are much cheaper than numpy calls on (B,)
+            # arrays, and round exactly like them.
             values = value.tolist()
-            converged = ([abs(v - p) / max(p, 1e-30) < cfg.tol
-                          for v, p in zip(values, prev.tolist())] if t > 0
-                         else [False] * len(values))
-            # a non-finite factor shows in the objective; _failures names it
-            finite = all(map(math.isfinite, values))
-            if finite and t < cfg.max_iter and not any(converged):
-                for b, v in zip(members, values):
-                    objective[b].append(v)
-            else:  # some member leaves the stack
-                failed = [None] * len(members) if finite else _failures(U, V, value)
-                for b, v, failure in zip(members, values, failed):
-                    if failure is None:
-                        objective[b].append(v)
-                leaving = [j for j, (failure, stop) in enumerate(zip(failed, converged))
-                           if failure or stop or t == cfg.max_iter]
-                for j in leaving:
-                    b = members[j]
-                    if failed[j]:
-                        results[b] = NumericalError(failed[j], iteration=t, objective=objective[b])
-                    else:
-                        trace = ConvergenceTrace(objective=objective[b], iterations=t,
-                                                 converged=converged[j])
-                        # only EMMF and GEMMF report norms; their carry starts with q
-                        weights = None if norms is None else (norms[j], carry[0][j])
-                        results[b] = _result(U[j], V[j], weights, float(eps[b]), trace)
-                keep = np.ones(len(members), dtype=bool)
-                keep[leaving] = False
-                members = [b for b, kept in zip(members, keep.tolist()) if kept]
-                if not members:
+            stay = []
+            for j, (b, v, p) in enumerate(zip(members, values, prev)):
+                if not math.isfinite(v):
+                    # a non-finite factor entry shows in the objective
+                    failure = ("non-finite entries produced while updating U"
+                               if not np.isfinite(U[j]).all()
+                               else "non-finite entries produced while updating V"
+                               if not np.isfinite(V[j]).all()
+                               else "objective became non-finite")
+                    results[b] = NumericalError(failure, iteration=t, objective=objective[b])
+                    continue
+                objective[b].append(v)
+                converged = t > 0 and abs(v - p) / max(p, 1e-30) < cfg.tol
+                if not converged and t < cfg.max_iter:
+                    stay.append(j)
+                    continue
+                final_q = None
+                if norms is not None:  # only EMMF and GEMMF; their carry starts with q
+                    final_q = ResidualWeights(norms=norms[j], total=float(np.sum(norms[j])),
+                                              q=carry[0][j], epsilon=float(eps[b]))
+                trace = ConvergenceTrace(objective=objective[b], iterations=t, converged=converged)
+                results[b] = FitResult(FactorPair(U=U[j], V=V[j]), trace, final_q)
+            prev = [values[j] for j in stay]
+            if len(stay) < len(members):  # some member leaves the stack
+                if not stay:
                     return results
                 # indexing keeps each slice's memory order; the next measure
                 # replaces norms
-                X, U, V, value = X[keep], U[keep], V[keep], value[keep]
-                carry = tuple(A[keep] for A in carry)
+                members = [members[j] for j in stay]
+                X, U, V = X[stay], U[stay], V[stay]
+                carry = tuple(A[stay] for A in carry)
                 measure, step = _method(X, eps[members][:, None], cfg,
                                         graphs and [graphs[b] for b in members])
             t += 1
-            prev = value
             U, V, grams = step(U, V, *carry)
             value, norms, carry = measure(U, V, grams)
 

@@ -145,9 +145,34 @@ def test_a_mistyped_config_value_exits_1_before_any_output(tmp_path, capsys):
         },
         "sweep": {"name": "block_size", "values": [0, 1]},
     }),
+    ("fit", {"solver": {"method": "EMMF", "c": 2, "tol": float("inf")}}),
+    ("fit", {
+        "dataset": {
+            "source": "SYNTH_BLOBS",
+            "params": {"c": 2, "per_cluster": 4, "d": 3, "separation": float("inf")},
+        },
+    }),
+    ("fit", {"solver": {"method": "EMMF", "c": 2, "seed": -1}}),
+    ("fit", {
+        "dataset": {
+            "source": "SYNTH_BLOBS",
+            "params": {"c": 2, "per_cluster": 4, "d": 3, "separation": 10.0, "seed": -4},
+        },
+    }),
+    pytest.param("fit --seed -2", {}, id="fit-seed-override"),
 ])
 def test_non_finite_or_negative_config_values_exit_1_before_any_output(tmp_path, capsys, command, extra):
-    assert main([command, "--config", base_config(tmp_path, **extra)]) == 1
+    assert main([*command.split(), "--config", base_config(tmp_path, **extra)]) == 1
+    assert "error: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("dataset", [
+    {"source": "SYNTH_BLOBS", "params": {"c": 0, "per_cluster": 4, "d": 3, "separation": 10.0}},
+    {"source": "CSV_FILE", "params": {"path": "no-such-file.csv"}},
+])
+def test_a_dataset_its_generator_rejects_exits_1_before_any_output(tmp_path, capsys, dataset):
+    assert main(["fit", "--config", base_config(tmp_path, dataset=dataset)]) == 1
     assert "error: " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 

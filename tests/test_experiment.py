@@ -144,6 +144,17 @@ class TestConfigParsing:
             {"dataset": RANDOM, "solver": {"method": "EMMF", "epsilon": float("inf")}},
             # block noise picks a count of samples from every class
             {"dataset": {"source": "SYNTH_RANDOM", "params": {"d": 3, "n": 5, "samples_per_class": -2}}},
+            # every float-typed value is a finite real number
+            {
+                "dataset": {
+                    "source": "SYNTH_BLOBS",
+                    "params": {"c": 2, "per_cluster": 4, "d": 3, "separation": float("inf")},
+                }
+            },
+            {"dataset": RANDOM, "solver": {"tol": float("inf")}},
+            # numpy's generators take seeds >= 0
+            {"dataset": RANDOM, "solver": {"seed": -1}},
+            {"dataset": {"source": "SYNTH_RANDOM", "params": {"d": 3, "n": 5, "seed": -4}}},
         ],
     )
     def test_bad_configs_are_rejected(self, obj):
@@ -230,6 +241,13 @@ class TestRunExperiment:
         assert first[0] == "none"
         assert int(first[3]) == cfg.solver.seed  # repetition 0 runs at the base seed
         assert 0.0 <= float(first[4]) <= 1.0
+        # every number is an integer or a float at full precision, as repr writes it
+        for name in ("metrics.csv", "summary.csv", "trace_0.csv", "errors_0.csv"):
+            rows = (tmp_path / name).read_text().splitlines()[1:]
+            cells = [cell for row in rows for cell in row.split(",") if cell != "none"]
+            assert cells
+            for cell in cells:
+                assert cell.lstrip("-").isdigit() or cell == repr(float(cell)), (name, cell)
 
     def test_trace_files_match_the_recorded_objective(self, tmp_path):
         cfg = small_config(tmp_path, repetitions=1)
