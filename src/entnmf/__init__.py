@@ -36,11 +36,8 @@ from .graph import (
 )
 from .losses import (
     InfluenceReport,
-    entropy_objective,
-    entropy_weights,
     influence_ratios,
     influence_upper_bound,
-    single_outlier_share,
 )
 from .metrics import MetricSummary, accuracy, nmi, summarize
 from .solvers import (
@@ -68,8 +65,6 @@ __all__ = [
     "Sweep",
     "accuracy",
     "column_norms",
-    "entropy_objective",
-    "entropy_weights",
     "extend_factors",
     "fit",
     "influence_ratios",
@@ -86,7 +81,6 @@ __all__ = [
     "residual_matrix",
     "run_bound_curve",
     "run_experiment",
-    "single_outlier_share",
     "summarize",
     "synth_blobs",
     "synth_outliers",

@@ -231,9 +231,9 @@ def realize_dataset(spec: DatasetSpec) -> DataMatrix:
 def _problem(cfg: ExperimentConfig, X_base: DataMatrix, value, rep, bases, graph):
     """Repetition `rep` at sweep value `value`: its data, score mask (None to
     score every sample), starting factors and similarity graph (None unless
-    GEMMF). `bases` holds each repetition's k-means start on X_base and
-    `graph` the normalized graph of X_base, where the sweep leaves them valid
-    (see `_run_fits`)."""
+    GEMMF). `bases` holds each repetition's k-means start on X_base where the
+    sweep leaves it valid (see `_run_fits`), and `graph` the shared graph of
+    X_base (see `_base_graph`)."""
     sweep_name = cfg.sweep.name if cfg.sweep else None
     fit_seed = cfg.solver.seed + rep
     inject_seed = fit_seed + INJECTION_SEED_OFFSET
@@ -276,12 +276,13 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list:
     nothing, and it is removed once the benchmark harness stops passing it."""
     if threads < 1:
         raise InputError(f"threads must be >= 1, got {threads}")
-    # the dataset's own range checks come before any output
+    # the dataset's own range checks and the graph_k check come before any output
     X_base = realize_dataset(cfg.dataset)
+    graph = _base_graph(cfg, X_base)
     os.makedirs(cfg.output_dir, exist_ok=True)
     written = []
     try:
-        return _run_experiment_inner(cfg, X_base, written)
+        return _run_experiment_inner(cfg, X_base, graph, written)
     except BaseException:
         for path in written:
             try:
@@ -291,11 +292,26 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list:
         raise
 
 
-def _run_experiment_inner(cfg, X_base, written):
+def _base_graph(cfg: ExperimentConfig, X_base: DataMatrix):
+    """The normalized kNN graph of X_base that every G-EMMF fit on X_base
+    shares (single points, lambda and sigma sweeps), else None. A graph_k not
+    below the fewest samples a fit sees is an InputError."""
+    if cfg.solver.method != "GEMMF":
+        return None
+    sweep_name = cfg.sweep.name if cfg.sweep else None
+    if sweep_name in (None, "lambda", "sigma"):
+        return normalize_graph(knn_graph(X_base, cfg.graph_k))
+    n = X_base.n + (min(cfg.sweep.values) if sweep_name == "outlier_count" else 0)
+    if cfg.graph_k >= n:
+        raise InputError(f"graph_k {cfg.graph_k} must be below {n}, the fewest samples a fit sees")
+    return None
+
+
+def _run_experiment_inner(cfg, X_base, graph, written):
     if cfg.sweep is not None and cfg.sweep.name == "sigma":
-        written.append(_run_influence(cfg, X_base))
+        written.append(_run_influence(cfg, X_base, graph))
     else:
-        _run_fits(cfg, X_base, written)
+        _run_fits(cfg, X_base, graph, written)
     manifest = {
         "config": config_to_dict(cfg),
         "seeds": {
@@ -311,26 +327,24 @@ def _run_experiment_inner(cfg, X_base, written):
     return written
 
 
-def _run_fits(cfg, X_base, written):
-    """Every (sweep value, repetition) fit, one stack at a time. Each run's
-    trace and errors files are written as its stack returns; the metrics and
-    summary files follow the last stack. Paths are appended to `written`."""
+def _run_fits(cfg, X_base, graph, written):
+    """Every (sweep value, repetition) fit, one stack at a time, G-EMMF on
+    `graph` if given. Each run's trace and errors files are written as its
+    stack returns; the metrics and summary files follow the last stack. Paths
+    are appended to `written`."""
     out = cfg.output_dir
     sweep_name = cfg.sweep.name if cfg.sweep else "none"
     values = cfg.sweep.values if cfg.sweep else [0]
 
     # Each repetition's k-means start on the clean data (outlier_count sweeps
-    # extend it, lambda sweeps and single points start from it), and the
-    # normalized graph when the data is the same for every fit, are computed
+    # extend it, lambda sweeps and single points start from it) is computed
     # once.
-    bases = graph = None
+    bases = None
     if sweep_name != "block_size":
         bases = [
             init_factors(X_base, cfg.solver.c, cfg.solver.seed + rep, cfg.solver.init)
             for rep in range(cfg.repetitions)
         ]
-    if sweep_name in ("none", "lambda") and cfg.solver.method == "GEMMF":
-        graph = normalize_graph(knn_graph(X_base, cfg.graph_k))
 
     metric_rows, summary_rows = [], []
     for value in values:
@@ -390,16 +404,17 @@ def _run_fits(cfg, X_base, written):
     )
 
 
-def _run_influence(cfg: ExperimentConfig, X_base: DataMatrix) -> str:
-    """Sigma sweep: fit once on clean data, then perturb one entry and record
-    each method's share of its objective attributed to the perturbed sample.
-    The perturbed matrices are built, and so checked, before the fit."""
+def _run_influence(cfg: ExperimentConfig, X_base: DataMatrix, graph) -> str:
+    """Sigma sweep: fit once on clean data (G-EMMF on `graph`, the graph of
+    X_base), then perturb one entry and record each method's share of its
+    objective attributed to the perturbed sample. The perturbed matrices are
+    built, and so checked, before the fit."""
     perturbed = []
     for sigma in cfg.sweep.values:
         values = X_base.values.copy()
         values[0, 0] += float(sigma)
         perturbed.append(DataMatrix(values=values, labels=X_base.labels, name=X_base.name))
-    result = fit(X_base, cfg.solver)
+    result = fit(X_base, cfg.solver, graph)
     rows = []
     for sigma, X in zip(cfg.sweep.values, perturbed):
         report = influence_ratios(X, result.factors, 0)

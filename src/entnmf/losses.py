@@ -11,9 +11,11 @@ shrinking the total. Its linearization yields the diagonal weights
 
     Q_ii = - log( ||m_i|| / ||M||_{2,1} ) / ||m_i||,
 
-which plug into the weighted engine in `entnmf.core`. Every ||m_i|| is floored
-at a guard epsilon before logs and divisions; natural log throughout (the base
-only rescales the loss).
+which plug into the weighted engine in `entnmf.core`. `entropy_terms`, the
+one evaluation of both, takes the residual norms the fit loop has floored at
+a guard epsilon; natural log throughout (the base only rescales the loss).
+`influence_ratios` and `influence_upper_bound` measure one sample's share of
+each objective.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataMatrix, FactorPair, ResidualWeights, column_norms, residual_matrix
+from .core import DataMatrix, FactorPair, column_norms, residual_matrix
 from .errors import InputError, NumericalError
 
 # Grid points whose denominator is closer to zero than this are removable
@@ -62,31 +64,6 @@ def entropy_terms(norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return -np.sum(norms * log_share, axis=-1), np.maximum(-log_share / norms, 0.0)
 
 
-def _guarded_entropy_terms(M: np.ndarray, epsilon: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """The column norms of one residual M floored at epsilon, with their loss
-    and weights; a non-finite loss raises NumericalError."""
-    if epsilon <= 0:
-        raise InputError(f"epsilon must be positive, got {epsilon}")
-    norms = np.maximum(column_norms(M), epsilon)
-    value, q = entropy_terms(norms)
-    if not np.isfinite(value):
-        with np.errstate(all="ignore"):
-            bad = int(np.argmax(~np.isfinite(norms * np.log(norms / np.sum(norms)))))
-        raise NumericalError(f"entropy objective is non-finite at sample {bad}")
-    return float(value), norms, q
-
-
-def entropy_weights(M: np.ndarray, epsilon: float) -> ResidualWeights:
-    """Diagonal weights Q_ii = -log(||m_i|| / ||M||_{2,1}) / ||m_i||, guarded."""
-    _, norms, q = _guarded_entropy_terms(np.asarray(M, dtype=float), epsilon)
-    return ResidualWeights(norms=norms, total=float(np.sum(norms)), q=q, epsilon=epsilon)
-
-
-def entropy_objective(X: DataMatrix, F: FactorPair, epsilon: float) -> float:
-    """Entropy loss -sum_i ||m_i|| log(||m_i|| / ||M||_{2,1}) with guarded norms."""
-    return _guarded_entropy_terms(residual_matrix(X, F.U, F.V), epsilon)[0]
-
-
 def influence_ratios(X: DataMatrix, F: FactorPair, i: int) -> InfluenceReport:
     """Sample i's share of the squared-Frobenius, l2,1 and entropy objectives.
 
@@ -97,7 +74,7 @@ def influence_ratios(X: DataMatrix, F: FactorPair, i: int) -> InfluenceReport:
     M = residual_matrix(X, F.U, F.V)
     if not 0 <= i < X.n:
         raise InputError(f"sample index {i} outside [0, {X.n})")
-    raw = np.sqrt(np.sum(M * M, axis=0))
+    raw = column_norms(M)
     if float(np.sum(raw)) == 0.0:
         raise NumericalError("influence is undefined for an all-zero residual matrix")
     norms = np.maximum(raw, default_epsilon(X.values))
@@ -118,15 +95,6 @@ def _share_terms(p, n: int):
     """Numerator p log p and denominator of the single-outlier share."""
     numer = p * np.log(p)
     return numer, numer + (1.0 - p) * (np.log1p(-p) - np.log(n - 1))
-
-
-def single_outlier_share(p: float, n: int) -> float:
-    """Entropy share of one outlier at residue ratio p, the rest uniform.
-
-    phi(p) = p log p / (p log p + (1 - p) [log(1 - p) - log(n - 1)]).
-    """
-    numer, denom = _share_terms(p, n)
-    return numer / denom
 
 
 def influence_upper_bound(n: int, p_step: float) -> tuple[float, float]:

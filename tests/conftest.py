@@ -1,5 +1,7 @@
 """Shared fixtures: seeded random problem instances, weight helpers, the
-checked call of an update kernel, and the weighted-surrogate oracle."""
+checked call of an update kernel, and the weighted-surrogate oracle; and the
+entropy oracles on one whole residual (`entropy_weights`, `entropy_objective`,
+`single_outlier_share`), which tests import from here."""
 
 import numpy as np
 import pytest
@@ -8,12 +10,48 @@ from entnmf import (
     DataMatrix,
     FactorPair,
     InputError,
+    NumericalError,
     ResidualWeights,
     column_norms,
     residual_matrix,
 )
 from entnmf.core import coeff_step, gram_products
 from entnmf.graph import graph_coeff_step
+from entnmf.losses import _share_terms, entropy_terms
+
+
+def _guarded_entropy_terms(M: np.ndarray, epsilon: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """The column norms of one residual M floored at epsilon, with their loss
+    and weights; a non-finite loss raises NumericalError."""
+    if epsilon <= 0:
+        raise InputError(f"epsilon must be positive, got {epsilon}")
+    norms = np.maximum(column_norms(M), epsilon)
+    value, q = entropy_terms(norms)
+    if not np.isfinite(value):
+        with np.errstate(all="ignore"):
+            bad = int(np.argmax(~np.isfinite(norms * np.log(norms / np.sum(norms)))))
+        raise NumericalError(f"entropy objective is non-finite at sample {bad}")
+    return float(value), norms, q
+
+
+def entropy_weights(M: np.ndarray, epsilon: float) -> ResidualWeights:
+    """Diagonal weights Q_ii = -log(||m_i|| / ||M||_{2,1}) / ||m_i||, guarded."""
+    _, norms, q = _guarded_entropy_terms(np.asarray(M, dtype=float), epsilon)
+    return ResidualWeights(norms=norms, total=float(np.sum(norms)), q=q, epsilon=epsilon)
+
+
+def entropy_objective(X: DataMatrix, F: FactorPair, epsilon: float) -> float:
+    """Entropy loss -sum_i ||m_i|| log(||m_i|| / ||M||_{2,1}) with guarded norms."""
+    return _guarded_entropy_terms(residual_matrix(X, F.U, F.V), epsilon)[0]
+
+
+def single_outlier_share(p: float, n: int) -> float:
+    """Entropy share of one outlier at residue ratio p, the rest uniform.
+
+    phi(p) = p log p / (p log p + (1 - p) [log(1 - p) - log(n - 1)]).
+    """
+    numer, denom = _share_terms(p, n)
+    return numer / denom
 
 
 @pytest.fixture

@@ -22,8 +22,6 @@ from entnmf import (
     SolverConfig,
     accuracy,
     column_norms,
-    entropy_objective,
-    entropy_weights,
     extend_factors,
     fit,
     influence_ratios,
@@ -44,6 +42,7 @@ from entnmf import (
 from entnmf.core import basis_step, coeff_step
 from entnmf.graph import graph_coeff_step
 from entnmf.losses import default_epsilon
+from conftest import entropy_objective, entropy_weights
 
 LAMBDA_GRID = (1e1, 1e3, 1e5, 1e7, 1e9)
 

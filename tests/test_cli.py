@@ -69,6 +69,44 @@ def test_influence_uses_a_default_sigma_grid(tmp_path):
     assert [row.split(",")[0] for row in lines[1:]] == ["1.0", "10.0", "100.0", "1000.0", "10000.0"]
 
 
+GEMMF = {"method": "GEMMF", "c": 2, "max_iter": 15, "seed": 1}
+# six samples: a graph_k of 6 leaves no room for six neighbors
+SIX_SAMPLES = {
+    "source": "SYNTH_BLOBS",
+    "params": {"c": 2, "per_cluster": 3, "d": 3, "separation": 10.0},
+}
+
+
+def test_influence_runs_gemmf_on_the_graph_of_the_clean_data(tmp_path):
+    cfg = base_config(tmp_path, solver=GEMMF)
+    assert main(["influence", "--config", cfg]) == 0
+    out = tmp_path / "out"
+    assert sorted(os.listdir(out)) == ["manifest.json", "phi_curves.csv"]
+    assert len((out / "phi_curves.csv").read_text().strip().splitlines()) == 1 + 5
+
+
+@pytest.mark.parametrize("command, sweep", [
+    ("fit", None),
+    ("influence", {"name": "sigma", "values": [1.0, 10.0]}),
+    ("sweep", {"name": "outlier_count", "values": [10, 0]}),
+    ("sweep", {"name": "block_size", "values": [0, 1]}),
+])
+def test_a_graph_k_not_below_the_sample_count_exits_1_before_any_output(tmp_path, capsys, command,
+                                                                          sweep):
+    cfg = base_config(tmp_path, dataset=SIX_SAMPLES, solver=GEMMF, graph_k=6, sweep=sweep)
+    assert main([command, "--config", cfg]) == 1
+    assert "error: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_graph_k_below_every_injected_sample_count_runs(tmp_path):
+    # six clean samples, but every fit of the sweep sees at least seven
+    sweep = {"name": "outlier_count", "values": [10, 1]}
+    cfg = base_config(tmp_path, dataset=SIX_SAMPLES, solver=GEMMF, graph_k=6, sweep=sweep)
+    assert main(["sweep", "--config", cfg]) == 0
+    assert len((tmp_path / "out" / "metrics.csv").read_text().strip().splitlines()) == 1 + 4
+
+
 def test_influence_rejects_other_sweeps(tmp_path, capsys):
     cfg = base_config(tmp_path, sweep={"name": "lambda", "values": [1.0]})
     assert main(["influence", "--config", cfg]) == 1

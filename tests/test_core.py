@@ -13,10 +13,10 @@ from entnmf import (
     NumericalError,
     ResidualWeights,
     column_norms,
-    entropy_weights,
     residual_matrix,
 )
 from entnmf.core import basis_step, coeff_step
+from conftest import entropy_weights
 
 EPS = 1e-10
 

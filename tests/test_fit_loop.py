@@ -745,6 +745,14 @@ def test_output_files_do_not_depend_on_the_stack_budget(tmp_path, monkeypatch, m
     assert written_bytes(cfg) == stacked
     assert sizes == [1] * (points * cfg.repetitions)
     assert written_bytes(cfg, threads=3) == stacked
+    # three members of the largest data per stack: the last stack of each
+    # point holds the fourth repetition alone
+    sizes.clear()
+    X = experiment_module.realize_dataset(cfg.dataset)
+    n = X.n + (max(sweep.values) if sweep and sweep.name == "outlier_count" else 0)
+    monkeypatch.setattr(experiment_module, "STACK_BYTES", 3 * 8 * X.d * n)
+    assert written_bytes(cfg) == stacked
+    assert sizes == [3, 1] * points
 
 
 def former_task_fit(cfg, X_base, sweep_name, value, rep):

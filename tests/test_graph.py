@@ -12,7 +12,6 @@ from entnmf import (
     InputError,
     SimilarityGraph,
     SolverConfig,
-    entropy_weights,
     fit,
     init_factors,
     knn_graph,
@@ -22,6 +21,7 @@ from entnmf import (
 from entnmf import graph as graph_module
 from entnmf.core import DELTA
 from entnmf.graph import graph_coeff_step
+from conftest import entropy_weights
 
 EPS = 1e-10
 

@@ -10,14 +10,12 @@ from entnmf import (
     FactorPair,
     InputError,
     NumericalError,
-    entropy_objective,
-    entropy_weights,
     influence_ratios,
     influence_upper_bound,
     residual_matrix,
-    single_outlier_share,
 )
 from entnmf.losses import default_epsilon
+from conftest import entropy_objective, entropy_weights, single_outlier_share
 
 EPS = 1e-10
 

@@ -20,7 +20,7 @@ from entnmf.losses import entropy_terms
 
 METHODS = ("EMMF", "GEMMF", "NMF_FRO", "NMF_DIV", "L21_NMF")
 # methods whose recorded objective the update rules never increase
-MONOTONE = ("EMMF", "L21_NMF", "NMF_FRO")
+MONOTONE = ("EMMF", "L21_NMF", "NMF_FRO", "NMF_DIV")
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40, database=None)
 

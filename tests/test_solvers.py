@@ -12,8 +12,6 @@ from entnmf import (
     SimilarityGraph,
     SolverConfig,
     column_norms,
-    entropy_objective,
-    entropy_weights,
     extend_factors,
     fit,
     init_factors,
@@ -27,6 +25,7 @@ from entnmf import (
 from entnmf.graph import graph_penalty
 from entnmf.losses import default_epsilon
 from entnmf.solvers import V_INIT_OFFSET, _kmeans, _method
+from conftest import entropy_objective, entropy_weights
 
 
 def broadcast_kmeans(points, c, rng, n_iter=100):
