@@ -154,7 +154,10 @@ TAU = 1e-3
 
 # The kernels below take raw arrays and work on one problem or on a stack of
 # same-shape problems alike: X (..., d, n), U (..., d, c), V (..., n, c),
-# q (..., n). A stacked call computes exactly what the per-problem calls
+# and the diagonal weights Q as any array that broadcasts to V's shape. The
+# fit loop passes a full (..., n, c) array: a multiply by the weights
+# broadcast over V's columns, q[..., :, None], takes longer and allocates an
+# iterator buffer. A stacked call computes exactly what the per-problem calls
 # would, slice by slice. The V steps take the Gram products A = X^T U and
 # G = U^T U at the U they update against (`gram_products`), and
 # `residual_norms` takes the same two at the same U, so an iteration forms
@@ -212,25 +215,25 @@ def residual_norms(X: np.ndarray, sq: np.ndarray, U: np.ndarray, V: np.ndarray,
     return norms
 
 
-def basis_step(X: np.ndarray, U: np.ndarray, V: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """U_ik <- U_ik * sqrt( (X (Q V))_ik / (U (V^T Q V))_ik ), Q = diag(q)."""
-    Vq = V * q[..., :, None]
+def basis_step(X: np.ndarray, U: np.ndarray, V: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """U_ik <- U_ik * sqrt( (X (Q V))_ik / (U (V^T Q V))_ik ), the diagonal
+    weights given broadcastable to V's shape."""
+    Vq = V * Q
     numer = X @ Vq
     denom = U @ (Vq.swapaxes(-1, -2) @ V)
     return U * np.sqrt(numer / (denom + DELTA))
 
 
-def coeff_step(A: np.ndarray, G: np.ndarray, V: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """V_ik <- V_ik * sqrt( (Q X^T U)_ik / (Q V (U^T U))_ik ), given A = X^T U
-    and G = U^T U.
+def coeff_step(A: np.ndarray, G: np.ndarray, V: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """V_ik <- V_ik * sqrt( (Q X^T U)_ik / (Q V (U^T U))_ik ), given A = X^T U,
+    G = U^T U and the diagonal weights broadcastable to V's shape.
 
     Q being diagonal, the only shape-consistent reading of the denominator is
     Q (V (U^T U)). The elementwise work runs in place on the n x c products,
     which gives the same bits as fresh arrays would."""
-    q = q[..., :, None]
-    numer = q * A
+    numer = Q * A
     denom = V @ G
-    denom *= q
+    denom *= Q
     denom += DELTA
     numer /= denom
     np.sqrt(numer, out=numer)

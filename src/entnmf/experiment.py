@@ -30,7 +30,9 @@ import os
 from dataclasses import asdict, dataclass, field, replace
 from typing import get_args, get_type_hints
 
-from .core import DataMatrix, column_norms, residual_matrix
+import numpy as np
+
+from .core import DataMatrix, residual
 from .data import (
     inject_block_noise,
     inject_outlier_vectors,
@@ -67,11 +69,12 @@ INJECTION_SEED_OFFSET = 10007
 
 # Bytes of stacked data matrices in one stack of repetitions: a sweep point's
 # repetitions are fitted max(1, STACK_BYTES // (8 d n)) at a time. Under
-# EMMF, GEMMF and L21_NMF the fit loop holds the stacked copy of the data and
-# nothing else of its size, except one member's exact residual on an
-# iteration where that member's norms fall back to it; NMF_FRO adds one
-# workspace of the data's size for U V^T, the residual and its squares, and
-# NMF_DIV two workspaces and a d x n boolean mask.
+# EMMF, GEMMF and L21_NMF the fit loop holds the stacked copy of the data (a
+# stack of one fits on the data itself) and nothing else of its size, except
+# one member's exact residual on an iteration where that member's norms fall
+# back to it; NMF_FRO adds one workspace of the data's size for U V^T, the
+# residual and its squares, and NMF_DIV two workspaces and a d x n boolean
+# mask. The errors files take one more d x n buffer per sweep value.
 STACK_BYTES = 8 * 2**20
 
 
@@ -276,13 +279,15 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list:
     nothing, and it is removed once the benchmark harness stops passing it."""
     if threads < 1:
         raise InputError(f"threads must be >= 1, got {threads}")
-    # the dataset's own range checks and the graph_k check come before any output
+    # the dataset's own range checks, the graph_k check and the perturbed
+    # matrices' checks come before any output
     X_base = realize_dataset(cfg.dataset)
     graph = _base_graph(cfg, X_base)
+    perturbed = _perturbed(cfg, X_base)
     os.makedirs(cfg.output_dir, exist_ok=True)
     written = []
     try:
-        return _run_experiment_inner(cfg, X_base, graph, written)
+        return _run_experiment_inner(cfg, X_base, graph, perturbed, written)
     except BaseException:
         for path in written:
             try:
@@ -307,9 +312,22 @@ def _base_graph(cfg: ExperimentConfig, X_base: DataMatrix):
     return None
 
 
-def _run_experiment_inner(cfg, X_base, graph, written):
-    if cfg.sweep is not None and cfg.sweep.name == "sigma":
-        written.append(_run_influence(cfg, X_base, graph))
+def _perturbed(cfg: ExperimentConfig, X_base: DataMatrix):
+    """Under a sigma sweep, X_base with sigma added to entry (0, 0), one
+    matrix per sweep value, each checked as it is built; else None."""
+    if cfg.sweep is None or cfg.sweep.name != "sigma":
+        return None
+    perturbed = []
+    for sigma in cfg.sweep.values:
+        values = X_base.values.copy()
+        values[0, 0] += float(sigma)
+        perturbed.append(DataMatrix(values=values, labels=X_base.labels, name=X_base.name))
+    return perturbed
+
+
+def _run_experiment_inner(cfg, X_base, graph, perturbed, written):
+    if perturbed is not None:
+        written.append(_run_influence(cfg, X_base, graph, perturbed))
     else:
         _run_fits(cfg, X_base, graph, written)
     manifest = {
@@ -355,6 +373,9 @@ def _run_fits(cfg, X_base, graph, written):
         # of data.
         n = X_base.n + (value if sweep_name == "outlier_count" else 0)
         size = max(1, STACK_BYTES // (8 * X_base.d * n))
+        # every run's residual, whose squared columns sum to its errors; C
+        # order, as X - U V^T allocates it, so the sums round alike
+        M = np.empty((X_base.d, n))
         accs, nmis = [], []
         for first in range(0, cfg.repetitions, size):
             reps = range(first, min(first + size, cfg.repetitions))
@@ -381,7 +402,8 @@ def _run_fits(cfg, X_base, graph, written):
                                     nmi_val, trace.iterations, trace.objective[-1]])
                 written.append(_write_csv(os.path.join(out, f"trace_{run}.csv"),
                                           ["iteration", "objective"], enumerate(trace.objective)))
-                errors = column_norms(residual_matrix(X, result.factors.U, result.factors.V))
+                residual(X.values, result.factors.U, result.factors.V, out=M)
+                errors = np.sqrt(np.sum(np.multiply(M, M, out=M), axis=0))
                 written.append(_write_csv(os.path.join(out, f"errors_{run}.csv"),
                                           ["sample", "error"], enumerate(errors.tolist())))
         s = summarize(accs, nmis)
@@ -404,16 +426,10 @@ def _run_fits(cfg, X_base, graph, written):
     )
 
 
-def _run_influence(cfg: ExperimentConfig, X_base: DataMatrix, graph) -> str:
+def _run_influence(cfg: ExperimentConfig, X_base: DataMatrix, graph, perturbed) -> str:
     """Sigma sweep: fit once on clean data (G-EMMF on `graph`, the graph of
-    X_base), then perturb one entry and record each method's share of its
-    objective attributed to the perturbed sample. The perturbed matrices are
-    built, and so checked, before the fit."""
-    perturbed = []
-    for sigma in cfg.sweep.values:
-        values = X_base.values.copy()
-        values[0, 0] += float(sigma)
-        perturbed.append(DataMatrix(values=values, labels=X_base.labels, name=X_base.name))
+    X_base), then take each perturbed matrix (`_perturbed`) and record each
+    method's share of its objective attributed to the perturbed sample."""
     result = fit(X_base, cfg.solver, graph)
     rows = []
     for sigma, X in zip(cfg.sweep.values, perturbed):

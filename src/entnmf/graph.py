@@ -46,9 +46,15 @@ from .core import DELTA, DataMatrix
 from .errors import InputError
 
 # Bytes of one block of float64 distance rows in the neighbor search. A block
-# has min(256, BLOCK_BYTES // (8 n)) rows (at least two), so its size is
-# bounded for any n, and every n <= 8192 gets the full 256 rows. A one-row
-# remainder joins the block before it (`_row_blocks`).
+# has min(64, BLOCK_BYTES // (8 n)) rows (at least two), so its size is
+# bounded for any n, and every n <= 32768 gets the full 64 rows. The search
+# holds two float64 blocks and a boolean one, 64 * 17 n bytes (2.2 MB at
+# n = 2000). On a 2-vCPU Xeon with OpenBLAS, against 256-row blocks (fewer
+# above n = 8192), the search measured faster up to n = 12000, where its
+# elementwise passes stay closer to the cache, and 8% slower at n = 20000,
+# where they do not and each block's Gram product, which reads all of the
+# data, counts more. A one-row remainder joins the block before it
+# (`_row_blocks`).
 BLOCK_BYTES = 16 * 2**20
 
 
@@ -116,13 +122,14 @@ class GraphStack:
 
 
 def _row_blocks(n: int) -> list:
-    """(start, stop) of each block of rows the neighbor search takes.
+    """(start, stop) of each block of rows the neighbor search takes: blocks
+    of min(64, BLOCK_BYTES // (8 n)) rows.
 
     No block has one row: numpy sends a one-row Gram product to BLAS gemv,
     which on C-ordered data can round the entries of two identical samples
     apart and so break their tie. Blocks have at least two rows, and a
     one-row remainder joins the block before it."""
-    block = min(256, max(2, BLOCK_BYTES // (8 * n)))
+    block = min(64, max(2, BLOCK_BYTES // (8 * n)))
     starts = list(range(0, n, block))
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
@@ -133,14 +140,20 @@ def knn_graph(X: DataMatrix, k: int) -> SimilarityGraph:
     """0-1 weighted k-nearest-neighbor graph on the samples (columns) of X.
 
     S_ij = 1 if j is among the k Euclidean nearest neighbors of i or vice
-    versa. The diagonal is excluded from the search and left zero; distance
-    ties are broken toward the lower sample index for determinism. A sample
-    whose squared norm, doubled, overflows raises InputError.
+    versa. The diagonal is excluded from the search and left zero; ties of
+    the computed distances are broken toward the lower sample index for
+    determinism. The graph does not depend on the memory order of X. A
+    sample whose squared norm, doubled, overflows raises InputError.
     """
     n = X.n
     if not 1 <= k < n:
         raise InputError(f"neighbor count {k} outside [1, {n - 1}]")
-    P = X.values
+    # The search runs on C-ordered data, a copy only of data in another
+    # order (CSV input is Fortran-ordered), so every order computes the same
+    # floating-point operations. On Fortran-ordered operands in more than
+    # one block, BLAS rounded the Gram entries of two identical samples
+    # apart, breaking their tie, far more often than on C-ordered ones.
+    P = np.ascontiguousarray(X.values)
     # An overflowed squared norm makes distances NaN (inf - inf), which no
     # comparison selects, so a row could lose its neighbors to the diagonal.
     # Nonnegative data keeps every squared distance within 2 max(sq), so a
@@ -203,7 +216,7 @@ def knn_graph(X: DataMatrix, k: int) -> SimilarityGraph:
         flat = np.flatnonzero(keep).reshape(rows, k)
         flat -= n * np.arange(rows)[:, None]
         cols.append(flat.ravel())
-    del gram, dist, mask, G, d2, keep
+    del P, right, gram, dist, mask, G, d2, keep
     cols = np.concatenate(cols)
     A = csr_array((np.ones(n * k), cols, k * np.arange(n + 1)), shape=(n, n))
     del cols
@@ -233,19 +246,18 @@ def normalize_graph(graph: SimilarityGraph) -> SimilarityGraph:
     return SimilarityGraph(S=scaled, normalized=True)
 
 
-def graph_coeff_step(A: np.ndarray, G: np.ndarray, V: np.ndarray, q: np.ndarray,
+def graph_coeff_step(A: np.ndarray, G: np.ndarray, V: np.ndarray, Q: np.ndarray,
                      SV: np.ndarray, lam: float) -> np.ndarray:
-    """Graph-regularized multiplicative step on V, given A = X^T U, G = U^T U
-    and SV = S V.
+    """Graph-regularized multiplicative step on V, given A = X^T U, G = U^T U,
+    SV = S V and the diagonal weights Q broadcastable to V's shape.
 
     Raw arrays, one problem or a stack (..., n, c), like the kernels in
     `entnmf.core`; no checks, no silenced warnings. A and G are left as they
     are, for the residual norms; the elementwise work runs in place on the
     n x c products, which gives the same bits as fresh arrays would."""
-    q = q[..., :, None]
-    A = A * q                                          # Q X^T U
+    A = A * Q                                          # Q X^T U
     B = V @ G                                          # Q V U^T U
-    B *= q
+    B *= Q
     Vt = V.swapaxes(-1, -2)
     minus = Vt @ B                                     # L5-
     plus = Vt @ A + 2.0 * lam * (Vt @ SV)              # L5+

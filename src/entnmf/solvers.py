@@ -305,12 +305,31 @@ def _method(X: np.ndarray, eps: np.ndarray, cfg: SolverConfig, graphs):
         return value + cfg.lam * graph_penalty(S.sq_norm, SV, V), norms, (q, SV)
 
     def step(U, V, q, SV=None):
-        U = basis_step(X, U, V, q)
+        # the weights as a full array of V's shape, for the kernels'
+        # multiplies (see `entnmf.core`)
+        Q = np.repeat(q[..., :, None], V.shape[-1], axis=-1)
+        U = basis_step(X, U, V, Q)
         A, G = gram_products(X, U)
-        V = coeff_step(A, G, V, q) if SV is None else graph_coeff_step(A, G, V, q, SV, cfg.lam)
+        V = coeff_step(A, G, V, Q) if SV is None else graph_coeff_step(A, G, V, Q, SV, cfg.lam)
         return U, V, (A, G)
 
     return measure, step
+
+
+def _stacked(arrays) -> np.ndarray:
+    """The same-shape arrays as one stack (B, ...).
+
+    BLAS can round a product of Fortran-ordered operands (k-means gives a
+    Fortran-ordered U, CSV input a Fortran-ordered X) differently from the
+    same product in C order; np.stack keeps the members' common memory
+    order in every slice, so each member computes what it would alone. One
+    C- or Fortran-ordered array is its own stack, a view with no copy: the
+    fit loop never writes its operands. Any other layout is copied, because
+    numpy can take a product of strided operands outside BLAS."""
+    first = arrays[0]
+    if len(arrays) == 1 and (first.flags.c_contiguous or first.flags.f_contiguous):
+        return first[None]
+    return np.stack(arrays)
 
 
 def fit_stack(Xs, cfg: SolverConfig, initials, graphs=None) -> list:
@@ -345,13 +364,9 @@ def fit_stack(Xs, cfg: SolverConfig, initials, graphs=None) -> list:
                 f"initial factors {F.U.shape}/{F.V.shape} do not fit "
                 f"data {(d, n)} with c={cfg.c}"
             )
-    # BLAS can round a product of Fortran-ordered operands (k-means gives a
-    # Fortran-ordered U, CSV input a Fortran-ordered X) differently from the
-    # same product in C order; np.stack keeps the members' common memory
-    # order in every slice, so each member computes what it would alone.
-    X = np.stack([M.values for M in Xs])
-    U = np.stack([F.U for F in initials])
-    V = np.stack([F.V for F in initials])
+    X = _stacked([M.values for M in Xs])
+    U = _stacked([F.U for F in initials])
+    V = _stacked([F.V for F in initials])
     members = list(range(B))  # member index of each stack slice
     measure, step = _method(X, eps[:, None], cfg, graphs)
     objective = [[] for _ in range(B)]

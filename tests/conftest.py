@@ -86,16 +86,18 @@ def ones_weights():
 @pytest.fixture
 def kernel():
     """Call an update kernel (`core.basis_step`, `core.coeff_step`,
-    `graph.graph_coeff_step`) on X.values as the fit loop runs it: the V
-    steps on the Gram products at the given U, with floating-point warnings
-    silenced, and the step asserted finite."""
+    `graph.graph_coeff_step`) on X.values as the fit loop runs it: the
+    weights q as a full array of V's shape, the V steps on the Gram products
+    at the given U, with floating-point warnings silenced, and the step
+    asserted finite."""
 
-    def run(step, X, U, *args):
+    def run(step, X, U, V, q, *args):
+        Q = np.repeat(q[:, None], V.shape[1], axis=1)
         with np.errstate(invalid="ignore", divide="ignore"):
             if step in (coeff_step, graph_coeff_step):
-                out = step(*gram_products(X.values, U), *args)
+                out = step(*gram_products(X.values, U), V, Q, *args)
             else:
-                out = step(X.values, U, *args)
+                out = step(X.values, U, V, Q, *args)
         assert np.all(np.isfinite(out)), f"{step.__name__} produced non-finite entries"
         return out
 

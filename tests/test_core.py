@@ -176,10 +176,10 @@ def test_basis_step_allocates_nothing_of_the_data_size():
     # and smaller temporaries
     rng = np.random.default_rng(0)
     d, n, c = 100, 2000, 5
-    X, U, V, q = rng.random((d, n)), rng.random((d, c)), rng.random((n, c)), rng.random(n)
+    X, U, V, Q = rng.random((d, n)), rng.random((d, c)), rng.random((n, c)), rng.random((n, c))
     tracemalloc.start()
     try:
-        basis_step(X, U, V, q)
+        basis_step(X, U, V, Q)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

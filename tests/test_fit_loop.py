@@ -115,10 +115,13 @@ def exact_residual_norms(X, sq, U, V, A, G):
     return core.column_norms(core.residual(X, U, V))
 
 
-def scaled_data_basis_step(X, U, V, q):
+def scaled_data_basis_step(X, U, V, Q):
     """The U step as first written, weighting X instead of V: its numerator
     is (X diag(q)) V, a d x n pass before the product. Kept as the oracle for
-    the association `core.basis_step` takes, X (diag(q) V)."""
+    the association `core.basis_step` takes, X (diag(q) V). It takes the
+    weights as the fit loop passes them, an array of V's shape whose columns
+    all hold q."""
+    q = Q[..., 0]
     numer = (X * q[..., None, :]) @ V
     denom = U @ ((V * q[..., :, None]).swapaxes(-1, -2) @ V)
     return U * np.sqrt(numer / (denom + 1e-12))
@@ -340,8 +343,9 @@ def test_the_basis_step_matches_the_scaled_data_oracle(stack, weights):
     norms = np.maximum(core.column_norms(core.residual(X, U, V)), 1e-10)
     q = {"unit": np.ones_like(norms), "l2,1": 0.5 / norms,
          "entropy": entropy_terms(norms)[1]}[weights]
-    expected = scaled_data_basis_step(X, U, V, q)
-    assert np.all(np.abs(core.basis_step(X, U, V, q) - expected) <= 1e-13 * expected)
+    Q = np.repeat(q[..., None], V.shape[-1], axis=-1)
+    expected = scaled_data_basis_step(X, U, V, Q)
+    assert np.all(np.abs(core.basis_step(X, U, V, Q) - expected) <= 1e-13 * expected)
 
 
 def assert_whole_fits_match(monkeypatch, method, name, oracle):

@@ -233,13 +233,17 @@ class TestKnnGraph:
     def test_rows_linking_a_duplicated_pair_link_its_lower_index(self, monkeypatch, order):
         # the last sample copies sample 3, so every other sample is exactly
         # as far from one as from the other, and the tie goes to sample 3. At
-        # n=30 the rows come in one block or, on a one-row budget, in blocks
-        # of two; at n=257 the last row joins the block before it.
+        # n=30 the default budget takes the rows in one block; at n=257 and
+        # 300 it takes several, and at n=257 the last row joins the block
+        # before it. Budgets of one, 16 and 64 rows cut every n into blocks
+        # (blocks of two for one row). On Fortran-ordered operands the Gram
+        # rows of several blocks can break the tie, so the search takes
+        # C-ordered ones.
         default = graph_module.BLOCK_BYTES
-        for n, seeds in ((30, 50), (257, 10)):
+        for n, seeds in ((30, 50), (257, 10), (300, 10)):
             copy = n - 1
             others = np.setdiff1d(np.arange(n), [3, copy])
-            for budget in (default, 8 * n):
+            for budget in (default, 8 * n, 16 * 8 * n, 64 * 8 * n):
                 monkeypatch.setattr(graph_module, "BLOCK_BYTES", budget)
                 for seed in range(seeds):
                     P = np.random.default_rng(seed).random((4, n))
@@ -248,6 +252,18 @@ class TestKnnGraph:
                     for k in range(1, 8):
                         S = knn_graph(X, k).S.toarray()
                         assert np.all(S[others, copy] <= S[others, 3]), (n, budget, seed, k)
+
+    def test_the_graph_does_not_depend_on_the_memory_order(self):
+        # at d=100 a column sum rounds differently in C and Fortran order;
+        # the search runs on one C-ordered copy whatever the order given
+        rng = np.random.default_rng(3)
+        P = with_duplicate_columns(rng, rng.random((100, 600)))
+        wide = np.zeros((100, 1200))
+        wide[:, ::2] = P
+        for k in (1, 3, 5):
+            expected = knn_graph(DataMatrix(values=P), k)
+            for given in (np.asfortranarray(P), wide[:, ::2]):
+                assert_same_csr(knn_graph(DataMatrix(values=given), k), expected, k)
 
     def test_row_blocks_match_the_dense_oracle(self, monkeypatch):
         # quarter-integer coordinates make every distance exact, so ties
@@ -463,5 +479,21 @@ def test_edge_path_stays_under_64_bytes_per_edge(monkeypatch):
     assert peak < 3 * budget + 64 * n * k
 
 
-def test_default_budget_keeps_256_row_blocks_up_to_8192_samples():
-    assert graph_module.BLOCK_BYTES // (8 * 8192) >= 256
+def test_neighbor_search_at_the_default_budget_holds_three_64_row_blocks():
+    """At n=2000, d=100 on Fortran-ordered data (as CSV input arrives), the
+    kNN build peaks below three 64 x n float64 blocks, the C-ordered copy of
+    the data and 128 bytes per directed edge."""
+    n, d, k = 2000, 100, 5
+    X = DataMatrix(values=np.asfortranarray(np.random.default_rng(2).random((d, n))))
+    tracemalloc.start()
+    try:
+        knn_graph(X, k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 64 * n * 8 + 8 * d * n + 128 * n * k
+
+
+def test_default_budget_keeps_64_row_blocks_up_to_32768_samples():
+    assert graph_module.BLOCK_BYTES // (8 * 32768) >= 64
+    assert graph_module._row_blocks(32768)[0] == (0, 64)

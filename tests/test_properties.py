@@ -177,11 +177,12 @@ def test_exact_products_are_fixed_points_of_the_weighted_kernels(problem):
     X = U @ V.T
     weights = {"unit": np.ones(len(norms)), "l2,1": 0.5 / norms,
                "entropy": entropy_terms(norms)[1]}
+    # the weights broadcast over V's columns, which the kernels accept too
     for name, q in weights.items():
-        assert_fixed(basis_step(X, U, V, q), U, name)
-        assert_fixed(coeff_step(*gram_products(X, U), V, q), V, name)
+        assert_fixed(basis_step(X, U, V, q[:, None]), U, name)
+        assert_fixed(coeff_step(*gram_products(X, U), V, q[:, None]), V, name)
     graph = normalize_graph(knn_graph(DataMatrix(values=X), min(3, X.shape[1] - 1)))
-    q = weights["entropy"]
+    q = weights["entropy"][:, None]
     assert_fixed(graph_coeff_step(*gram_products(X, U), V, q, graph.S @ V, 0.0), V, "graph")
 
 

@@ -24,7 +24,7 @@ from entnmf import (
 )
 from entnmf.graph import graph_penalty
 from entnmf.losses import default_epsilon
-from entnmf.solvers import V_INIT_OFFSET, _kmeans, _method
+from entnmf.solvers import METHODS, V_INIT_OFFSET, _kmeans, _method, fit_stack
 from conftest import entropy_objective, entropy_weights
 
 
@@ -212,6 +212,35 @@ class TestFitLoop:
         X = synth_blobs(2, 6, 4, 10.0, seed=0)
         r = fit(X, SolverConfig(method="EMMF", c=2, seed=0, max_iter=50))
         assert np.array_equal(r.assignments, np.argmax(r.factors.V, axis=1))
+
+    def test_a_stack_of_one_fits_on_its_data_without_a_copy(self):
+        # at the emmf_2k benchmark's size: one iteration, the pair and the
+        # result included, allocates nothing of the data's size
+        rng = np.random.default_rng(0)
+        X = DataMatrix(values=rng.random((100, 2000)))
+        F0 = FactorPair(U=rng.random((100, 5)), V=rng.random((2000, 5)))
+        tracemalloc.start()
+        try:
+            (r,) = fit_stack([X], SolverConfig(c=5, max_iter=1, tol=0.0), [F0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.trace.iterations == 1
+        assert peak < X.values.nbytes / 4
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_a_strided_view_fits_as_its_copy(self, method):
+        # a stack of one fits on C- or Fortran-ordered data as given and
+        # copies any other layout, so a strided view gives the bits of its
+        # C-ordered copy
+        values = np.random.default_rng(6).random((8, 60))[:, ::2]
+        view, copy = DataMatrix(values=values), DataMatrix(values=values.copy())
+        graph = knn_graph(copy, 4) if method == "GEMMF" else None
+        cfg = SolverConfig(method=method, c=3, seed=2, max_iter=40, tol=0.0, lam=1.0)
+        r, alone = fit(view, cfg, graph), fit(copy, cfg, graph)
+        assert r.trace.objective == alone.trace.objective
+        assert np.array_equal(r.factors.U, alone.factors.U)
+        assert np.array_equal(r.factors.V, alone.factors.V)
 
     def test_final_q_matches_the_final_residual(self):
         X = synth_random(5, 9, seed=4)
