@@ -71,7 +71,8 @@ def load_csv(path: str | os.PathLike, has_labels: bool = False) -> DataMatrix:
                 f"{path}: line {line_numbers[bad]}: label {raw[bad]!r} is not an integer"
             )
         labels = raw.astype(int)
-        parsed = parsed[:, :-1]
+        # the features alone, so X is Fortran-ordered as unlabelled input is
+        parsed = np.ascontiguousarray(parsed[:, :-1])
     if parsed.size == 0:
         raise InputError(f"{path}: no feature columns")
     neg = np.argwhere(parsed < 0)
@@ -189,7 +190,8 @@ def inject_block_noise(X: DataMatrix, block_side: int, samples_per_class: int, s
         return DataMatrix(values=values, labels=X.labels, name=X.name), mask
     rng = np.random.default_rng(seed)
     high = float(X.values.max())
-    for cls in np.unique(X.labels):
+    # classes in ascending order; np.unique would import numpy.ma here
+    for cls in sorted(set(X.labels.tolist())):
         members = np.flatnonzero(X.labels == cls)
         if members.size < samples_per_class:
             raise InputError(

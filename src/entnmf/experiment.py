@@ -328,15 +328,13 @@ def _perturbed(cfg: ExperimentConfig, X_base: DataMatrix):
 def _run_experiment_inner(cfg, X_base, graph, perturbed, written):
     if perturbed is not None:
         written.append(_run_influence(cfg, X_base, graph, perturbed))
+        # a sigma sweep fits once, at the solver seed, and injects nothing
+        seeds = {"fit": [cfg.solver.seed], "injection": []}
     else:
         _run_fits(cfg, X_base, graph, written)
-    manifest = {
-        "config": config_to_dict(cfg),
-        "seeds": {
-            "fit": [cfg.solver.seed + r for r in range(cfg.repetitions)],
-            "injection": [cfg.solver.seed + r + INJECTION_SEED_OFFSET for r in range(cfg.repetitions)],
-        },
-    }
+        fit_seeds = [cfg.solver.seed + r for r in range(cfg.repetitions)]
+        seeds = {"fit": fit_seeds, "injection": [s + INJECTION_SEED_OFFSET for s in fit_seeds]}
+    manifest = {"config": config_to_dict(cfg), "seeds": seeds}
     path = os.path.join(cfg.output_dir, "manifest.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

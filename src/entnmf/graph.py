@@ -2,9 +2,10 @@
 
 The graph term lambda * ||S - V V^T||_F^2 on a degree-normalized similarity
 graph softly couples the coefficient rows of neighboring samples. A k-nearest-
-neighbor graph has O(n k) edges, so S is stored as a scipy CSR array and no
-n x n matrix is ever formed: the neighbor search runs over blocks of rows, and
-the penalty is evaluated in its expanded form
+neighbor graph has O(n k) edges, so S is stored as three numpy CSR arrays
+(`indptr`, `indices`, `data`, each row's columns ascending) and no n x n
+matrix is ever formed: the neighbor search runs over blocks of rows, and the
+penalty is evaluated in its expanded form
 
     ||S - V V^T||_F^2 = ||S||_F^2 - 2 sum((S V) o V) + ||V^T V||_F^2,
 
@@ -31,16 +32,15 @@ both parts elementwise nonnegative, giving
                        / (Q V U^T U + V L5+)_ik ).
 
 The fit loop advances a stack of problems at once; `GraphStack` places the
-members' graphs on the diagonal of one CSR operator, so a single sparse
-product applies each member's own graph to its own V.
+members' graphs on the diagonal of one CSR operator, so one product applies
+each member's own graph to its own V. The product sums each row's terms
+data_jj * V[indices_jj] left to right from zero, the order of scipy's CSR
+product, so it gives scipy's bits without importing it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
-from scipy.sparse import csr_array, issparse
 
 from .core import DELTA, DataMatrix
 from .errors import InputError
@@ -58,34 +58,64 @@ from .errors import InputError
 BLOCK_BYTES = 16 * 2**20
 
 
-@dataclass(frozen=True)
 class SimilarityGraph:
-    """Symmetric nonnegative n x n affinity in CSR form, optionally degree-normalized.
+    """Symmetric nonnegative n x n affinity in CSR arrays, optionally degree-normalized.
 
-    S may be given as a dense array or any scipy sparse matrix; it is stored
-    as a float `scipy.sparse.csr_array`.
+    S may be given as a dense array or any scipy sparse matrix (converted by
+    its own `tocsr()`, so the package needs no scipy). Its entries (see
+    `_entries`) are stored as the numpy CSR arrays `indptr`, `indices` and
+    `data`, the columns of each row ascending.
     """
 
-    S: csr_array
-    normalized: bool = False
-    sq_norm: float = field(init=False, repr=False)  # ||S||_F^2
-
-    def __post_init__(self):
-        S = self.S if issparse(self.S) else np.asarray(self.S, dtype=float)
-        if S.ndim != 2 or S.shape[0] != S.shape[1]:
-            raise InputError(f"similarity graph must be square, got shape {S.shape}")
-        S = csr_array(S, dtype=float)
-        S.sum_duplicates()
-        object.__setattr__(self, "S", S)
-        if (S != S.T).nnz:
+    def __init__(self, S, normalized: bool = False):
+        n, rows, cols, data = _entries(S)
+        # S is symmetric exactly when S^T lists the same nonzero entries row
+        # by row: their keys, sorted, are S's keys, carrying the same values
+        nonzero = data != 0
+        r, c, v = rows[nonzero], cols[nonzero], data[nonzero]
+        order = np.argsort(c * n + r, kind="stable")
+        if not (np.array_equal(c[order], r) and np.array_equal(r[order], c)
+                and np.array_equal(v[order], v)):
             raise InputError("similarity graph must be exactly symmetric")
-        if S.nnz and S.data.min() < 0:
+        if data.size and data.min() < 0:
             raise InputError("similarity graph must be nonnegative")
-        object.__setattr__(self, "sq_norm", float(S.data @ S.data))
+        self._set(np.searchsorted(rows, np.arange(n + 1)), cols, data, normalized)
+
+    @classmethod
+    def _of(cls, indptr, indices, data, normalized):
+        """The graph on CSR arrays that are symmetric and nonnegative by
+        construction, the columns of each row ascending; unchecked."""
+        graph = cls.__new__(cls)
+        graph._set(indptr, indices, data, normalized)
+        return graph
+
+    def _set(self, indptr, indices, data, normalized):
+        self.indptr, self.indices, self.data = indptr, indices, data
+        self.normalized = normalized
+        self.sq_norm = float(data @ data)  # ||S||_F^2
 
     @property
     def n(self) -> int:
-        return self.S.shape[0]
+        return len(self.indptr) - 1
+
+
+def _entries(S):
+    """The size n of the square matrix S, and the rows, columns and values of
+    its entries in row-major order: the nonzero ones of a dense S, the stored
+    ones of a scipy sparse S (duplicates summed, explicit zeros kept)."""
+    sparse = hasattr(S, "tocsr")
+    if not sparse:
+        S = np.asarray(S, dtype=float)
+    if len(S.shape) != 2 or S.shape[0] != S.shape[1]:
+        raise InputError(f"similarity graph must be square, got shape {S.shape}")
+    n = S.shape[0]
+    if not sparse:
+        rows, cols = np.nonzero(S)
+        return n, rows, cols, S[rows, cols]
+    S = S.tocsr().astype(float)  # a copy, so summing duplicates leaves the caller's alone
+    S.sum_duplicates()
+    rows = np.repeat(np.arange(n), np.diff(S.indptr))
+    return n, rows, S.indices.astype(np.intp), S.data
 
 
 def graph_penalty(sq_norm, SV: np.ndarray, V: np.ndarray):
@@ -98,27 +128,42 @@ def graph_penalty(sq_norm, SV: np.ndarray, V: np.ndarray):
 class GraphStack:
     """Same-size graphs as one block-diagonal operator on a stack of V.
 
-    `S` holds graph b's edges in rows and columns [b n, (b + 1) n), in each
-    graph's own order, so one sparse product S V computes every member's
-    S_b V_b exactly as a product on its own graph would.
+    Graph b's edges take rows and columns [b n, (b + 1) n), in each graph's
+    own order, so one product S V computes every member's S_b V_b exactly as
+    a product on its own graph would.
     """
 
     def __init__(self, graphs):
         n = graphs[0].n
-        offsets = np.cumsum([0] + [g.S.nnz for g in graphs])
-        self.S = csr_array(
-            (
-                np.concatenate([g.S.data for g in graphs]),
-                np.concatenate([g.S.indices + b * n for b, g in enumerate(graphs)]),
-                np.concatenate([[0]] + [g.S.indptr[1:] + off for g, off in zip(graphs, offsets)]),
-            ),
-            shape=(len(graphs) * n,) * 2,
-        )
+        self.size = len(graphs) * n
+        counts = np.concatenate([np.diff(g.indptr) for g in graphs])
+        # The entries slot by slot: every row's first entry, then every row's
+        # second, and so on. Each row's entries keep their order, and the
+        # adds of a row no longer follow one another (bincount took 1.6x as
+        # long on the entries row by row, at n = 2100). The slots are sorted
+        # in the smallest unsigned type, which numpy's stable sort takes by
+        # radix (six times as fast as on int64).
+        slot = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        slot = slot.astype(np.min_scalar_type(slot.max(initial=0)))
+        order = np.argsort(slot, kind="stable")
+        self.rows = np.repeat(np.arange(self.size), counts)[order]
+        self.indices = np.concatenate([g.indices + b * n for b, g in enumerate(graphs)])[order]
+        self.data = np.concatenate([g.data for g in graphs])[order]
         self.sq_norm = np.array([g.sq_norm for g in graphs])  # for graph_penalty
 
     def product(self, V: np.ndarray) -> np.ndarray:
-        """S_b V_b for every member b of the stack V (B, n, c)."""
-        return (self.S @ V.reshape(-1, V.shape[-1])).reshape(V.shape)
+        """S_b V_b for every member b of the stack V (B, n, c), C-ordered.
+
+        Column j of row i sums data * V[indices, j] over the row's entries, in
+        stored order from zero: `np.bincount` adds its weights one after
+        another, as scipy's CSR product does, so the bits match."""
+        flat = V.reshape(self.size, V.shape[-1])
+        SV = np.empty(flat.shape)
+        for j in range(flat.shape[1]):
+            terms = flat[:, j].take(self.indices)
+            terms *= self.data
+            SV[:, j] = np.bincount(self.rows, terms, minlength=self.size)
+        return SV.reshape(V.shape)
 
 
 def _row_blocks(n: int) -> list:
@@ -184,8 +229,7 @@ def knn_graph(X: DataMatrix, k: int) -> SimilarityGraph:
     # product, as every block of a larger search does. The left operand stays
     # a view of P: BLAS picks its kernel by the operands' strides.
     right = P.copy() if len(blocks) == 1 else P
-    # every row keeps exactly k neighbors, listed in column order, so the
-    # directed graph is a CSR matrix with k entries per row
+    # every row keeps exactly k neighbors, listed in column order
     cols = []
     for start, stop in blocks:
         rows = stop - start
@@ -211,18 +255,20 @@ def knn_graph(X: DataMatrix, k: int) -> SimilarityGraph:
             tied = d2[over] == kth[over, None]
             room = k - np.sum(below, axis=1, keepdims=True)
             keep[over] = below | (tied & (np.cumsum(tied, axis=1) <= room))
-        # k flat indices per row, in row-major order: subtracting each row's
-        # offset leaves its columns
-        flat = np.flatnonzero(keep).reshape(rows, k)
-        flat -= n * np.arange(rows)[:, None]
-        cols.append(flat.ravel())
+        # k flat indices of the n x n matrix per row, in row-major order
+        flat = np.flatnonzero(keep)
+        flat += n * start
+        cols.append(flat)
     del P, right, gram, dist, mask, G, d2, keep
-    cols = np.concatenate(cols)
-    A = csr_array((np.ones(n * k), cols, k * np.arange(n + 1)), shape=(n, n))
+    # Symmetrize: the edge i -> j has key i n + j; each edge and its reverse,
+    # sorted with duplicates dropped, list the entries of S row by row.
+    keys = np.concatenate(cols)
     del cols
-    S = A.maximum(A.T)
-    del A
-    return SimilarityGraph(S=S, normalized=False)
+    keys = np.concatenate((keys, (keys % n) * n + keys // n))
+    keys.sort()
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    indptr = np.searchsorted(keys, n * np.arange(n + 1))
+    return SimilarityGraph._of(indptr, keys % n, np.ones(keys.size), normalized=False)
 
 
 def normalize_graph(graph: SimilarityGraph) -> SimilarityGraph:
@@ -236,14 +282,17 @@ def normalize_graph(graph: SimilarityGraph) -> SimilarityGraph:
     """
     if graph.normalized:
         return graph
-    S = graph.S
-    deg = S.sum(axis=1)
+    indptr, indices = graph.indptr, graph.indices
+    # each non-empty row's degree by one reduceat over the row segments, the
+    # sum scipy's S.sum(axis=1) takes, so weighted graphs keep their bits
+    deg = np.zeros(graph.n)
+    nonempty = np.flatnonzero(np.diff(indptr))
+    deg[nonempty] = np.add.reduceat(graph.data, indptr[nonempty])
     with np.errstate(divide="ignore"):
         inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
-    rows = np.repeat(np.arange(graph.n), np.diff(S.indptr))
-    data = S.data * (inv_sqrt[rows] * inv_sqrt[S.indices])
-    scaled = csr_array((data, S.indices, S.indptr), shape=S.shape)
-    return SimilarityGraph(S=scaled, normalized=True)
+    rows = np.repeat(np.arange(graph.n), np.diff(indptr))
+    data = graph.data * (inv_sqrt[rows] * inv_sqrt[indices])
+    return SimilarityGraph._of(indptr, indices, data, normalized=True)
 
 
 def graph_coeff_step(A: np.ndarray, G: np.ndarray, V: np.ndarray, Q: np.ndarray,

@@ -1,10 +1,12 @@
 """Shared fixtures: seeded random problem instances, weight helpers, the
-checked call of an update kernel, and the weighted-surrogate oracle; and the
+checked call of an update kernel, and the weighted-surrogate oracle; the
 entropy oracles on one whole residual (`entropy_weights`, `entropy_objective`,
-`single_outlier_share`), which tests import from here."""
+`single_outlier_share`); and the scipy oracle of a similarity graph (`csr`).
+Tests import the oracles from here."""
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from entnmf import (
     DataMatrix,
@@ -52,6 +54,12 @@ def single_outlier_share(p: float, n: int) -> float:
     """
     numer, denom = _share_terms(p, n)
     return numer / denom
+
+
+def csr(graph) -> sparse.csr_array:
+    """The graph as a scipy `csr_array` on its own CSR arrays: the oracle of
+    its product and its dense form (`.toarray()`)."""
+    return sparse.csr_array((graph.data, graph.indices, graph.indptr), shape=(graph.n,) * 2)
 
 
 @pytest.fixture

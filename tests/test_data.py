@@ -43,6 +43,14 @@ class TestLoadCsv:
         assert X.values.shape == (2, 2)
         assert np.array_equal(X.labels, [0, 1])
 
+    def test_labelled_and_unlabelled_values_are_fortran_ordered(self, tmp_path):
+        # one contiguous layout, so no fit or kNN search copies labelled data
+        text = "1,2,3,0\n4,5,6,1\n7,8,9,1\n"
+        labelled = load_csv(write(tmp_path, text), has_labels=True)
+        unlabelled = load_csv(write(tmp_path, text, "plain.csv"))
+        assert labelled.values.flags.f_contiguous and unlabelled.values.flags.f_contiguous
+        assert np.array_equal(labelled.values, unlabelled.values[:-1])
+
     def test_ragged_row_names_its_line(self, tmp_path):
         path = write(tmp_path, "1,2\n3\n")
         with pytest.raises(InputError, match="line 2"):

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -269,6 +271,14 @@ class TestRunExperiment:
                                                  5 + INJECTION_SEED_OFFSET]
         assert manifest["config"]["solver"]["method"] == "EMMF"
 
+    def test_a_sigma_sweep_manifest_lists_its_one_fit_and_no_injection(self, tmp_path):
+        # the influence run fits once, at the solver seed, whatever the
+        # repetition count, and injects nothing
+        cfg = small_config(tmp_path, repetitions=3, sweep=Sweep(name="sigma", values=[1.0]))
+        run_experiment(cfg)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["seeds"] == {"fit": [3], "injection": []}
+
     def test_sweep_produces_a_row_per_value_and_repetition(self, tmp_path):
         cfg = small_config(
             tmp_path,
@@ -440,3 +450,40 @@ class TestRunBoundCurve:
     def test_validates_n_max(self, tmp_path):
         with pytest.raises(InputError):
             run_bound_curve(2, 0.05, output_dir=str(tmp_path))
+
+
+# Fits GEMMF on a kNN graph, then runs an EMMF, a GEMMF and a block_size
+# config; prints the scipy modules loaded and the modules the runs imported.
+NO_SCIPY = """
+import sys
+from dataclasses import replace
+from entnmf import (DatasetSpec, ExperimentConfig, SolverConfig, Sweep, fit, knn_graph,
+                    normalize_graph, run_experiment, synth_blobs)
+X = synth_blobs(3, 20, 6, 8.0, seed=1)
+fit(X, SolverConfig(method="GEMMF", c=3, lam=1.0, max_iter=20), normalize_graph(knn_graph(X, 4)))
+blobs = DatasetSpec(source="SYNTH_BLOBS", params={"c": 2, "per_cluster": 6, "d": 9,
+                    "separation": 10.0, "samples_per_class": 2})
+emmf = ExperimentConfig(dataset=blobs, solver=SolverConfig(method="EMMF", c=2, max_iter=20),
+                        repetitions=2, sweep=Sweep(name="outlier_count", values=[0, 3]),
+                        output_dir=sys.argv[1] + "/emmf")
+configs = [emmf,
+           replace(emmf, solver=replace(emmf.solver, method="GEMMF"), graph_k=3,
+                   output_dir=sys.argv[1] + "/gemmf"),
+           replace(emmf, sweep=Sweep(name="block_size", values=[0, 2]),
+                   output_dir=sys.argv[1] + "/block")]
+before = set(sys.modules)
+for cfg in configs:
+    run_experiment(cfg)
+print(sorted(set(sys.modules) - before))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_the_package_runs_without_scipy_and_a_run_imports_nothing(tmp_path):
+    # the graph is numpy arrays, and a run loads no module lazily (np.unique
+    # without return_inverse would import numpy.ma)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    out = subprocess.run([sys.executable, "-c", NO_SCIPY, str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.splitlines() == ["[]", "[]"]

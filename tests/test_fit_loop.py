@@ -48,6 +48,7 @@ from entnmf.experiment import DatasetSpec, ExperimentConfig, Sweep, run_experime
 from entnmf.graph import graph_penalty
 from entnmf.losses import default_epsilon, entropy_terms
 from entnmf.solvers import fit_stack
+from conftest import csr
 from test_properties import PROPERTY, stacks
 
 METHODS = ("EMMF", "GEMMF", "NMF_FRO", "NMF_DIV", "L21_NMF")
@@ -138,7 +139,7 @@ def ref_gemmf_update_coeff(X, F, w, graph, lam):
     q = w.q
     A = q[:, None] * (X.values.T @ F.U)
     B = q[:, None] * (F.V @ (F.U.T @ F.U))
-    SV = graph.S @ F.V
+    SV = csr(graph) @ F.V
     minus = F.V.T @ B
     plus = F.V.T @ A + 2.0 * lam * (F.V.T @ SV)
     numer = A + 2.0 * lam * SV + F.V @ minus
@@ -188,7 +189,7 @@ def ref_fit_gemmf(X, graph, cfg, initial=None):
 
     def objective_of(F):
         return ref_entropy_objective(X, F, eps) + cfg.lam * float(
-            graph_penalty(S.sq_norm, S.S @ F.V, F.V))
+            graph_penalty(S.sq_norm, csr(S) @ F.V, F.V))
 
     def step(F):
         w = ref_entropy_weights(X, F, eps)

