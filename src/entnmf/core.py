@@ -20,7 +20,7 @@ in a factor are preserved by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,6 @@ class DataMatrix:
 
     values: np.ndarray
     labels: np.ndarray | None = None
-    name: str = ""
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -95,13 +94,12 @@ class FactorPair:
 class ResidualWeights:
     """Per-sample residual norms and the diagonal weights Q they induce.
 
-    norms are guarded below by epsilon, total is their sum, and q holds the
-    diagonal of Q. All q entries are nonnegative because each guarded norm is
-    at most the total.
+    norms are guarded below by epsilon, q holds the diagonal of Q, and total,
+    derived, is the sum of the norms. All q entries are nonnegative because
+    each guarded norm is at most the total.
     """
 
     norms: np.ndarray
-    total: float
     q: np.ndarray
     epsilon: float
 
@@ -116,26 +114,26 @@ class ResidualWeights:
             raise InputError("norms and q must be 1-D vectors of equal length")
         if norms.min() < self.epsilon:
             raise InputError("residual norms must be guarded below by epsilon")
-        total = float(np.sum(norms))
-        if abs(total - self.total) > 1e-12 * max(total, 1.0):
-            raise InputError(f"total {self.total} does not match sum of norms {total}")
         if q.min() < 0:
             raise InputError("diagonal weights must be nonnegative")
+
+    @property
+    def total(self) -> float:
+        """||M||_{2,1} over the guarded norms."""
+        return float(np.sum(self.norms))
 
 
 @dataclass
 class ConvergenceTrace:
-    """Objective values per iteration for one fit; objective[0] is the initial value."""
+    """Objective values of one fit, objective[0] at the starting factors and
+    one more per iteration; iterations, derived, is their count less one."""
 
-    objective: list[float] = field(default_factory=list)
-    iterations: int = 0
+    objective: list[float]
     converged: bool = False
 
-    def __post_init__(self):
-        if len(self.objective) != self.iterations + 1:
-            raise InputError(
-                f"trace length {len(self.objective)} must equal iterations + 1 = {self.iterations + 1}"
-            )
+    @property
+    def iterations(self) -> int:
+        return len(self.objective) - 1
 
 
 def column_norms(M: np.ndarray) -> np.ndarray:

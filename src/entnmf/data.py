@@ -81,7 +81,7 @@ def load_csv(path: str | os.PathLike, has_labels: bool = False) -> DataMatrix:
         raise InputError(
             f"{path}: line {line_numbers[r]}, column {c + 1}: negative value {parsed[r, c]}"
         )
-    return DataMatrix(values=parsed.T, labels=labels, name=str(path))
+    return DataMatrix(values=parsed.T, labels=labels)
 
 
 def unit_normalize(X: DataMatrix) -> DataMatrix:
@@ -90,7 +90,7 @@ def unit_normalize(X: DataMatrix) -> DataMatrix:
     zero = np.flatnonzero(norms == 0)
     if zero.size:
         raise InputError(f"sample {int(zero[0])} is all zeros, cannot normalize")
-    return DataMatrix(values=X.values / norms[None, :], labels=X.labels, name=X.name)
+    return DataMatrix(values=X.values / norms[None, :], labels=X.labels)
 
 
 def synth_outliers(seed: int = 0) -> DataMatrix:
@@ -115,7 +115,7 @@ def synth_outliers(seed: int = 0) -> DataMatrix:
         outliers *= 1.5
     values = np.hstack([inliers, outliers])
     labels = np.array([0] * 10 + [1] * 3)
-    return DataMatrix(values=values, labels=labels, name="synth_outliers")
+    return DataMatrix(values=values, labels=labels)
 
 
 def synth_blobs(c: int, per_cluster: int, d: int, separation: float, seed: int = 0) -> DataMatrix:
@@ -135,7 +135,7 @@ def synth_blobs(c: int, per_cluster: int, d: int, separation: float, seed: int =
         blocks.append(center[:, None] + rng.normal(size=(d, per_cluster)))
     values = np.maximum(np.hstack(blocks), 0.0)
     labels = np.repeat(np.arange(c), per_cluster)
-    return DataMatrix(values=values, labels=labels, name="synth_blobs")
+    return DataMatrix(values=values, labels=labels)
 
 
 def synth_random(d: int, n: int, seed: int = 0) -> DataMatrix:
@@ -143,7 +143,7 @@ def synth_random(d: int, n: int, seed: int = 0) -> DataMatrix:
     if d < 1 or n < 1:
         raise InputError("d and n must be >= 1")
     rng = np.random.default_rng(seed)
-    return DataMatrix(values=rng.random((d, n)), name="synth_random")
+    return DataMatrix(values=rng.random((d, n)))
 
 
 def inject_outlier_vectors(X: DataMatrix, count: int, seed: int = 0):
@@ -154,9 +154,6 @@ def inject_outlier_vectors(X: DataMatrix, count: int, seed: int = 0):
     metrics should score original samples only."""
     if count < 0:
         raise InputError(f"count must be >= 0, got {count}")
-    if count == 0:
-        mask = np.zeros(X.n, dtype=bool)
-        return DataMatrix(values=X.values.copy(), labels=X.labels, name=X.name), mask
     rng = np.random.default_rng(seed)
     high = 10.0 * float(X.values.max())
     extra = rng.uniform(0.0, high, size=(X.d, count))
@@ -165,16 +162,13 @@ def inject_outlier_vectors(X: DataMatrix, count: int, seed: int = 0):
     if X.labels is not None:
         labels = np.concatenate([X.labels, np.full(count, -1, dtype=int)])
     mask = np.concatenate([np.zeros(X.n, dtype=bool), np.ones(count, dtype=bool)])
-    return DataMatrix(values=values, labels=labels, name=X.name), mask
+    return DataMatrix(values=values, labels=labels), mask
 
 
-def inject_block_noise(X: DataMatrix, block_side: int, samples_per_class: int, seed: int = 0):
-    """Overwrite a contiguous feature run on chosen samples with uniform noise.
-
-    A square block of side k becomes a run of k*k consecutive features filled
-    with uniform[0, max(X)]. From every class exactly `samples_per_class`
-    samples are picked without replacement. Returns (corrupted matrix, mask)
-    with the mask True on corrupted columns."""
+def check_block_noise(X: DataMatrix, block_side: int, samples_per_class: int) -> list:
+    """Raise InputError unless `inject_block_noise` can corrupt X with these
+    arguments, and so with any smaller block_side. Returns the classes to
+    corrupt, ascending: none when block_side or samples_per_class is 0."""
     if X.labels is None:
         raise InputError("block noise requires labeled data")
     if block_side < 0:
@@ -184,22 +178,35 @@ def inject_block_noise(X: DataMatrix, block_side: int, samples_per_class: int, s
         raise InputError(f"block of side {block_side} needs {run} features, data has {X.d}")
     if samples_per_class < 0:
         raise InputError(f"samples_per_class must be >= 0, got {samples_per_class}")
+    if block_side == 0 or samples_per_class == 0:
+        return []
+    # np.unique would import numpy.ma here
+    classes = sorted(set(X.labels.tolist()))
+    for cls in classes:
+        size = int(np.sum(X.labels == cls))
+        if size < samples_per_class:
+            raise InputError(f"class {cls} has {size} samples, need {samples_per_class}")
+    return classes
+
+
+def inject_block_noise(X: DataMatrix, block_side: int, samples_per_class: int, seed: int = 0):
+    """Overwrite a contiguous feature run on chosen samples with uniform noise.
+
+    A square block of side k becomes a run of k*k consecutive features filled
+    with uniform[0, max(X)]. From every class exactly `samples_per_class`
+    samples are picked without replacement. Returns (corrupted matrix, mask)
+    with the mask True on corrupted columns."""
+    classes = check_block_noise(X, block_side, samples_per_class)
+    run = block_side * block_side
     mask = np.zeros(X.n, dtype=bool)
     values = X.values.copy()
-    if block_side == 0 or samples_per_class == 0:
-        return DataMatrix(values=values, labels=X.labels, name=X.name), mask
     rng = np.random.default_rng(seed)
     high = float(X.values.max())
-    # classes in ascending order; np.unique would import numpy.ma here
-    for cls in sorted(set(X.labels.tolist())):
+    for cls in classes:
         members = np.flatnonzero(X.labels == cls)
-        if members.size < samples_per_class:
-            raise InputError(
-                f"class {cls} has {members.size} samples, need {samples_per_class}"
-            )
         chosen = rng.choice(members, size=samples_per_class, replace=False)
         for col in chosen:
             start = int(rng.integers(0, X.d - run + 1))
             values[start : start + run, col] = rng.uniform(0.0, high, size=run)
             mask[col] = True
-    return DataMatrix(values=values, labels=X.labels, name=X.name), mask
+    return DataMatrix(values=values, labels=X.labels), mask

@@ -34,6 +34,7 @@ import numpy as np
 
 from .core import DataMatrix, residual
 from .data import (
+    check_block_noise,
     inject_block_noise,
     inject_outlier_vectors,
     load_csv,
@@ -46,7 +47,8 @@ from .errors import InputError, NumericalError
 from .graph import knn_graph, normalize_graph
 from .losses import influence_ratios, influence_upper_bound
 from .metrics import accuracy, nmi, summarize
-from .solvers import SolverConfig, extend_factors, fit, fit_stack, init_factors
+from .solvers import (SolverConfig, check_cluster_count, extend_factors, fit, fit_stack,
+                      init_factors)
 
 # The generator of each dataset source; a dataset's params are its keyword
 # arguments, plus `samples_per_class`, which block_size sweeps read.
@@ -249,14 +251,18 @@ def _problem(cfg: ExperimentConfig, X_base: DataMatrix, value, rep, bases, graph
         # how injected columns move the basis, not how they break k-means.
         initial = extend_factors(bases[rep], X)
     elif sweep_name == "block_size":
-        per_class = cfg.dataset.params.get("samples_per_class", 3)
-        X, _ = inject_block_noise(X_base, value, per_class, seed=inject_seed)
+        X, _ = inject_block_noise(X_base, value, _samples_per_class(cfg), seed=inject_seed)
         initial = init_factors(X, cfg.solver.c, fit_seed, cfg.solver.init)
     else:
         initial = bases[rep]
     if cfg.solver.method == "GEMMF" and graph is None:
         graph = knn_graph(X, cfg.graph_k)
     return X, score_mask, initial, graph
+
+
+def _samples_per_class(cfg: ExperimentConfig) -> int:
+    """The samples per class a block_size sweep corrupts (default 3)."""
+    return cfg.dataset.params.get("samples_per_class", 3)
 
 
 def _write_csv(path, header, rows):
@@ -279,9 +285,14 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list:
     nothing, and it is removed once the benchmark harness stops passing it."""
     if threads < 1:
         raise InputError(f"threads must be >= 1, got {threads}")
-    # the dataset's own range checks, the graph_k check and the perturbed
-    # matrices' checks come before any output
+    # the dataset's own range checks, the cluster count (no sweep lowers d or
+    # n), the largest block_size's noise (a smaller block fits wherever it
+    # does), the graph_k check and the perturbed matrices' checks come before
+    # any output
     X_base = realize_dataset(cfg.dataset)
+    check_cluster_count(X_base, cfg.solver.c)
+    if cfg.sweep is not None and cfg.sweep.name == "block_size":
+        check_block_noise(X_base, max(cfg.sweep.values), _samples_per_class(cfg))
     graph = _base_graph(cfg, X_base)
     perturbed = _perturbed(cfg, X_base)
     os.makedirs(cfg.output_dir, exist_ok=True)
@@ -321,7 +332,7 @@ def _perturbed(cfg: ExperimentConfig, X_base: DataMatrix):
     for sigma in cfg.sweep.values:
         values = X_base.values.copy()
         values[0, 0] += float(sigma)
-        perturbed.append(DataMatrix(values=values, labels=X_base.labels, name=X_base.name))
+        perturbed.append(DataMatrix(values=values, labels=X_base.labels))
     return perturbed
 
 

@@ -59,15 +59,17 @@ BLOCK_BYTES = 16 * 2**20
 
 
 class SimilarityGraph:
-    """Symmetric nonnegative n x n affinity in CSR arrays, optionally degree-normalized.
+    """Symmetric nonnegative n x n affinity in CSR arrays.
 
     S may be given as a dense array or any scipy sparse matrix (converted by
     its own `tocsr()`, so the package needs no scipy). Its entries (see
     `_entries`) are stored as the numpy CSR arrays `indptr`, `indices` and
-    `data`, the columns of each row ascending.
+    `data`, the columns of each row ascending. A graph built here is taken
+    as unnormalized: a fit regularizes with its degree normalization
+    (`normalize_graph`), the only maker of a graph marked `normalized`.
     """
 
-    def __init__(self, S, normalized: bool = False):
+    def __init__(self, S):
         n, rows, cols, data = _entries(S)
         # S is symmetric exactly when S^T lists the same nonzero entries row
         # by row: their keys, sorted, are S's keys, carrying the same values
@@ -79,7 +81,7 @@ class SimilarityGraph:
             raise InputError("similarity graph must be exactly symmetric")
         if data.size and data.min() < 0:
             raise InputError("similarity graph must be nonnegative")
-        self._set(np.searchsorted(rows, np.arange(n + 1)), cols, data, normalized)
+        self._set(np.searchsorted(rows, np.arange(n + 1)), cols, data, normalized=False)
 
     @classmethod
     def _of(cls, indptr, indices, data, normalized):

@@ -39,7 +39,6 @@ class InfluenceReport:
     phi_nmf: float
     phi_l21: float
     phi_emmf: float
-    sample_index: int
 
 
 def default_epsilon(values: np.ndarray) -> float:
@@ -87,7 +86,6 @@ def influence_ratios(X: DataMatrix, F: FactorPair, i: int) -> InfluenceReport:
         phi_nmf=float(norms[i] ** 2 / np.sum(norms**2)),
         phi_l21=float(norms[i] / total),
         phi_emmf=float(weighted[i] / denom),
-        sample_index=i,
     )
 
 

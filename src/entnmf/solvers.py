@@ -187,6 +187,12 @@ def _kmeans(points: np.ndarray, c: int, rng: np.random.Generator, n_iter: int = 
     return centers, labels
 
 
+def check_cluster_count(X: DataMatrix, c: int) -> None:
+    """Raise InputError unless X can be factored with c clusters."""
+    if not 1 <= c <= min(X.d, X.n):
+        raise InputError(f"cluster count {c} outside [1, min(d, n)] for data {X.values.shape}")
+
+
 def init_factors(X: DataMatrix, c: int, seed: int, strategy: str = "KMEANS") -> FactorPair:
     """Strictly positive starting factors.
 
@@ -195,8 +201,7 @@ def init_factors(X: DataMatrix, c: int, seed: int, strategy: str = "KMEANS") -> 
     """
     if strategy not in INITS:
         raise InputError(f"unknown init {strategy!r}, expected one of {INITS}")
-    if not 1 <= c <= min(X.d, X.n):
-        raise InputError(f"cluster count {c} outside [1, min(d, n)] for data {X.values.shape}")
+    check_cluster_count(X, c)
     rng = np.random.default_rng(seed)
     if strategy == "RANDOM":
         U = 1.0 - rng.random((X.d, c))
@@ -221,8 +226,6 @@ def extend_factors(F: FactorPair, X: DataMatrix) -> FactorPair:
     extra = X.n - F.V.shape[0]
     if extra < 0:
         raise InputError(f"factors cover {F.V.shape[0]} samples but data has only {X.n}")
-    if extra == 0:
-        return FactorPair(U=F.U.copy(), V=F.V.copy())
     tail = X.values[:, F.V.shape[0] :]
     dist = np.sum((tail[:, :, None] - F.U[:, None, :]) ** 2, axis=0)
     nearest = np.argmin(dist, axis=1)
@@ -398,9 +401,8 @@ def fit_stack(Xs, cfg: SolverConfig, initials, graphs=None) -> list:
                     continue
                 final_q = None
                 if norms is not None:  # only EMMF and GEMMF; their carry starts with q
-                    final_q = ResidualWeights(norms=norms[j], total=float(np.sum(norms[j])),
-                                              q=carry[0][j], epsilon=float(eps[b]))
-                trace = ConvergenceTrace(objective=objective[b], iterations=t, converged=converged)
+                    final_q = ResidualWeights(norms=norms[j], q=carry[0][j], epsilon=float(eps[b]))
+                trace = ConvergenceTrace(objective=objective[b], converged=converged)
                 results[b] = FitResult(FactorPair(U=U[j], V=V[j]), trace, final_q)
             prev = [values[j] for j in stay]
             if len(stay) < len(members):  # some member leaves the stack

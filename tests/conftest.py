@@ -39,7 +39,7 @@ def _guarded_entropy_terms(M: np.ndarray, epsilon: float) -> tuple[float, np.nda
 def entropy_weights(M: np.ndarray, epsilon: float) -> ResidualWeights:
     """Diagonal weights Q_ii = -log(||m_i|| / ||M||_{2,1}) / ||m_i||, guarded."""
     _, norms, q = _guarded_entropy_terms(np.asarray(M, dtype=float), epsilon)
-    return ResidualWeights(norms=norms, total=float(np.sum(norms)), q=q, epsilon=epsilon)
+    return ResidualWeights(norms=norms, q=q, epsilon=epsilon)
 
 
 def entropy_objective(X: DataMatrix, F: FactorPair, epsilon: float) -> float:
@@ -84,9 +84,7 @@ def ones_weights():
 
     def make(M, epsilon=1e-10):
         norms = np.maximum(column_norms(M), epsilon)
-        return ResidualWeights(
-            norms=norms, total=float(norms.sum()), q=np.ones(norms.shape), epsilon=epsilon
-        )
+        return ResidualWeights(norms=norms, q=np.ones(norms.shape), epsilon=epsilon)
 
     return make
 

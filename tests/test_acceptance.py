@@ -60,7 +60,7 @@ def two_rings(n_per=40, seed=0):
         pts.append(np.vstack([5.0 + r * np.cos(ang), 5.0 + r * np.sin(ang)]))
         labels += [k] * n_per
     values = np.maximum(np.hstack(pts), 0.0)
-    return DataMatrix(values=values, labels=np.array(labels), name="two_rings")
+    return DataMatrix(values=values, labels=np.array(labels))
 
 
 def assert_monotone(objective, slack=1e-8):
@@ -126,9 +126,8 @@ def test_exact_factorizations_are_fixed_points(kernel):
         eps = default_epsilon(X.values)
         M = residual_matrix(X, F.U, F.V)
         norms = np.maximum(column_norms(M), eps)
-        l21 = ResidualWeights(norms=norms, total=float(norms.sum()), q=0.5 / norms, epsilon=eps)
-        ones = ResidualWeights(norms=norms, total=float(norms.sum()),
-                               q=np.ones(n), epsilon=eps)
+        l21 = ResidualWeights(norms=norms, q=0.5 / norms, epsilon=eps)
+        ones = ResidualWeights(norms=norms, q=np.ones(n), epsilon=eps)
         for w in (entropy_weights(M, eps), l21, ones):
             close(kernel(basis_step, X, F.U, F.V, w.q), U)
             close(kernel(coeff_step, X, F.U, F.V, w.q), V)

@@ -215,6 +215,30 @@ def test_a_dataset_its_generator_rejects_exits_1_before_any_output(tmp_path, cap
     assert not (tmp_path / "out").exists()
 
 
+BLOBS_D3 = {"source": "SYNTH_BLOBS", "params": {"c": 2, "per_cluster": 4, "d": 3, "separation": 10.0}}
+
+
+@pytest.mark.parametrize("command, extra, message", [
+    # SYNTH_OUTLIERS has d = 2
+    ("fit", {"dataset": {"source": "SYNTH_OUTLIERS"}, "solver": {"c": 3}}, "cluster count 3"),
+    ("sweep", {"dataset": {"source": "SYNTH_OUTLIERS"}, "solver": {"c": 3},
+               "sweep": {"name": "block_size", "values": [0, 1]}}, "cluster count 3"),
+    ("influence", {"dataset": {"source": "SYNTH_OUTLIERS"}, "solver": {"c": 3}}, "cluster count 3"),
+    # the value-0 repetitions would fit before the block of side 2 fails
+    ("sweep", {"dataset": BLOBS_D3, "sweep": {"name": "block_size", "values": [0, 2]}},
+     "block of side 2 needs 4 features"),
+    ("sweep", {"dataset": {"source": "SYNTH_RANDOM", "params": {"d": 4, "n": 8}},
+               "sweep": {"name": "block_size", "values": [1]}}, "requires labeled data"),
+    ("sweep", {"dataset": {**BLOBS_D3, "params": {**BLOBS_D3["params"], "samples_per_class": 5}},
+               "sweep": {"name": "block_size", "values": [0, 1]}}, "class 0 has 4 samples, need 5"),
+], ids=["fit-c", "block-c", "influence-c", "block-features", "block-unlabeled", "block-class-size"])
+def test_a_problem_the_data_cannot_pose_exits_1_before_any_output(tmp_path, capsys, command, extra,
+                                                                  message):
+    assert main([command, "--config", base_config(tmp_path, **extra)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_perturbation_below_zero_exits_1_before_the_fit(tmp_path, capsys, monkeypatch):
     import entnmf.experiment as experiment
 

@@ -71,25 +71,25 @@ class TestFactorPair:
 class TestResidualWeights:
     def test_rejects_nonpositive_epsilon(self):
         with pytest.raises(InputError):
-            ResidualWeights(norms=np.ones(2), total=2.0, q=np.ones(2), epsilon=0.0)
+            ResidualWeights(norms=np.ones(2), q=np.ones(2), epsilon=0.0)
 
     def test_rejects_norms_below_the_guard(self):
         with pytest.raises(InputError):
-            ResidualWeights(norms=np.array([1.0, 1e-12]), total=1.0, q=np.ones(2), epsilon=1e-10)
+            ResidualWeights(norms=np.array([1.0, 1e-12]), q=np.ones(2), epsilon=1e-10)
 
-    def test_rejects_inconsistent_total(self):
-        with pytest.raises(InputError):
-            ResidualWeights(norms=np.ones(2), total=3.0, q=np.ones(2), epsilon=EPS)
+    def test_total_is_the_sum_of_the_norms(self):
+        norms = np.array([0.1, 0.2, 0.3])
+        w = ResidualWeights(norms=norms, q=np.ones(3), epsilon=EPS)
+        assert w.total == float(np.sum(norms)) and isinstance(w.total, float)
 
     def test_rejects_negative_weights(self):
         with pytest.raises(InputError):
-            ResidualWeights(norms=np.ones(2), total=2.0, q=np.array([1.0, -1.0]), epsilon=EPS)
+            ResidualWeights(norms=np.ones(2), q=np.array([1.0, -1.0]), epsilon=EPS)
 
 
-def test_convergence_trace_requires_one_value_per_iteration():
-    ConvergenceTrace(objective=[3.0, 2.0, 1.0], iterations=2)
-    with pytest.raises(InputError):
-        ConvergenceTrace(objective=[3.0, 2.0], iterations=2)
+def test_convergence_trace_counts_the_values_after_the_first():
+    assert ConvergenceTrace(objective=[3.0, 2.0, 1.0]).iterations == 2
+    assert ConvergenceTrace(objective=[3.0]).iterations == 0
 
 
 def test_column_norms_hand_value():
@@ -194,7 +194,7 @@ def test_trace_objective_matches_hand_sum(ones_weights, trace_objective):
     w = ones_weights(M)
     assert trace_objective(X, F, w) == pytest.approx(2.0, abs=1e-12)
     weights = ResidualWeights(
-        norms=w.norms, total=w.total, q=np.array([5.0, 0.5]), epsilon=w.epsilon
+        norms=w.norms, q=np.array([5.0, 0.5]), epsilon=w.epsilon
     )
     assert trace_objective(X, F, weights) == pytest.approx(1.0, abs=1e-12)
 
@@ -202,7 +202,7 @@ def test_trace_objective_matches_hand_sum(ones_weights, trace_objective):
 def test_non_finite_weights_raise_a_numerical_error(trace_objective):
     X = DataMatrix(values=[[1.0]])
     F = FactorPair(U=np.array([[1.0]]), V=np.array([[1.0]]))
-    w = ResidualWeights(norms=np.ones(1), total=1.0, q=np.array([np.inf]), epsilon=EPS)
+    w = ResidualWeights(norms=np.ones(1), q=np.array([np.inf]), epsilon=EPS)
     with pytest.raises(InputError):
         trace_objective(X, F, w)
 

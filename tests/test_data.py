@@ -113,7 +113,6 @@ class TestSynthOutliers:
         X = synth_outliers(seed=0)
         assert X.values.shape == (2, 13)
         assert np.array_equal(X.labels, [0] * 10 + [1] * 3)
-        assert X.name == "synth_outliers"
         assert X.values.min() >= 0
 
     def test_outliers_sit_far_from_the_inlier_cloud(self):

@@ -100,7 +100,7 @@ def former_knn_graph(X, k):
     del cols
     S = A.maximum(A.T)
     del A
-    return SimilarityGraph(S=S, normalized=False)
+    return SimilarityGraph(S=S)
 
 
 def assert_same_csr(a, b, context):

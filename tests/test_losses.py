@@ -108,7 +108,6 @@ def test_influence_ratios_hand_values():
     # residual column norms (3, 4, 5), probed sample 2
     X, F = residual_only([[3.0, 4.0, 5.0]])
     report = influence_ratios(X, F, 2)
-    assert report.sample_index == 2
     assert report.phi_nmf == pytest.approx(0.5, abs=1e-12)
     assert report.phi_l21 == pytest.approx(5.0 / 12.0, abs=1e-12)
     assert report.phi_emmf == pytest.approx(0.33852396519918654, abs=1e-12)
