@@ -142,11 +142,12 @@ def column_norms(M: np.ndarray) -> np.ndarray:
 
 
 # Ratio of a squared residual norm r_i to the sample's squared norm ||x_i||^2
-# at or below which `residual_norms` takes the exact residual. The Gram form
-# cancels: its r_i is off by up to about 4e-15 ||x_i||^2 (at most 3.4e-15
+# at or below which `residual_sq_norms` takes the exact residual. The Gram
+# form cancels: its r_i is off by up to about 4e-15 ||x_i||^2 (at most 3.4e-15
 # measured over the fits of the benchmark configs, d = 10 and 100), so above
-# TAU ||x_i||^2 its relative error is below about 4e-12, and that of the
-# norm, its square root, below about 2e-12.
+# TAU ||x_i||^2 its relative error is below about 4e-12, and so is that of
+# NMF_FRO's objective, their sum; that of a norm, the square root, is below
+# about 2e-12.
 TAU = 1e-3
 
 
@@ -158,8 +159,8 @@ TAU = 1e-3
 # iterator buffer. A stacked call computes exactly what the per-problem calls
 # would, slice by slice. The V steps take the Gram products A = X^T U and
 # G = U^T U at the U they update against (`gram_products`), and
-# `residual_norms` takes the same two at the same U, so an iteration forms
-# them once and the residual norms need no d x n intermediate. Given a
+# `residual_sq_norms` takes the same two at the same U, so an iteration forms
+# them once and the squared residual norms need no d x n intermediate. Given a
 # workspace of X's shape, `residual` writes U V^T and then X - U V^T into it
 # instead of allocating one. `basis_step` forms no d x n intermediate: it
 # weights V, not X. They neither check their inputs or outputs nor silence
@@ -187,16 +188,16 @@ def sample_sq_norms(X: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ij->...j", X, X)
 
 
-def residual_norms(X: np.ndarray, sq: np.ndarray, U: np.ndarray, V: np.ndarray,
-                   A: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """||x_i - U v_i|| for every column, given sq = ||x_i||^2 and (A, G) at U.
+def residual_sq_norms(X: np.ndarray, sq: np.ndarray, U: np.ndarray, V: np.ndarray,
+                      A: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """||x_i - U v_i||^2 for every column, given sq = ||x_i||^2 and (A, G) at U.
 
     The squares come from r = sq + sum_k V o (V G - A - A), formed in place
     on V G and its c columns added one by one. A problem with some
-    r_i <= TAU sq_i (r_i <= 0 included) takes all its norms from its exact
-    residual instead, so the choice is its own and a stacked problem
-    computes what it would alone. NaN fails the comparison and carries
-    through to the norms."""
+    r_i <= TAU sq_i (r_i <= 0 included) takes all its squares from its exact
+    residual instead, as its column sums of squares, so the choice is its own
+    and a stacked problem computes what it would alone. NaN fails the
+    comparison and carries through."""
     T = V @ G
     T -= A
     T -= A
@@ -205,12 +206,12 @@ def residual_norms(X: np.ndarray, sq: np.ndarray, U: np.ndarray, V: np.ndarray,
     for k in range(1, T.shape[-1]):
         r += T[..., k]
     low = r <= TAU * sq
-    norms = np.sqrt(r)
     if low.any():
         for b in np.ndindex(low.shape[:-1]):
             if low[b].any():
-                norms[b] = column_norms(residual(X[b], U[b], V[b]))
-    return norms
+                M = residual(X[b], U[b], V[b])
+                r[b] = np.sum(M * M, axis=-2)
+    return r
 
 
 def basis_step(X: np.ndarray, U: np.ndarray, V: np.ndarray, Q: np.ndarray) -> np.ndarray:

@@ -71,12 +71,11 @@ INJECTION_SEED_OFFSET = 10007
 
 # Bytes of stacked data matrices in one stack of repetitions: a sweep point's
 # repetitions are fitted max(1, STACK_BYTES // (8 d n)) at a time. Under
-# EMMF, GEMMF and L21_NMF the fit loop holds the stacked copy of the data (a
-# stack of one fits on the data itself) and nothing else of its size, except
-# one member's exact residual on an iteration where that member's norms fall
-# back to it; NMF_FRO adds one workspace of the data's size for U V^T, the
-# residual and its squares, and NMF_DIV two workspaces and a d x n boolean
-# mask. The errors files take one more d x n buffer per sweep value.
+# EMMF, GEMMF, L21_NMF and NMF_FRO the fit loop holds the stacked copy of the
+# data (a stack of one fits on the data itself) and nothing else of its size,
+# except one member's exact residual on an iteration where that member's
+# squared norms fall back to it; NMF_DIV adds two workspaces and a d x n
+# boolean mask. The errors files take one more d x n buffer per sweep value.
 STACK_BYTES = 8 * 2**20
 
 

@@ -21,29 +21,28 @@ That is () for NMF_FRO, (UV^T,) for NMF_DIV, (q,) for EMMF and L21_NMF, and
 residual norms behind the entropy weights, reported with q as `final_q`,
 and None for the other methods. step makes one U update, then one V update,
 and hands on grams, the Gram products (X^T U, U^T U) its V update formed at
-the new U, or None. Members that leave take their rows of the carry with
-them, so the members that stay need nothing formed again.
+the new U, or None under NMF_DIV. Members that leave take their rows of the
+carry with them, so the members that stay need nothing formed again.
 
-EMMF, GEMMF and L21_NMF take each sample's squared residual norm from them,
-||x_i - U v_i||^2 = ||x_i||^2 - 2 v_i.(X^T U)_i + v_i^T (U^T U) v_i
-(`core.residual_norms`), with ||x_i||^2 computed once per (measure, step)
+EMMF, GEMMF, L21_NMF and NMF_FRO take each sample's squared residual norm
+from them, ||x_i - U v_i||^2 = ||x_i||^2 - 2 v_i.(X^T U)_i + v_i^T (U^T U) v_i
+(`core.residual_sq_norms`), with ||x_i||^2 computed once per (measure, step)
 pair. So an iteration forms no residual X - U V^T and nothing of the data's
-size: the U step forms X (Q V), weighting V rather than X, and the V step and
-the norms share their products. The first measure of a stack forms the Gram
-products itself. A member whose squares fall to `core.TAU` ||x_i||^2 or
-below, where the identity cancels, takes that iteration's norms from its
-exact residual instead. These three are one measure and one step: L21_NMF
-differs from EMMF only in its objective and weights, and GEMMF is EMMF with
-the graph as an optional term. Its measure forms S V once, adds the penalty
-from it and carries it to the step, whose V update is then the
-graph-regularized one.
+size: the U step forms X (Q V) (X V under NMF_FRO), weighting V rather than
+X, and the V step and the measure share their products. The first measure of
+a stack forms the Gram products itself. A member whose squares fall to
+`core.TAU` ||x_i||^2 or below, where the identity cancels, takes that
+iteration's squares from its exact residual instead. NMF_FRO records their
+sum and steps by its own unweighted rules. The other three take the norms,
+the squares' roots, and are one measure and one step: L21_NMF differs from
+EMMF only in its objective and weights, and GEMMF is EMMF with the graph as
+an optional term. Its measure forms S V once, adds the penalty from it and
+carries it to the step, whose V update is then the graph-regularized one.
 
-NMF_FRO forms the residual once per iteration (plus once for the starting
-point) in a C-ordered workspace with the stacked data's shape; NMF_DIV
-holds U V^T in one workspace, because it carries over into the next step,
-writes its ratios and loss terms into a second, and keeps the zero pattern
-of X, which its loss reads every iteration. Everything a pair holds is built
-with it and so rebuilt only when members leave; it is local to the
+NMF_DIV holds U V^T in one workspace, because it carries over into the next
+step, writes its ratios and loss terms into a second, and keeps the zero
+pattern of X, which its loss reads every iteration. Everything a pair holds
+is built with it and so rebuilt only when members leave; it is local to the
 `fit_stack` call.
 
   EMMF     weights q from the entropy linearization (`entnmf.losses`),
@@ -52,7 +51,7 @@ with it and so rebuilt only when members leave; it is local to the
            records entropy + lambda ||S - VV^T||_F^2. The members' graphs
            act as one block-diagonal sparse operator.
   NMF_FRO  classic multiplicative rules for the squared Frobenius loss;
-           records ||X - UV^T||_F^2.
+           records ||X - UV^T||_F^2 as the sum of the squared norms.
   NMF_DIV  divergence formulation with its classical multiplicative rules;
            records DIV(X || UV^T). The product UV^T is shared between the
            loss and the next U step.
@@ -89,8 +88,7 @@ from .core import (
     basis_step,
     coeff_step,
     gram_products,
-    residual,
-    residual_norms,
+    residual_sq_norms,
     sample_sq_norms,
 )
 from .errors import InputError, NumericalError
@@ -253,20 +251,6 @@ def _method(X: np.ndarray, eps: np.ndarray, cfg: SolverConfig, graphs):
     """(measure, step) of cfg.method on the stack X (B, d, n); see the module
     docstring. eps is (B, 1); graphs are the members' normalized graphs, read
     only by GEMMF."""
-    if cfg.method == "NMF_FRO":
-        # the residual workspace, C-ordered as `X - U V^T` allocates, so the
-        # sums taken from it round as they would on the allocated form
-        M = np.empty(X.shape)
-
-        def measure(U, V, _):
-            residual(X, U, V, out=M)
-            return np.sum(np.multiply(M, M, out=M), axis=(-2, -1)), None, ()
-
-        def step(U, V):
-            U = U * (X @ V) / (U @ (V.swapaxes(-1, -2) @ V) + DELTA)
-            return U, V * (X.swapaxes(-1, -2) @ U) / (V @ (U.swapaxes(-1, -2) @ U) + DELTA), None
-
-        return measure, step
     if cfg.method == "NMF_DIV":
         # UV^T has a workspace of its own, because the next step's first
         # ratio reuses it; every other d x n quantity goes to M
@@ -290,14 +274,18 @@ def _method(X: np.ndarray, eps: np.ndarray, cfg: SolverConfig, graphs):
 
         return measure, step
 
-    # EMMF, GEMMF and L21_NMF: one weighted engine, residual norms from the
-    # Gram products, and for GEMMF the graph term on the same S V
+    # EMMF, GEMMF, L21_NMF and NMF_FRO: squared residual norms from the Gram
+    # products; one weighted engine for the first three, and for GEMMF the
+    # graph term on the same S V
     sq = sample_sq_norms(X)
     S = GraphStack(graphs) if cfg.method == "GEMMF" else None
 
     def measure(U, V, grams):
         A, G = gram_products(X, U) if grams is None else grams
-        norms = residual_norms(X, sq, U, V, A, G)
+        r = residual_sq_norms(X, sq, U, V, A, G)
+        if cfg.method == "NMF_FRO":
+            return np.sum(r, axis=-1), None, ()
+        norms = np.sqrt(r)
         if cfg.method == "L21_NMF":
             return np.sum(norms, axis=-1), None, (0.5 / np.maximum(norms, eps),)
         norms = np.maximum(norms, eps)
@@ -306,6 +294,12 @@ def _method(X: np.ndarray, eps: np.ndarray, cfg: SolverConfig, graphs):
             return value, norms, (q,)
         SV = S.product(V)
         return value + cfg.lam * graph_penalty(S.sq_norm, SV, V), norms, (q, SV)
+
+    def fro_step(U, V):
+        # the classic rules: unweighted, with no square root
+        U = U * (X @ V) / (U @ (V.swapaxes(-1, -2) @ V) + DELTA)
+        A, G = gram_products(X, U)
+        return U, V * A / (V @ G + DELTA), (A, G)
 
     def step(U, V, q, SV=None):
         # the weights as a full array of V's shape, for the kernels'
@@ -316,7 +310,7 @@ def _method(X: np.ndarray, eps: np.ndarray, cfg: SolverConfig, graphs):
         V = coeff_step(A, G, V, Q) if SV is None else graph_coeff_step(A, G, V, Q, SV, cfg.lam)
         return U, V, (A, G)
 
-    return measure, step
+    return measure, fro_step if cfg.method == "NMF_FRO" else step
 
 
 def _stacked(arrays) -> np.ndarray:

@@ -6,21 +6,25 @@ fit function per method family over a shared outer loop, rebuilding and
 validating `FactorPair`/`ResidualWeights` on every step and forming the
 residual norms once for the step and again for the objective. Its kernels
 are copied with it, so the comparison pins the arithmetic, not only the
-loop. `fit` must reproduce it bit for bit, and `fit_stack` must give every
-member what `fit` gives it alone. Two earlier forms are kept as oracles that
-the current ones must match to rounding: the U step's association
-(X diag(q)) V, `scaled_data_basis_step`, against X (diag(q) V); and the
-residual norms from the whole residual X - U V^T, `exact_residual_norms`,
-against those from the Gram products X^T U and U^T U.
+loop. `fit` must reproduce it bit for bit, except NMF_FRO's objective: the
+oracle sums the squares of the whole residual X - U V^T, `fit` the squared
+norms from the Gram products, and the two agree to `FRO_OBJECTIVE_RTOL`.
+`fit_stack` must give every member what `fit` gives it alone. Two earlier
+forms are kept as oracles that the current ones must match to rounding: the
+U step's association (X diag(q)) V, `scaled_data_basis_step`, against
+X (diag(q) V); and the squared residual norms from the whole residual,
+`exact_residual_sq_norms`, against those from the Gram products X^T U and
+U^T U.
 """
 
 import os
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entnmf import (
@@ -109,11 +113,12 @@ def ref_update_basis(X, F, w):
     return F.U * np.sqrt(numer / (denom + 1e-12))
 
 
-def exact_residual_norms(X, sq, U, V, A, G):
-    """The residual norms as first computed, from the whole residual
-    X - U V^T. Kept as the oracle for `core.residual_norms`, which takes
+def exact_residual_sq_norms(X, sq, U, V, A, G):
+    """The squared residual norms as first computed, from the whole residual
+    X - U V^T. Kept as the oracle for `core.residual_sq_norms`, which takes
     them from the Gram products."""
-    return core.column_norms(core.residual(X, U, V))
+    M = core.residual(X, U, V)
+    return np.sum(M * M, axis=-2)
 
 
 def scaled_data_basis_step(X, U, V, Q):
@@ -255,10 +260,22 @@ def problem(seed):
     return X
 
 
+# Largest difference allowed between NMF_FRO's recorded objective and the
+# oracle's sum of squares of the whole residual, relative to ||X||_F^2: the
+# Gram form's error in each square scales with the sample's squared norm
+# (`core.TAU`). Measured on the tests below: at most 4.3e-16 of ||X||_F^2,
+# which is up to 2.4e-14 of the objective once the fit has shrunk it.
+FRO_OBJECTIVE_RTOL = 1e-15
+
+
 def assert_identical(X, cfg, graph=None, initial=None):
     r = fit(X, cfg, graph, initial)
     F, trace, final_q = reference_fit(X, cfg, graph, initial)
-    assert np.array_equal(r.trace.objective, trace.objective)
+    if cfg.method == "NMF_FRO":
+        got, want = np.array(r.trace.objective), np.array(trace.objective)
+        assert np.all(np.abs(got - want) <= FRO_OBJECTIVE_RTOL * np.sum(X.values ** 2))
+    else:
+        assert np.array_equal(r.trace.objective, trace.objective)
     assert (r.trace.iterations, r.trace.converged) == (trace.iterations, trace.converged)
     assert np.array_equal(r.factors.U, F.U)
     assert np.array_equal(r.factors.V, F.V)
@@ -373,9 +390,9 @@ def test_whole_fits_match_the_scaled_data_oracle(monkeypatch, method):
     assert_whole_fits_match(monkeypatch, method, "basis_step", scaled_data_basis_step)
 
 
-@pytest.mark.parametrize("method", ("EMMF", "GEMMF", "L21_NMF"))
+@pytest.mark.parametrize("method", ("EMMF", "GEMMF", "L21_NMF", "NMF_FRO"))
 def test_whole_fits_match_the_exact_residual_oracle(monkeypatch, method):
-    assert_whole_fits_match(monkeypatch, method, "residual_norms", exact_residual_norms)
+    assert_whole_fits_match(monkeypatch, method, "residual_sq_norms", exact_residual_sq_norms)
 
 
 def test_an_exact_product_fit_falls_back_and_keeps_descending(monkeypatch):
@@ -399,35 +416,15 @@ def test_an_exact_product_fit_falls_back_and_keeps_descending(monkeypatch):
         r = fit(X, cfg, initial=initial)
     assert len(fallbacks) == cfg.max_iter + 1
     assert np.all(np.diff(r.trace.objective) <= 0.0)
-    monkeypatch.setattr(solvers_module, "residual_norms", exact_residual_norms)
+    monkeypatch.setattr(solvers_module, "residual_sq_norms", exact_residual_sq_norms)
     assert_same_fit(r, fit(X, cfg, initial=initial))
 
 
-@pytest.mark.parametrize("method", ("NMF_FRO",))
-def test_forms_one_residual_per_iteration(monkeypatch, method):
-    calls = []
-
-    def counting(X, U, V, out=None):
-        calls.append(out)
-        return core.residual(X, U, V, out)
-
-    monkeypatch.setattr(solvers_module, "residual", counting)
-    X = problem(0)
-    for k in (1, 7, 30):
-        calls.clear()
-        r = fit(X, SolverConfig(method=method, c=3, max_iter=k, tol=0.0))
-        assert r.trace.iterations == k
-        assert len(calls) == k + 1
-        # every residual goes into the one workspace of the fit
-        assert calls[0] is not None and calls[0].shape == (1,) + X.values.shape
-        assert all(out is calls[0] for out in calls)
-
-
-@pytest.mark.parametrize("method", ("EMMF", "GEMMF", "L21_NMF"))
+@pytest.mark.parametrize("method", ("EMMF", "GEMMF", "L21_NMF", "NMF_FRO"))
 def test_forms_no_residual_outside_the_fallback(monkeypatch, method):
-    # the residual norms come from the Gram products the V step formed; only
-    # a member with a square at most TAU ||x||^2 forms its exact residual,
-    # one of its own shape per measure
+    # the squared residual norms come from the Gram products the V step
+    # formed; only a member with a square at most TAU ||x||^2 forms its exact
+    # residual, one of its own shape per measure
     real = core.residual
     calls = []
 
@@ -436,7 +433,6 @@ def test_forms_no_residual_outside_the_fallback(monkeypatch, method):
         return real(X, U, V, out)
 
     monkeypatch.setattr(core, "residual", counting)
-    monkeypatch.setattr(solvers_module, "residual", counting)
     # the README sweep's blobs with 20 outliers, on which no member falls back
     base = unit_normalize(synth_blobs(3, 40, 10, 8.0, seed=1))
     Xs = [inject_outlier_vectors(base, 20, seed=seed)[0] for seed in range(3)]
@@ -452,6 +448,30 @@ def test_forms_no_residual_outside_the_fallback(monkeypatch, method):
             patch.setattr(core, "TAU", np.inf)  # every member falls back
             fit_stack(Xs, cfg, initials, graphs)
         assert calls == [Xs[0].values.shape] * (3 * (k + 1))
+
+
+@pytest.mark.parametrize("B", (1, 3))
+@pytest.mark.parametrize("method", ("EMMF", "L21_NMF", "NMF_FRO"))
+def test_an_iteration_allocates_nothing_of_the_data_size(method, B):
+    # d = 100, n = 2000: one measure and step pair and the next measure, on a
+    # member alone and on a stack of three, raise the traced peak by less
+    # than one d x n array
+    d, n, c = 100, 2000, 3
+    rng = np.random.default_rng(0)
+    X = rng.random((B, d, n))
+    U, V = rng.random((B, d, c)), rng.random((B, n, c))
+    cfg = SolverConfig(method=method, c=c)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        measure, step = solvers_module._method(X, np.full((B, 1), 1e-10), cfg, None)
+        _, _, carry = measure(U, V, None)
+        U, V, grams = step(U, V, *carry)
+        measure(U, V, grams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 8 * d * n
 
 
 def test_validates_factors_and_weights_once_per_fit(monkeypatch):
@@ -597,11 +617,27 @@ def member_stacks(draw, method):
 
 
 @pytest.mark.parametrize("method", METHODS)
-def test_a_generated_stack_matches_each_member_fitted_alone(method):
+def test_a_generated_stack_matches_each_member_fitted_alone(monkeypatch, method):
+    # and when a NaN enters one drawn member's V at a drawn step, that member
+    # alone leaves, with a NumericalError, if it was still fitting then
     @PROPERTY
-    @given(member_stacks(method))
-    def check(stack):
-        assert_stack_matches(*stack)
+    @given(member_stacks(method), st.data())
+    def check(stack, data):
+        Xs, cfg, initials, graphs = stack
+        alone = assert_stack_matches(Xs, cfg, initials, graphs)
+        b = data.draw(st.integers(0, len(Xs) - 1))
+        k = data.draw(st.integers(1, cfg.max_iter))
+        with monkeypatch.context() as patch:
+            inject_non_finite(patch, Xs[b].values, k)
+            results = fit_stack(Xs, cfg, initials, graphs)
+        for j, r in enumerate(results):
+            if j == b and alone[b].trace.iterations >= k:
+                assert isinstance(r, NumericalError)
+                assert "updating V" in str(r)
+                assert r.iteration == k
+                assert r.objective == alone[b].trace.objective[:k]
+            else:
+                assert_same_fit(r, alone[j])
 
     check()
 
@@ -636,33 +672,38 @@ def test_a_gemmf_stack_forms_s_v_once_per_measure_across_departures(monkeypatch)
     assert len(calls) == max(iterations) + 1
 
 
-def test_a_stack_forms_one_residual_per_iteration(monkeypatch):
-    # NMF_FRO, the method that still writes its residual into the workspace
+def test_a_stack_keeps_its_workspaces_until_it_shrinks(monkeypatch):
+    # NMF_DIV, the method that still holds workspaces of the data's size: U V^T
+    # and the loss terms, each measure writing into them
     calls = []
-    outs = []
+    spaces = []
+    real = solvers_module._divergence
 
-    def counting(X, U, V, out=None):
+    def recording(X, B, zero, out):
         calls.append(X.shape[0])
-        outs.append(out)
-        return core.residual(X, U, V, out)
+        spaces.append((B, out))
+        return real(X, B, zero, out)
 
-    monkeypatch.setattr(solvers_module, "residual", counting)
+    monkeypatch.setattr(solvers_module, "_divergence", recording)
     Xs = [problem(seed) for seed in range(5)]
     initials = [init_factors(X, 3, seed=0) for X in Xs]
-    fit_stack(Xs, SolverConfig(method="NMF_FRO", c=3, max_iter=12, tol=0.0), initials)
+    fit_stack(Xs, SolverConfig(method="NMF_DIV", c=3, max_iter=12, tol=0.0), initials)
     assert calls == [5] * 13
-    # no member leaves before the end, so the stack keeps one workspace
-    assert outs[0] is not None and outs[0].shape == (5,) + Xs[0].values.shape
-    assert all(out is outs[0] for out in outs)
-    # members that meet tol leave at different iterations; the workspace is
+    # no member leaves before the end, so the stack keeps its two workspaces
+    first = spaces[0]
+    assert first[0] is not first[1]
+    assert all(A.shape == (5,) + Xs[0].values.shape for A in first)
+    assert all(B is first[0] and out is first[1] for B, out in spaces)
+    # members that meet tol leave at different iterations; the workspaces are
     # replaced exactly when the stack shrinks
     calls.clear()
-    outs.clear()
-    fit_stack(Xs, SolverConfig(method="NMF_FRO", c=3, max_iter=200, tol=1e-4), initials)
+    spaces.clear()
+    fit_stack(Xs, SolverConfig(method="NMF_DIV", c=3, max_iter=200, tol=1e-4), initials)
     assert len(set(calls)) > 2
-    assert [out.shape[0] for out in outs] == calls
+    assert [out.shape[0] for _, out in spaces] == calls
     for i in range(1, len(calls)):
-        assert (outs[i] is outs[i - 1]) == (calls[i] == calls[i - 1])
+        for now, before in zip(spaces[i], spaces[i - 1]):
+            assert (now is before) == (calls[i] == calls[i - 1])
 
 
 def test_a_failing_member_raises_only_its_own_error(monkeypatch):
@@ -691,33 +732,42 @@ def test_a_failing_member_raises_only_its_own_error(monkeypatch):
         assert_same_fit(results[b], fit(Xs[b], cfg, initial=initials[b]))
 
 
+def inject_non_finite(patch, target, k, factor="V", bad=np.nan):
+    """Patch the fit loop so that its k-th step puts `bad` into entry (0, 0)
+    of `factor` for the member whose data equals `target`, if that member is
+    still in the stack. The stack notices it through the objective."""
+    real = solvers_module._method
+    steps = []
+
+    def injecting(X, *args):
+        measure, step = real(X, *args)
+
+        def broken_step(U, V, *carry):
+            U, V, grams = step(U, V, *carry)
+            steps.append(1)
+            if len(steps) == k:
+                for j in range(X.shape[0]):
+                    if np.array_equal(X[j], target):
+                        (U if factor == "U" else V)[j, 0, 0] = bad
+                        grams = None  # the step's Gram products predate the bad entry
+            return U, V, grams
+
+        return measure, broken_step
+
+    patch.setattr(solvers_module, "_method", injecting)
+
+
 @pytest.mark.parametrize("bad", (np.nan, np.inf))
 @pytest.mark.parametrize("factor", ("U", "V"))
 @pytest.mark.parametrize("method", METHODS)
 def test_a_non_finite_factor_names_itself_and_leaves_the_others(monkeypatch, method, factor, bad):
     # member 1's factor turns non-finite in the third step; the stack notices
     # it through the objective and reports the factor, as a direct check would
-    real = solvers_module._method
-    calls = []
-
-    def injecting(*args):
-        measure, step = real(*args)
-
-        def broken_step(U, V, *carry):
-            U, V, grams = step(U, V, *carry)
-            calls.append(1)
-            if len(calls) == 3:
-                (U if factor == "U" else V)[1, 0, 0] = bad
-                grams = None  # the step's Gram products predate the bad entry
-            return U, V, grams
-
-        return measure, broken_step
-
     Xs = [problem(seed) for seed in range(3)]
     graphs = [knn_graph(X, 4) for X in Xs] if method == "GEMMF" else [None] * 3
     initials = [init_factors(X, 3, seed=seed) for seed, X in enumerate(Xs)]
     cfg = SolverConfig(method=method, c=3, max_iter=10, tol=0.0, lam=1.0)
-    monkeypatch.setattr(solvers_module, "_method", injecting)
+    inject_non_finite(monkeypatch, Xs[1].values, 3, factor, bad)
     results = fit_stack(Xs, cfg, initials, graphs)
     monkeypatch.undo()
     err = results[1]
@@ -773,8 +823,14 @@ def written_bytes(cfg, threads=1):
     ("GEMMF", Sweep(name="lambda", values=[0.0, 1.0, 10.0])),
     ("GEMMF", Sweep(name="block_size", values=[0, 2])),
     ("NMF_DIV", None),
+    ("NMF_FRO", Sweep(name="outlier_count", values=[2, 5])),
+    ("L21_NMF", Sweep(name="sigma", values=[1.0, 100.0])),
 ])
 def test_output_files_do_not_depend_on_the_stack_budget(tmp_path, monkeypatch, method, sweep):
+    # a point's repetitions are fitted max(1, STACK_BYTES // (8 d n)) at a
+    # time; the default budget holds them all, and a drawn one, from one
+    # member per stack up to all of them, must write the same bytes. A sigma
+    # sweep fits once, outside the stacks.
     cfg = sweep_config(tmp_path, method, sweep)
     sizes = []
     real = experiment_module.fit_stack
@@ -785,21 +841,32 @@ def test_output_files_do_not_depend_on_the_stack_budget(tmp_path, monkeypatch, m
 
     monkeypatch.setattr(experiment_module, "fit_stack", recording)
     stacked = written_bytes(cfg)
-    points = len(sweep.values) if sweep else 1
-    assert sizes == [cfg.repetitions] * points
-    sizes.clear()
-    monkeypatch.setattr(experiment_module, "STACK_BYTES", 1)  # one member per stack
-    assert written_bytes(cfg) == stacked
-    assert sizes == [1] * (points * cfg.repetitions)
+    name = sweep.name if sweep else None
+    points = [] if name == "sigma" else sweep.values if sweep else [0]
+    assert sizes == [cfg.repetitions] * len(points)
     assert written_bytes(cfg, threads=3) == stacked
-    # three members of the largest data per stack: the last stack of each
-    # point holds the fourth repetition alone
-    sizes.clear()
     X = experiment_module.realize_dataset(cfg.dataset)
-    n = X.n + (max(sweep.values) if sweep and sweep.name == "outlier_count" else 0)
-    monkeypatch.setattr(experiment_module, "STACK_BYTES", 3 * 8 * X.d * n)
-    assert written_bytes(cfg) == stacked
-    assert sizes == [3, 1] * points
+    member_bytes = [8 * X.d * (X.n + (value if name == "outlier_count" else 0))
+                    for value in points]
+    most = cfg.repetitions * max(member_bytes, default=1)
+
+    @settings(PROPERTY, max_examples=6)
+    @example(1)  # one member per stack
+    @example(most)  # every repetition of each point in one stack
+    @given(st.integers(1, most))
+    def check(budget):
+        sizes.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(experiment_module, "STACK_BYTES", budget)
+            assert written_bytes(cfg) == stacked
+        expected = []
+        for member in member_bytes:
+            size = max(1, budget // member)
+            expected += [min(size, cfg.repetitions - first)
+                         for first in range(0, cfg.repetitions, size)]
+        assert sizes == expected
+
+    check()
 
 
 def former_task_fit(cfg, X_base, sweep_name, value, rep):

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from entnmf import DataMatrix, SolverConfig, core, fit, knn_graph, normalize_graph
 from entnmf import solvers
-from entnmf.core import (basis_step, coeff_step, column_norms, gram_products, residual,
-                         residual_norms, sample_sq_norms)
+from entnmf.core import (basis_step, coeff_step, gram_products, residual, residual_sq_norms,
+                         sample_sq_norms)
 from entnmf.graph import graph_coeff_step
 from entnmf.losses import entropy_terms
 from conftest import csr
@@ -135,20 +135,20 @@ def test_gram_residual_norms_are_exact_or_within_their_bound(stack):
     X, U, V = stack
     sq = sample_sq_norms(X)
     A, G = gram_products(X, U)
-    with np.errstate(invalid="ignore"):  # the square root of a cancelled square
-        norms = residual_norms(X, sq, U, V, A, G)
-        for b in range(X.shape[0]):
-            exact = column_norms(residual(X[b], U[b], V[b]))
-            with mock.patch.object(core, "residual", wraps=core.residual) as formed:
-                alone = residual_norms(X[b:b + 1], sq[b:b + 1], U[b:b + 1], V[b:b + 1],
-                                       A[b:b + 1], G[b:b + 1])[0]
-            # a stacked member computes what it would alone
-            assert np.array_equal(norms[b], alone)
-            if formed.called:  # the fallback: the exact norms, bit for bit
-                assert np.array_equal(alone, exact)
-            else:  # every square above TAU ||x||^2: within the bound TAU implies
-                assert np.all(alone ** 2 > 0.999 * core.TAU * sq[b])
-                assert np.all(np.abs(alone - exact) <= 2e-12 * exact)
+    squares = residual_sq_norms(X, sq, U, V, A, G)
+    for b in range(X.shape[0]):
+        M = residual(X[b], U[b], V[b])
+        exact = np.sum(M * M, axis=0)
+        with mock.patch.object(core, "residual", wraps=core.residual) as formed:
+            alone = residual_sq_norms(X[b:b + 1], sq[b:b + 1], U[b:b + 1], V[b:b + 1],
+                                      A[b:b + 1], G[b:b + 1])[0]
+        # a stacked member computes what it would alone
+        assert np.array_equal(squares[b], alone)
+        if formed.called:  # the fallback: the exact squares, bit for bit
+            assert np.array_equal(alone, exact)
+        else:  # every square above TAU ||x||^2: within the bound TAU implies
+            assert np.all(alone > core.TAU * sq[b])
+            assert np.all(np.abs(alone - exact) <= 4e-12 * exact)
 
 
 @st.composite
