@@ -29,11 +29,7 @@ from .experiment import (
     run_bound_curve,
     run_experiment,
 )
-from .graph import (
-    SimilarityGraph,
-    knn_graph,
-    normalize_graph,
-)
+from .graph import SimilarityGraph, knn_graph
 from .losses import (
     InfluenceReport,
     influence_ratios,
@@ -76,7 +72,6 @@ __all__ = [
     "load_config",
     "load_csv",
     "nmi",
-    "normalize_graph",
     "realize_dataset",
     "residual_matrix",
     "run_bound_curve",

@@ -49,7 +49,12 @@ class DataMatrix:
             i, j = np.unravel_index(int(np.argmin(values)), values.shape)
             raise InputError(f"data matrix must be nonnegative, entry ({i},{j}) = {values[i, j]}")
         if self.labels is not None:
-            labels = np.asarray(self.labels, dtype=int)
+            given = np.asarray(self.labels)
+            with np.errstate(invalid="ignore"):  # NaN, inf and huge values cast to garbage
+                labels = given.astype(int)
+            bad = np.flatnonzero(labels != given)
+            if bad.size:
+                raise InputError(f"label {bad[0]} is not an integer: {given.flat[bad[0]]}")
             object.__setattr__(self, "labels", labels)
             if labels.shape != (values.shape[1],):
                 raise InputError(

@@ -44,7 +44,7 @@ from .data import (
     unit_normalize,
 )
 from .errors import InputError, NumericalError
-from .graph import knn_graph, normalize_graph
+from .graph import knn_graph
 from .losses import influence_ratios, influence_upper_bound
 from .metrics import accuracy, nmi, summarize
 from .solvers import (SolverConfig, check_cluster_count, extend_factors, fit, fit_stack,
@@ -308,14 +308,14 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list:
 
 
 def _base_graph(cfg: ExperimentConfig, X_base: DataMatrix):
-    """The normalized kNN graph of X_base that every G-EMMF fit on X_base
-    shares (single points, lambda and sigma sweeps), else None. A graph_k not
-    below the fewest samples a fit sees is an InputError."""
+    """The raw kNN graph of X_base that every G-EMMF fit on X_base shares
+    (single points, lambda and sigma sweeps), else None. A graph_k not below
+    the fewest samples a fit sees is an InputError."""
     if cfg.solver.method != "GEMMF":
         return None
     sweep_name = cfg.sweep.name if cfg.sweep else None
     if sweep_name in (None, "lambda", "sigma"):
-        return normalize_graph(knn_graph(X_base, cfg.graph_k))
+        return knn_graph(X_base, cfg.graph_k)
     n = X_base.n + (min(cfg.sweep.values) if sweep_name == "outlier_count" else 0)
     if cfg.graph_k >= n:
         raise InputError(f"graph_k {cfg.graph_k} must be below {n}, the fewest samples a fit sees")

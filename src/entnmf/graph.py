@@ -1,11 +1,12 @@
 """Similarity graphs and the graph-regularized coefficient update.
 
 The graph term lambda * ||S - V V^T||_F^2 on a degree-normalized similarity
-graph softly couples the coefficient rows of neighboring samples. A k-nearest-
-neighbor graph has O(n k) edges, so S is stored as three numpy CSR arrays
-(`indptr`, `indices`, `data`, each row's columns ascending) and no n x n
-matrix is ever formed: the neighbor search runs over blocks of rows, and the
-penalty is evaluated in its expanded form
+graph softly couples the coefficient rows of neighboring samples; the fit
+normalizes the raw graph it is given (`normalize_graph`). A kNN graph has
+O(n k) edges, so S is stored as three numpy CSR arrays (`indptr`, `indices`,
+`data`, each row's columns ascending) and no n x n matrix is ever formed:
+the neighbor search runs over blocks of rows, and the penalty is evaluated
+in its expanded form
 
     ||S - V V^T||_F^2 = ||S||_F^2 - 2 sum((S V) o V) + ||V^T V||_F^2,
 
@@ -64,13 +65,17 @@ class SimilarityGraph:
     S may be given as a dense array or any scipy sparse matrix (converted by
     its own `tocsr()`, so the package needs no scipy). Its entries (see
     `_entries`) are stored as the numpy CSR arrays `indptr`, `indices` and
-    `data`, the columns of each row ascending. A graph built here is taken
-    as unnormalized: a fit regularizes with its degree normalization
-    (`normalize_graph`), the only maker of a graph marked `normalized`.
+    `data`, the columns of each row ascending. A fit regularizes with the
+    degree normalization of the graph it is given (`normalize_graph`), so
+    callers pass the raw graph.
     """
 
     def __init__(self, S):
         n, rows, cols, data = _entries(S)
+        bad = np.flatnonzero(~((data >= 0) & (data < np.inf)))  # NaN fails both
+        if bad.size:
+            i, j, w = rows[bad[0]], cols[bad[0]], data[bad[0]]
+            raise InputError(f"graph weights must be finite and >= 0, entry ({i}, {j}) = {w}")
         # S is symmetric exactly when S^T lists the same nonzero entries row
         # by row: their keys, sorted, are S's keys, carrying the same values
         nonzero = data != 0
@@ -79,26 +84,22 @@ class SimilarityGraph:
         if not (np.array_equal(c[order], r) and np.array_equal(r[order], c)
                 and np.array_equal(v[order], v)):
             raise InputError("similarity graph must be exactly symmetric")
-        if data.size and data.min() < 0:
-            raise InputError("similarity graph must be nonnegative")
-        self._set(np.searchsorted(rows, np.arange(n + 1)), cols, data, normalized=False)
+        self.indptr, self.indices, self.data = np.searchsorted(rows, np.arange(n + 1)), cols, data
 
     @classmethod
-    def _of(cls, indptr, indices, data, normalized):
-        """The graph on CSR arrays that are symmetric and nonnegative by
-        construction, the columns of each row ascending; unchecked."""
+    def _of(cls, indptr, indices, data):
+        """The graph on symmetric nonnegative CSR arrays, rows' columns ascending; unchecked."""
         graph = cls.__new__(cls)
-        graph._set(indptr, indices, data, normalized)
+        graph.indptr, graph.indices, graph.data = indptr, indices, data
         return graph
-
-    def _set(self, indptr, indices, data, normalized):
-        self.indptr, self.indices, self.data = indptr, indices, data
-        self.normalized = normalized
-        self.sq_norm = float(data @ data)  # ||S||_F^2
 
     @property
     def n(self) -> int:
         return len(self.indptr) - 1
+
+    @property
+    def sq_norm(self) -> float:  # ||S||_F^2
+        return float(self.data @ self.data)
 
 
 def _entries(S):
@@ -270,7 +271,7 @@ def knn_graph(X: DataMatrix, k: int) -> SimilarityGraph:
     keys.sort()
     keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
     indptr = np.searchsorted(keys, n * np.arange(n + 1))
-    return SimilarityGraph._of(indptr, keys % n, np.ones(keys.size), normalized=False)
+    return SimilarityGraph._of(indptr, keys % n, np.ones(keys.size))
 
 
 def normalize_graph(graph: SimilarityGraph) -> SimilarityGraph:
@@ -279,22 +280,19 @@ def normalize_graph(graph: SimilarityGraph) -> SimilarityGraph:
     Each stored entry S_ij is scaled by the product d_i^{-1/2} d_j^{-1/2},
     which is the same for S_ji, so the result stays exactly symmetric.
     Isolated vertices (zero degree) keep their zero row and column instead of
-    dividing by zero. The normalized flag guards against double application:
-    an already-normalized graph is returned unchanged.
+    dividing by zero. `fit` applies it to the graph it is given, so callers
+    pass the raw graph.
     """
-    if graph.normalized:
-        return graph
     indptr, indices = graph.indptr, graph.indices
     # each non-empty row's degree by one reduceat over the row segments, the
     # sum scipy's S.sum(axis=1) takes, so weighted graphs keep their bits
     deg = np.zeros(graph.n)
     nonempty = np.flatnonzero(np.diff(indptr))
     deg[nonempty] = np.add.reduceat(graph.data, indptr[nonempty])
-    with np.errstate(divide="ignore"):
-        inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
+    inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
     rows = np.repeat(np.arange(graph.n), np.diff(indptr))
     data = graph.data * (inv_sqrt[rows] * inv_sqrt[indices])
-    return SimilarityGraph._of(indptr, indices, data, normalized=True)
+    return SimilarityGraph._of(indptr, indices, data)
 
 
 def graph_coeff_step(A: np.ndarray, G: np.ndarray, V: np.ndarray, Q: np.ndarray,

@@ -249,8 +249,8 @@ def _divergence(X: np.ndarray, B: np.ndarray, zero: np.ndarray, out: np.ndarray)
 
 def _method(X: np.ndarray, eps: np.ndarray, cfg: SolverConfig, graphs):
     """(measure, step) of cfg.method on the stack X (B, d, n); see the module
-    docstring. eps is (B, 1); graphs are the members' normalized graphs, read
-    only by GEMMF."""
+    docstring. eps is (B, 1); graphs are the members' graphs as `fit_stack`
+    normalized them, read only by GEMMF."""
     if cfg.method == "NMF_DIV":
         # UV^T has a workspace of its own, because the next step's first
         # ratio reuses it; every other d x n quantity goes to M
@@ -333,7 +333,8 @@ def fit_stack(Xs, cfg: SolverConfig, initials, graphs=None) -> list:
     """Fit the same-shape problems (Xs[b], initials[b], graphs[b]) in one loop.
 
     All members share cfg (its seed is not used: the members start from
-    their `initials`); GEMMF needs one similarity graph per member. Returns
+    their `initials`); GEMMF needs one raw similarity graph per member and
+    regularizes with its degree normalization, formed once per call. Returns
     one entry per member, in order: its FitResult, or the NumericalError
     that stopped it, carrying the iteration and the member's objective trace
     so far. Each result is bit for bit what `fit` gives for that member alone,

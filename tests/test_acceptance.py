@@ -31,7 +31,6 @@ from entnmf import (
     knn_graph,
     load_config,
     nmi,
-    normalize_graph,
     residual_matrix,
     run_experiment,
     synth_blobs,
@@ -40,7 +39,7 @@ from entnmf import (
     unit_normalize,
 )
 from entnmf.core import basis_step, coeff_step
-from entnmf.graph import graph_coeff_step
+from entnmf.graph import graph_coeff_step, normalize_graph
 from entnmf.losses import default_epsilon
 from conftest import csr, entropy_objective, entropy_weights
 

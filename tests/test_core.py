@@ -49,6 +49,12 @@ class TestDataMatrix:
         X = DataMatrix(values=[[1.0, 2.0]], labels=[0.0, 1.0])
         assert X.labels.dtype == int
 
+    @pytest.mark.parametrize("labels",
+                             [[0.5, 1.7, 2], [0, np.nan, 1], [0, 1, np.inf], [0, 1, 1e300]])
+    def test_rejects_labels_that_are_not_integers(self, labels):
+        with pytest.raises(InputError, match="is not an integer"):
+            DataMatrix(values=[[1.0, 2.0, 3.0]], labels=labels)
+
 
 class TestFactorPair:
     def test_rejects_mismatched_component_counts(self):

@@ -458,9 +458,9 @@ NO_SCIPY = """
 import sys
 from dataclasses import replace
 from entnmf import (DatasetSpec, ExperimentConfig, SolverConfig, Sweep, fit, knn_graph,
-                    normalize_graph, run_experiment, synth_blobs)
+                    run_experiment, synth_blobs)
 X = synth_blobs(3, 20, 6, 8.0, seed=1)
-fit(X, SolverConfig(method="GEMMF", c=3, lam=1.0, max_iter=20), normalize_graph(knn_graph(X, 4)))
+fit(X, SolverConfig(method="GEMMF", c=3, lam=1.0, max_iter=20), knn_graph(X, 4))
 blobs = DatasetSpec(source="SYNTH_BLOBS", params={"c": 2, "per_cluster": 6, "d": 9,
                     "separation": 10.0, "samples_per_class": 2})
 emmf = ExperimentConfig(dataset=blobs, solver=SolverConfig(method="EMMF", c=2, max_iter=20),

@@ -41,7 +41,6 @@ from entnmf import (
     inject_block_noise,
     inject_outlier_vectors,
     knn_graph,
-    normalize_graph,
     synth_blobs,
     unit_normalize,
 )
@@ -49,7 +48,7 @@ from entnmf import core
 from entnmf import experiment as experiment_module
 from entnmf import solvers as solvers_module
 from entnmf.experiment import DatasetSpec, ExperimentConfig, Sweep, run_experiment
-from entnmf.graph import graph_penalty
+from entnmf.graph import graph_penalty, normalize_graph
 from entnmf.losses import default_epsilon, entropy_terms
 from entnmf.solvers import fit_stack
 from conftest import csr
@@ -308,14 +307,13 @@ def test_matches_from_explicit_initial_factors(method):
         assert_identical(X, cfg, graph, F0)
 
 
-def test_matches_on_unnormalized_and_normalized_graphs_and_zero_weight():
+def test_matches_on_a_raw_graph_and_zero_weight():
     for seed in range(5):
         X = problem(seed)
-        g = knn_graph(X, 5)
-        for graph in (g, normalize_graph(g)):
-            for lam in (0.0, 1.0, 10.0):
-                cfg = SolverConfig(method="GEMMF", c=3, seed=seed, max_iter=25, tol=0.0, lam=lam)
-                assert_identical(X, cfg, graph)
+        graph = knn_graph(X, 5)
+        for lam in (0.0, 1.0, 10.0):
+            cfg = SolverConfig(method="GEMMF", c=3, seed=seed, max_iter=25, tol=0.0, lam=lam)
+            assert_identical(X, cfg, graph)
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -374,7 +372,7 @@ def assert_whole_fits_match(monkeypatch, method, name, oracle):
     for outliers in (0, 20, 40):
         X, _ = inject_outlier_vectors(base, outliers,
                                       seed=cfg.seed + experiment_module.INJECTION_SEED_OFFSET)
-        graph = normalize_graph(knn_graph(X, 5)) if method == "GEMMF" else None
+        graph = knn_graph(X, 5) if method == "GEMMF" else None
         r = fit(X, cfg, graph)
         with monkeypatch.context() as patch:
             patch.setattr(solvers_module, name, oracle)
@@ -575,8 +573,7 @@ def test_a_stack_matches_from_random_initials_on_column_major_data(method):
 @pytest.mark.parametrize("lam", (0.0, 1.0, 10.0))
 def test_gemmf_stack_with_one_graph_per_member(lam):
     Xs = [problem(seed) for seed in range(5)]
-    raw = [knn_graph(X, 1 + seed) for seed, X in enumerate(Xs)]
-    graphs = [g if seed % 2 else normalize_graph(g) for seed, g in enumerate(raw)]
+    graphs = [knn_graph(X, 1 + seed) for seed, X in enumerate(Xs)]
     initials = [init_factors(X, 3, seed=seed) for seed, X in enumerate(Xs)]
     cfg = SolverConfig(method="GEMMF", c=3, max_iter=200, tol=1e-5, lam=lam)
     assert_stack_matches(Xs, cfg, initials, graphs)
@@ -586,10 +583,10 @@ def test_gemmf_stack_with_one_graph_per_member(lam):
 def member_stacks(draw, method):
     """1-5 members for `method`, their data of one shape in one memory order
     and their factors in one, each with its own start and, under GEMMF, its
-    own kNN graph, raw or normalized. A member's data is s U V^T + s e E and
-    its start (U, V) scaled up by at most 1 + m: e = 0 with m = 0.01 starts
-    near an exact product, where the residual norms take the exact fallback
-    (`core.TAU`), and the members stop at different iterations."""
+    own kNN graph. A member's data is s U V^T + s e E and its start (U, V)
+    scaled up by at most 1 + m: e = 0 with m = 0.01 starts near an exact
+    product, where the residual norms take the exact fallback (`core.TAU`),
+    and the members stop at different iterations."""
     B = draw(st.integers(1, 5))
     d = draw(st.integers(1, 8))
     n = draw(st.integers(3, 12))
@@ -608,8 +605,7 @@ def member_stacks(draw, method):
         V = V * (1.0 + move * rng.random(V.shape))
         initials.append(FactorPair(U=np.asarray(U, order=factor_order),
                                    V=np.asarray(V, order=factor_order)))
-        graph = knn_graph(Xs[-1], draw(st.integers(1, n - 1)))
-        graphs.append(normalize_graph(graph) if draw(st.booleans()) else graph)
+        graphs.append(knn_graph(Xs[-1], draw(st.integers(1, n - 1))))
     tol = draw(st.sampled_from([0.0, 1e-4, 1e-2]))
     lam = draw(st.sampled_from([0.0, 1.0]))
     cfg = SolverConfig(method=method, c=c, max_iter=40, tol=tol, lam=lam)
@@ -644,7 +640,7 @@ def test_a_generated_stack_matches_each_member_fitted_alone(monkeypatch, method)
 
 def test_members_sharing_data_and_graph_match_with_an_explicit_epsilon():
     X = problem(3)
-    graph = normalize_graph(knn_graph(X, 4))
+    graph = knn_graph(X, 4)
     initials = [init_factors(X, 3, seed=seed) for seed in range(4)]
     for method in ("EMMF", "GEMMF", "L21_NMF"):
         cfg = SolverConfig(method=method, c=3, max_iter=40, tol=0.0, lam=1.0, epsilon=0.05)

@@ -1,5 +1,5 @@
-"""Invariants of `fit` and of its kernels over generated shapes, seeds and
-data scales.
+"""Invariants of `fit`, of its kernels and of graph construction over
+generated shapes, seeds and data scales.
 
 Examples are derandomized and no example database is kept, so the suite
 stays deterministic.
@@ -10,12 +10,13 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
-from entnmf import DataMatrix, SolverConfig, core, fit, knn_graph, normalize_graph
+from entnmf import DataMatrix, SimilarityGraph, SolverConfig, core, fit, knn_graph
 from entnmf import solvers
 from entnmf.core import (basis_step, coeff_step, gram_products, residual, residual_sq_norms,
                          sample_sq_norms)
-from entnmf.graph import graph_coeff_step
+from entnmf.graph import graph_coeff_step, normalize_graph
 from entnmf.losses import entropy_terms
 from conftest import csr
 
@@ -209,3 +210,60 @@ def test_entropy_terms_scale_with_the_norms(norms, alpha):
     scaled_loss, scaled_q = entropy_terms(alpha * norms)
     assert abs(scaled_loss - alpha * loss) <= 1e-12 * alpha * loss
     assert np.all(np.abs(scaled_q - q / alpha) <= 1e-12 * q / alpha)
+
+
+@st.composite
+def weighted_graphs(draw):
+    """A symmetric nonnegative S (n x n, diagonal included) as numpy sums
+    it, and S as given: dense, or a scipy COO in shuffled order that lists
+    some weights as two parts, both ways, and holds unmirrored explicit
+    zeros. Two parts sum to the same bits in either order, and a zero adds
+    nothing, so S is exactly symmetric however the duplicates are summed."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    density = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    W = np.triu(scale * rng.random((n, n)) * (rng.random((n, n)) < density))
+    if draw(st.booleans()):
+        S = W + np.triu(W, 1).T
+        return S, S
+    rows, cols, vals = [], [], []
+    for i, j in zip(*np.nonzero(W)):
+        a = W[i, j] * rng.random() if rng.random() < 0.5 else W[i, j]
+        parts = [a, W[i, j] - a] if a != W[i, j] else [a]
+        for r, c in {(i, j), (j, i)}:
+            rows += [r] * len(parts)
+            cols += [c] * len(parts)
+            vals += parts
+    zeros = int(rng.integers(0, n + 1))
+    rows += rng.integers(0, n, zeros).tolist()
+    cols += rng.integers(0, n, zeros).tolist()
+    vals += [0.0] * zeros
+    order = rng.permutation(len(vals))
+    rows, cols, vals = (np.array(a, dtype=t)[order] for a, t in
+                        ((rows, np.intp), (cols, np.intp), (vals, float)))
+    S = np.zeros((n, n))
+    np.add.at(S, (rows, cols), vals)
+    return S, sparse.coo_array((vals, (rows, cols)), shape=(n, n))
+
+
+@PROPERTY
+@given(weighted_graphs())
+def test_a_graph_holds_scipys_csr_arrays_and_normalizes_by_its_row_sums(graph):
+    S, given = graph
+    g = SimilarityGraph(S=given)
+    M = sparse.csr_array(given)
+    M.sum_duplicates()
+    assert np.array_equal(g.indptr, M.indptr)
+    assert np.array_equal(g.indices, M.indices)
+    assert np.array_equal(g.data, M.data)
+    assert np.array_equal(csr(g).toarray(), S)
+    assert abs(g.sq_norm - np.sum(S * S)) <= 1e-12 * np.sum(S * S)
+    # D^-1/2 S D^-1/2 on each stored entry, from the degrees scipy sums
+    deg = M.sum(axis=1)
+    with np.errstate(divide="ignore"):
+        inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
+    rows = np.repeat(np.arange(g.n), np.diff(M.indptr))
+    h = normalize_graph(g)
+    assert np.array_equal(h.indptr, g.indptr) and np.array_equal(h.indices, g.indices)
+    assert np.array_equal(h.data, M.data * (inv_sqrt[rows] * inv_sqrt[M.indices]))

@@ -16,13 +16,12 @@ from entnmf import (
     fit,
     init_factors,
     knn_graph,
-    normalize_graph,
     residual_matrix,
     synth_blobs,
     synth_outliers,
     synth_random,
 )
-from entnmf.graph import graph_penalty
+from entnmf.graph import graph_penalty, normalize_graph
 from entnmf.losses import default_epsilon
 from entnmf.solvers import METHODS, V_INIT_OFFSET, _kmeans, _method, fit_stack
 from conftest import csr, entropy_objective, entropy_weights
@@ -345,7 +344,6 @@ class TestGemmf:
     def test_accepts_an_unnormalized_graph(self):
         X = synth_random(5, 10, seed=8)
         g = knn_graph(X, 3)
-        assert not g.normalized
         r = fit(X, SolverConfig(method="GEMMF", c=2, lam=1.0, max_iter=5), g)
         assert np.all(np.isfinite(r.trace.objective))
 
