@@ -51,9 +51,12 @@ class DataMatrix:
         if self.labels is not None:
             given = np.asarray(self.labels)
             with np.errstate(invalid="ignore"):  # NaN, inf and huge values cast to garbage
-                labels = given.astype(int)
-            bad = np.flatnonzero(labels != given)
-            if bad.size:
+                try:
+                    labels = given.astype(int)
+                    bad = np.flatnonzero(labels != given)
+                except (TypeError, ValueError, OverflowError):  # None, a string: cast each
+                    bad = [i for i, x in enumerate(given.flat) if not _casts_exactly(x)]
+            if len(bad):
                 raise InputError(f"label {bad[0]} is not an integer: {given.flat[bad[0]]}")
             object.__setattr__(self, "labels", labels)
             if labels.shape != (values.shape[1],):
@@ -68,6 +71,14 @@ class DataMatrix:
     @property
     def n(self) -> int:
         return self.values.shape[1]
+
+
+def _casts_exactly(label) -> bool:
+    """Whether one label casts to an equal int, as `DataMatrix` casts them all."""
+    try:
+        return bool(np.asarray(label).astype(int) == label)
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 @dataclass(frozen=True)
@@ -97,30 +108,13 @@ class FactorPair:
 
 @dataclass(frozen=True)
 class ResidualWeights:
-    """Per-sample residual norms and the diagonal weights Q they induce.
-
-    norms are guarded below by epsilon, q holds the diagonal of Q, and total,
-    derived, is the sum of the norms. All q entries are nonnegative because
-    each guarded norm is at most the total.
-    """
+    """Per-sample residual norms (n,), guarded below by epsilon > 0, and the
+    diagonal q (n,) >= 0 of the weights Q they induce, as a fit leaves them
+    (`FitResult.final_q`); total, derived, is the sum of the norms."""
 
     norms: np.ndarray
     q: np.ndarray
     epsilon: float
-
-    def __post_init__(self):
-        norms = np.asarray(self.norms, dtype=float)
-        q = np.asarray(self.q, dtype=float)
-        object.__setattr__(self, "norms", norms)
-        object.__setattr__(self, "q", q)
-        if self.epsilon <= 0:
-            raise InputError(f"epsilon must be positive, got {self.epsilon}")
-        if norms.ndim != 1 or q.shape != norms.shape:
-            raise InputError("norms and q must be 1-D vectors of equal length")
-        if norms.min() < self.epsilon:
-            raise InputError("residual norms must be guarded below by epsilon")
-        if q.min() < 0:
-            raise InputError("diagonal weights must be nonnegative")
 
     @property
     def total(self) -> float:

@@ -73,8 +73,6 @@ def load_csv(path: str | os.PathLike, has_labels: bool = False) -> DataMatrix:
         labels = raw.astype(int)
         # the features alone, so X is Fortran-ordered as unlabelled input is
         parsed = np.ascontiguousarray(parsed[:, :-1])
-    if parsed.size == 0:
-        raise InputError(f"{path}: no feature columns")
     neg = np.argwhere(parsed < 0)
     if neg.size:
         r, c = neg[0]
@@ -109,10 +107,10 @@ def synth_outliers(seed: int = 0) -> DataMatrix:
     # Alternate between near-horizontal and near-vertical directions, both at
     # least 25 degrees away from the cluster ray (about 45 degrees).
     angles = np.deg2rad(np.array([12.0, 78.0, 8.0]) + rng.uniform(-4.0, 4.0, size=3))
+    # Every outlier sits r - |mean| >= 10.5 max_dist from the mean: r >= 12 max_dist
+    # covers |mean| <= 1.5 max_dist, and r >= 8 |mean| leaves 7 |mean| beyond that.
     radius = max(12.0 * max_dist, 8.0 * float(np.linalg.norm(mean)))
     outliers = radius * np.vstack([np.cos(angles), np.sin(angles)])
-    while np.min(np.linalg.norm(outliers - mean[:, None], axis=0)) < 10.0 * max_dist:
-        outliers *= 1.5
     values = np.hstack([inliers, outliers])
     labels = np.array([0] * 10 + [1] * 3)
     return DataMatrix(values=values, labels=labels)

@@ -384,7 +384,6 @@ def _run_fits(cfg, X_base, graph, written):
         # every run's residual, whose squared columns sum to its errors; C
         # order, as X - U V^T allocates it, so the sums round alike
         M = np.empty((X_base.d, n))
-        accs, nmis = [], []
         for first in range(0, cfg.repetitions, size):
             reps = range(first, min(first + size, cfg.repetitions))
             problems = [_problem(cfg, X_base, value, rep, bases, graph) for rep in reps]
@@ -402,8 +401,6 @@ def _run_fits(cfg, X_base, graph, written):
                         truth = truth[score_mask]
                     acc_val = accuracy(pred, truth)
                     nmi_val = nmi(pred, truth)
-                accs.append(acc_val)
-                nmis.append(nmi_val)
                 run = len(metric_rows)
                 trace = result.trace
                 metric_rows.append([sweep_name, value, rep, cfg.solver.seed + rep, acc_val,
@@ -414,7 +411,8 @@ def _run_fits(cfg, X_base, graph, written):
                 errors = np.sqrt(np.sum(np.multiply(M, M, out=M), axis=0))
                 written.append(_write_csv(os.path.join(out, f"errors_{run}.csv"),
                                           ["sample", "error"], enumerate(errors.tolist())))
-        s = summarize(accs, nmis)
+        rows = metric_rows[-cfg.repetitions:]  # this value's runs; acc and nmi are columns 4, 5
+        s = summarize([r[4] for r in rows], [r[5] for r in rows])
         summary_rows.append([sweep_name, value, s.acc_mean, s.acc_std, s.nmi_mean, s.nmi_std,
                              s.runs])
 

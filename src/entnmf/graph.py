@@ -67,7 +67,7 @@ class SimilarityGraph:
     `_entries`) are stored as the numpy CSR arrays `indptr`, `indices` and
     `data`, the columns of each row ascending. A fit regularizes with the
     degree normalization of the graph it is given (`normalize_graph`), so
-    callers pass the raw graph.
+    callers pass the raw graph. A row's weights must sum to a finite degree.
     """
 
     def __init__(self, S):
@@ -85,6 +85,9 @@ class SimilarityGraph:
                 and np.array_equal(v[order], v)):
             raise InputError("similarity graph must be exactly symmetric")
         self.indptr, self.indices, self.data = np.searchsorted(rows, np.arange(n + 1)), cols, data
+        bad = np.flatnonzero(_degrees(self.indptr, data) == np.inf)  # it would zero the row
+        if bad.size:
+            raise InputError(f"weighted degree of graph row {bad[0]} overflows float64")
 
     @classmethod
     def _of(cls, indptr, indices, data):
@@ -119,6 +122,16 @@ def _entries(S):
     S.sum_duplicates()
     rows = np.repeat(np.arange(n), np.diff(S.indptr))
     return n, rows, S.indices.astype(np.intp), S.data
+
+
+def _degrees(indptr: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """Each row's weighted degree, inf where it overflows: one reduceat over the non-empty
+    rows' segments, the sum scipy's S.sum(axis=1) takes, so weighted graphs keep their bits."""
+    deg = np.zeros(len(indptr) - 1)
+    nonempty = np.flatnonzero(np.diff(indptr))
+    with np.errstate(over="ignore"):
+        deg[nonempty] = np.add.reduceat(data, indptr[nonempty])
+    return deg
 
 
 def graph_penalty(sq_norm, SV: np.ndarray, V: np.ndarray):
@@ -284,11 +297,7 @@ def normalize_graph(graph: SimilarityGraph) -> SimilarityGraph:
     pass the raw graph.
     """
     indptr, indices = graph.indptr, graph.indices
-    # each non-empty row's degree by one reduceat over the row segments, the
-    # sum scipy's S.sum(axis=1) takes, so weighted graphs keep their bits
-    deg = np.zeros(graph.n)
-    nonempty = np.flatnonzero(np.diff(indptr))
-    deg[nonempty] = np.add.reduceat(graph.data, indptr[nonempty])
+    deg = _degrees(indptr, graph.data)
     inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
     rows = np.repeat(np.arange(graph.n), np.diff(indptr))
     data = graph.data * (inv_sqrt[rows] * inv_sqrt[indices])

@@ -69,7 +69,7 @@ objective trace; a member whose relative objective change falls below `tol`
 leaves with its result; the rest leave after `max_iter` iterations.
 Departures shrink the stack and change nothing for the members that stay.
 Inputs are validated once, at entry; `FactorPair` and `ResidualWeights` are
-built once per member, for the result.
+built once per member, for the result, and only `FactorPair` checks itself.
 """
 
 from __future__ import annotations
@@ -147,7 +147,7 @@ class FitResult:
         return np.argmax(self.factors.V, axis=1)
 
 
-def _kmeans(points: np.ndarray, c: int, rng: np.random.Generator, n_iter: int = 100):
+def _kmeans(points: np.ndarray, c: int, rng: np.random.Generator):
     """Lloyd's algorithm with k-means++ seeding on points (rows are samples).
 
     An emptied cluster is re-seeded at the point farthest from its assigned
@@ -166,7 +166,7 @@ def _kmeans(points: np.ndarray, c: int, rng: np.random.Generator, n_iter: int = 
 
     labels = np.zeros(n, dtype=int)
     dist = np.empty((n, c))  # squared distance of each point to each centroid
-    for _ in range(n_iter):
+    for _ in range(100):  # at most 100 rounds
         for j in range(c):
             dist[:, j] = np.sum((points - centers[j]) ** 2, axis=1)
         new_labels = np.argmin(dist, axis=1)

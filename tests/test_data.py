@@ -116,7 +116,7 @@ class TestSynthOutliers:
         assert X.values.min() >= 0
 
     def test_outliers_sit_far_from_the_inlier_cloud(self):
-        for seed in range(10):
+        for seed in range(1000):
             X = synth_outliers(seed=seed)
             inliers = X.values[:, :10]
             mean = inliers.mean(axis=1, keepdims=True)

@@ -188,6 +188,15 @@ class TestSimilarityGraph:
             with pytest.raises(InputError, match=r"finite.*entry \(1, 2\) = (inf|nan)$"):
                 SimilarityGraph(S=given)
 
+    def test_rejects_a_weighted_degree_that_overflows_naming_the_row(self):
+        # finite weights whose row sums are inf would normalize to all zeros
+        dense = np.full((3, 3), 1e308)
+        np.fill_diagonal(dense, 0.0)
+        for given in (dense, sparse.coo_array(dense)):
+            with pytest.raises(InputError, match="degree of graph row 0 overflows"):
+                SimilarityGraph(S=given)
+        SimilarityGraph(S=dense / 2)  # row sums of 1e308 are finite
+
     def test_rejects_asymmetric_sparse_input(self):
         with pytest.raises(InputError):
             SimilarityGraph(S=sparse.coo_array(([1.0], ([0], [1])), shape=(2, 2)))

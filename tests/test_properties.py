@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from entnmf import DataMatrix, SimilarityGraph, SolverConfig, core, fit, knn_graph
+from entnmf import DataMatrix, InputError, SimilarityGraph, SolverConfig, core, fit, knn_graph
 from entnmf import solvers
 from entnmf.core import (basis_step, coeff_step, gram_products, residual, residual_sq_norms,
                          sample_sq_norms)
@@ -53,6 +53,11 @@ def test_factors_stay_nonnegative_and_finite(problem, init):
         for A in (r.factors.U, r.factors.V):
             assert np.all(np.isfinite(A)) and A.min() >= 0, method
         assert np.all(np.isfinite(r.trace.objective)), method
+        if method in ("EMMF", "GEMMF"):
+            # the invariants of the weights the fit returns
+            w = r.final_q
+            assert w.norms.shape == w.q.shape == (X.n,), method
+            assert w.epsilon > 0 and w.norms.min() >= w.epsilon and w.q.min() >= 0, method
 
 
 @PROPERTY
@@ -222,7 +227,7 @@ def weighted_graphs(draw):
     n = draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
     density = draw(st.sampled_from([0.0, 0.3, 1.0]))
-    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3, 1e307]))
     W = np.triu(scale * rng.random((n, n)) * (rng.random((n, n)) < density))
     if draw(st.booleans()):
         S = W + np.triu(W, 1).T
@@ -251,19 +256,31 @@ def weighted_graphs(draw):
 @given(weighted_graphs())
 def test_a_graph_holds_scipys_csr_arrays_and_normalizes_by_its_row_sums(graph):
     S, given = graph
-    g = SimilarityGraph(S=given)
     M = sparse.csr_array(given)
     M.sum_duplicates()
+    deg = M.sum(axis=1)
+    try:
+        g = SimilarityGraph(S=given)
+    except InputError as err:
+        # rejected only for a row whose weights sum past the largest float
+        assert "degree" in str(err) and np.isinf(deg).any()
+        return
     assert np.array_equal(g.indptr, M.indptr)
     assert np.array_equal(g.indices, M.indices)
     assert np.array_equal(g.data, M.data)
     assert np.array_equal(csr(g).toarray(), S)
-    assert abs(g.sq_norm - np.sum(S * S)) <= 1e-12 * np.sum(S * S)
+    with np.errstate(over="ignore"):  # both are inf at scale 1e307
+        got, sq_norm = g.sq_norm, np.sum(S * S)
+    assert got == sq_norm or abs(got - sq_norm) <= 1e-12 * sq_norm
     # D^-1/2 S D^-1/2 on each stored entry, from the degrees scipy sums
-    deg = M.sum(axis=1)
     with np.errstate(divide="ignore"):
         inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
     rows = np.repeat(np.arange(g.n), np.diff(M.indptr))
     h = normalize_graph(g)
     assert np.array_equal(h.indptr, g.indptr) and np.array_equal(h.indices, g.indices)
     assert np.array_equal(h.data, M.data * (inv_sqrt[rows] * inv_sqrt[M.indices]))
+    # S_ij <= d_i, d_j bounds each weight by 1, up to the rounding of the
+    # square roots, their reciprocals and two products (a lone weight
+    # of 6.4e-4 normalizes to 1 + 2^-52)
+    assert np.all(np.isfinite(h.data)) and h.data.min(initial=0.0) >= 0
+    assert h.data.max(initial=0.0) <= 1.0 + 4 * np.finfo(float).eps
