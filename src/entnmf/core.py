@@ -49,7 +49,11 @@ class DataMatrix:
             i, j = np.unravel_index(int(np.argmin(values)), values.shape)
             raise InputError(f"data matrix must be nonnegative, entry ({i},{j}) = {values[i, j]}")
         if self.labels is not None:
-            given = np.asarray(self.labels)
+            try:
+                given = np.asarray(self.labels)
+            except ValueError:  # ragged, as [[1], 2]
+                raise InputError(f"labels must be one integer per sample ({values.shape[1]}), "
+                                 "got a ragged sequence") from None
             with np.errstate(invalid="ignore"):  # NaN, inf and huge values cast to garbage
                 try:
                     labels = given.astype(int)

@@ -17,7 +17,10 @@ sweep point are fitted together as stacks (`STACK_BYTES`), one stack after
 another, and every fit in a stack computes exactly what it would alone, so
 the outputs do not depend on the stacking. Each run's trace and errors
 files are written as its stack returns, so only one stack's results are
-held at a time; the metrics and summary rows are kept until the end.
+held at a time; the metrics and summary rows are kept until the end. A
+sweep's values run in forked worker processes, one value per worker, when
+their fits are too small for BLAS to thread (`_worker_count`); the files do
+not depend on where a value ran.
 """
 
 from __future__ import annotations
@@ -27,7 +30,9 @@ import inspect
 import json
 import math
 import os
+import sys
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -76,7 +81,25 @@ INJECTION_SEED_OFFSET = 10007
 # except one member's exact residual on an iteration where that member's
 # squared norms fall back to it; NMF_DIV adds two workspaces and a d x n
 # boolean mask. The errors files take one more d x n buffer per sweep value.
+# Each process fitting sweep values, this one or a worker, holds at most one
+# stack at a time.
 STACK_BYTES = 8 * 2**20
+
+# The largest M N K of a matrix product (M x K times K x N) in the fits of a
+# sweep whose values run in worker processes. Measured from the CPU time of
+# OpenBLAS's threads (OpenBLAS 0.3.31, x86-64), OpenBLAS gives a product
+# M N K // 262144 threads, at least one, so it keeps one below 2 x 262144 on
+# one thread; where c = 1, numpy's matmul makes matrix-vector products, which
+# it keeps on one thread below M N = 460800. The bound stays below both.
+# Above them, each worker's BLAS threads compete with the other workers for
+# the CPUs: a 4-value sweep at n = 2000-2060, d = 100, c = 5 ran 1.7-2.8x
+# slower in a pool of two than in one process on two CPUs.
+ONE_THREAD_PRODUCT = 262144
+# Worker processes are forked where the platform forks and reports the CPUs
+# this process may use. CPython 3.12 and later warn on forking a process
+# that has other threads, as OpenBLAS starts them, so there the values run
+# in this process.
+_FORKS = hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and sys.version_info < (3, 12)
 
 
 @dataclass
@@ -279,9 +302,15 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list:
 
     Returns the list of written paths. On any failure every file written so
     far is removed before the error propagates. The repetitions of a sweep
-    point are fitted as stacks (see `entnmf.solvers`), one after another in
-    the calling thread; BLAS uses the cores. `threads` (>= 1) changes
-    nothing, and it is removed once the benchmark harness stops passing it."""
+    point are fitted as stacks (see `entnmf.solvers`), one after another.
+    The sweep's values run in a pool of forked worker processes, one value
+    per worker, when it has two or more values, this process may use two or
+    more CPUs and every matrix product of their fits is small enough for
+    OpenBLAS to keep on one thread (`_worker_count`); otherwise they run one
+    after another in the calling thread, and BLAS uses the cores. The pool's
+    processes have ended when this returns or raises. `threads` (>= 1)
+    changes nothing, and it is removed once the benchmark harness stops
+    passing it."""
     if threads < 1:
         raise InputError(f"threads must be >= 1, got {threads}")
     # the dataset's own range checks, the cluster count (no sweep lowers d or
@@ -299,12 +328,16 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list:
     try:
         return _run_experiment_inner(cfg, X_base, graph, perturbed, written)
     except BaseException:
-        for path in written:
-            try:
-                os.remove(path)
-            except OSError:
-                pass
+        _remove(written)
         raise
+
+
+def _remove(paths):
+    for path in paths:
+        try:
+            os.remove(path)
+        except OSError:
+            pass
 
 
 def _base_graph(cfg: ExperimentConfig, X_base: DataMatrix):
@@ -354,10 +387,10 @@ def _run_experiment_inner(cfg, X_base, graph, perturbed, written):
 
 
 def _run_fits(cfg, X_base, graph, written):
-    """Every (sweep value, repetition) fit, one stack at a time, G-EMMF on
-    `graph` if given. Each run's trace and errors files are written as its
-    stack returns; the metrics and summary files follow the last stack. Paths
-    are appended to `written`."""
+    """Every (sweep value, repetition) fit, G-EMMF on `graph` if given: each
+    value's fits in a worker process (`_worker_count`), or value after value
+    in this process. The metrics and summary files follow the last value.
+    Paths are appended to `written` in value order."""
     out = cfg.output_dir
     sweep_name = cfg.sweep.name if cfg.sweep else "none"
     values = cfg.sweep.values if cfg.sweep else [0]
@@ -372,47 +405,19 @@ def _run_fits(cfg, X_base, graph, written):
             for rep in range(cfg.repetitions)
         ]
 
+    run = partial(_run_value, cfg, X_base, graph, bases)
+    workers = _worker_count(cfg, X_base, graph)
+    if workers:
+        # the largest fits start first, so that none is left to run alone last
+        order = sorted(range(len(values)), key=lambda i: -_sample_count(cfg, X_base, values[i]))
+        outcomes = (future.result() for future in _in_pool(run, order, workers))
+    else:
+        outcomes = map(run, range(len(values)))
     metric_rows, summary_rows = [], []
-    for value in values:
-        solver_cfg = cfg.solver
-        if sweep_name == "lambda":
-            solver_cfg = replace(solver_cfg, lam=float(value))
-        # The repetitions of a sweep value form stacks of at most STACK_BYTES
-        # of data.
-        n = X_base.n + (value if sweep_name == "outlier_count" else 0)
-        size = max(1, STACK_BYTES // (8 * X_base.d * n))
-        # every run's residual, whose squared columns sum to its errors; C
-        # order, as X - U V^T allocates it, so the sums round alike
-        M = np.empty((X_base.d, n))
-        for first in range(0, cfg.repetitions, size):
-            reps = range(first, min(first + size, cfg.repetitions))
-            problems = [_problem(cfg, X_base, value, rep, bases, graph) for rep in reps]
-            Xs, masks, initials, graphs = zip(*problems)
-            fits = fit_stack(Xs, solver_cfg, initials, graphs)
-            for rep, X, score_mask, result in zip(reps, Xs, masks, fits):
-                if isinstance(result, NumericalError):
-                    raise result
-                acc_val = nmi_val = float("nan")
-                if X.labels is not None:
-                    pred = result.assignments
-                    truth = X.labels
-                    if score_mask is not None:
-                        pred = pred[score_mask]
-                        truth = truth[score_mask]
-                    acc_val = accuracy(pred, truth)
-                    nmi_val = nmi(pred, truth)
-                run = len(metric_rows)
-                trace = result.trace
-                metric_rows.append([sweep_name, value, rep, cfg.solver.seed + rep, acc_val,
-                                    nmi_val, trace.iterations, trace.objective[-1]])
-                written.append(_write_csv(os.path.join(out, f"trace_{run}.csv"),
-                                          ["iteration", "objective"], enumerate(trace.objective)))
-                residual(X.values, result.factors.U, result.factors.V, out=M)
-                errors = np.sqrt(np.sum(np.multiply(M, M, out=M), axis=0))
-                written.append(_write_csv(os.path.join(out, f"errors_{run}.csv"),
-                                          ["sample", "error"], enumerate(errors.tolist())))
-        rows = metric_rows[-cfg.repetitions:]  # this value's runs; acc and nmi are columns 4, 5
-        s = summarize([r[4] for r in rows], [r[5] for r in rows])
+    for value, (rows, paths) in zip(values, outcomes):
+        written.extend(paths)
+        metric_rows += rows
+        s = summarize([r[4] for r in rows], [r[5] for r in rows])  # acc and nmi
         summary_rows.append([sweep_name, value, s.acc_mean, s.acc_std, s.nmi_mean, s.nmi_std,
                              s.runs])
 
@@ -430,6 +435,125 @@ def _run_fits(cfg, X_base, graph, written):
             summary_rows,
         )
     )
+
+
+def _sample_count(cfg: ExperimentConfig, X_base: DataMatrix, value) -> int:
+    """The samples of each fit at sweep value `value`."""
+    return X_base.n + (value if cfg.sweep and cfg.sweep.name == "outlier_count" else 0)
+
+
+def _worker_count(cfg: ExperimentConfig, X_base: DataMatrix, graph) -> int:
+    """The worker processes to fit the sweep values in, or 0 to fit them in
+    this process: one per value, up to the CPUs this process may use, when
+    there are two of each and every matrix product the values' fits make,
+    the kNN blocks of a graph per problem (G-EMMF without the shared `graph`)
+    included, is at most ONE_THREAD_PRODUCT."""
+    values = cfg.sweep.values if cfg.sweep else [0]
+    if not _FORKS or len(values) < 2:
+        return 0
+    d, n = X_base.d, max(_sample_count(cfg, X_base, value) for value in values)
+    largest = d * n * cfg.solver.c  # c <= d, so no product of the fit is larger
+    if cfg.solver.method == "GEMMF" and graph is None:
+        largest = max(largest, 65 * n * d)  # blocks of at most 65 samples (`graph._row_blocks`)
+    workers = min(len(os.sched_getaffinity(0)), len(values))
+    return workers if workers >= 2 and largest <= ONE_THREAD_PRODUCT else 0
+
+
+def _in_pool(run, order, workers) -> list:
+    """Run run(index) for each index in `order`, in that order, in `workers`
+    forked worker processes; return the settled futures in index order. Once
+    a run raises, the runs of higher index that have not started are
+    cancelled and the files of those that returned are removed: read in
+    index order, the results end at the error of the lowest failing index,
+    as they would in one process."""
+    import multiprocessing
+    import signal
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
+    # Forked, not spawned: a spawned worker imports numpy and entnmf afresh,
+    # about 0.15 s, half of what it saves on the README sweep. The pool forks
+    # its workers before it starts a thread, and OpenBLAS stops its threads
+    # across a fork. The workers ignore SIGINT, which a terminal sends to
+    # them too: a worker interrupted while it waits for a value would break
+    # the pool, which then kills the others mid-file. This process takes the
+    # interrupt, lets the started values finish and removes their files.
+    futures = {}
+    failed = len(order)  # the lowest index whose run raised
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=signal.signal,
+                                 initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
+            futures = {pool.submit(run, index): index for index in order}
+            try:
+                for future in as_completed(futures):
+                    index = futures[future]
+                    if index < failed and not future.cancelled() and future.exception() is not None:
+                        failed = index
+                        for later, i in futures.items():
+                            if i > index:
+                                later.cancel()
+            except BaseException:  # an interrupt: start no other run and keep no file
+                failed = -1
+                for future in futures:
+                    future.cancel()
+                raise
+    finally:
+        for future, index in futures.items():
+            if index > failed and not future.cancelled() and future.exception() is None:
+                _remove(future.result()[1])
+    return sorted(futures, key=futures.get)
+
+
+def _run_value(cfg, X_base, graph, bases, index):
+    """The fits of sweep value `index`, one stack at a time, G-EMMF on
+    `graph` if given: the value's metric rows and the paths of its runs'
+    trace and errors files, each written as its stack returns. On a failure
+    the files written are removed before the error propagates."""
+    out = cfg.output_dir
+    sweep_name = cfg.sweep.name if cfg.sweep else "none"
+    value = cfg.sweep.values[index] if cfg.sweep else 0
+    solver_cfg = cfg.solver
+    if sweep_name == "lambda":
+        solver_cfg = replace(solver_cfg, lam=float(value))
+    # The repetitions form stacks of at most STACK_BYTES of data.
+    n = _sample_count(cfg, X_base, value)
+    size = max(1, STACK_BYTES // (8 * X_base.d * n))
+    # every run's residual, whose squared columns sum to its errors; C
+    # order, as X - U V^T allocates it, so the sums round alike
+    M = np.empty((X_base.d, n))
+    rows, written = [], []
+    try:
+        for first in range(0, cfg.repetitions, size):
+            reps = range(first, min(first + size, cfg.repetitions))
+            problems = [_problem(cfg, X_base, value, rep, bases, graph) for rep in reps]
+            Xs, masks, initials, graphs = zip(*problems)
+            fits = fit_stack(Xs, solver_cfg, initials, graphs)
+            for rep, X, score_mask, result in zip(reps, Xs, masks, fits):
+                if isinstance(result, NumericalError):
+                    raise result
+                acc_val = nmi_val = float("nan")
+                if X.labels is not None:
+                    pred = result.assignments
+                    truth = X.labels
+                    if score_mask is not None:
+                        pred = pred[score_mask]
+                        truth = truth[score_mask]
+                    acc_val = accuracy(pred, truth)
+                    nmi_val = nmi(pred, truth)
+                run = index * cfg.repetitions + rep
+                trace = result.trace
+                rows.append([sweep_name, value, rep, cfg.solver.seed + rep, acc_val, nmi_val,
+                             trace.iterations, trace.objective[-1]])
+                written.append(_write_csv(os.path.join(out, f"trace_{run}.csv"),
+                                          ["iteration", "objective"], enumerate(trace.objective)))
+                residual(X.values, result.factors.U, result.factors.V, out=M)
+                errors = np.sqrt(np.sum(np.multiply(M, M, out=M), axis=0))
+                written.append(_write_csv(os.path.join(out, f"errors_{run}.csv"),
+                                          ["sample", "error"], enumerate(errors.tolist())))
+    except BaseException:
+        _remove(written)
+        raise
+    return rows, written
 
 
 def _run_influence(cfg: ExperimentConfig, X_base: DataMatrix, graph, perturbed) -> str:

@@ -1,8 +1,12 @@
 """Shared fixtures: seeded random problem instances, weight helpers, the
 checked call of an update kernel, and the weighted-surrogate oracle; the
 entropy oracles on one whole residual (`entropy_weights`, `entropy_objective`,
-`single_outlier_share`); and the scipy oracle of a similarity graph (`csr`).
-Tests import the oracles from here."""
+`single_outlier_share`); the scipy oracle of a similarity graph (`csr`);
+and two CPUs for the harness's worker pool (`two_cpus`). Tests import the
+oracles from here."""
+
+import concurrent.futures
+import os
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from entnmf import (
     column_norms,
     residual_matrix,
 )
+from entnmf import experiment
 from entnmf.core import coeff_step, gram_products
 from entnmf.graph import graph_coeff_step
 from entnmf.losses import _share_terms, entropy_terms
@@ -121,3 +126,23 @@ def trace_objective():
         return float(np.sum(w.q * np.sum(M * M, axis=0)))
 
     return value
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two CPUs for this process, whatever the host has, so that a small
+    sweep's values run in a pool of two forked workers; the fixture is the
+    list of the worker counts of the pools `run_experiment` creates. Skips
+    where the harness does not fork."""
+    if not experiment._FORKS:
+        pytest.skip("the harness runs every sweep value in one process here")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    pools = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    return pools

@@ -42,8 +42,9 @@ class TestDataMatrix:
             DataMatrix(values=np.empty((0, 3)))
 
     def test_labels_must_cover_every_sample(self):
-        with pytest.raises(InputError, match="labels"):
-            DataMatrix(values=[[1.0, 2.0, 3.0]], labels=[0, 1])
+        for labels in ([0, 1], [[1], 2, 3]):  # too few, and ragged
+            with pytest.raises(InputError, match="labels must .* per sample"):
+                DataMatrix(values=[[1.0, 2.0, 3.0]], labels=labels)
 
     def test_labels_cast_to_int(self):
         X = DataMatrix(values=[[1.0, 2.0]], labels=[0.0, 1.0])

@@ -1,10 +1,14 @@
 """Config parsing, dataset realization, and the experiment runner's outputs."""
 
+import collections
+import concurrent.futures
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +26,7 @@ from entnmf import (
     run_bound_curve,
     run_experiment,
 )
+from entnmf import experiment
 from entnmf.experiment import INJECTION_SEED_OFFSET, config_from_dict, config_to_dict
 
 
@@ -374,8 +379,6 @@ class TestRunExperiment:
         assert not out.exists()
 
     def test_late_failure_removes_partial_outputs(self, tmp_path, monkeypatch):
-        import entnmf.experiment as experiment
-
         def boom(accs, nmis):
             raise RuntimeError("summary failure")
 
@@ -386,8 +389,6 @@ class TestRunExperiment:
         assert list(tmp_path.iterdir()) == []
 
     def test_each_stack_writes_its_runs_before_the_next_is_fitted(self, tmp_path, monkeypatch):
-        import entnmf.experiment as experiment
-
         real = experiment.fit_stack
         on_disk = []
 
@@ -401,8 +402,6 @@ class TestRunExperiment:
         assert on_disk == [[], ["errors_0.csv", "trace_0.csv"]]
 
     def test_a_failure_in_a_later_stack_removes_the_earlier_runs(self, tmp_path, monkeypatch):
-        import entnmf.experiment as experiment
-
         real = experiment.fit_stack
         stacks = []
 
@@ -415,6 +414,8 @@ class TestRunExperiment:
 
         monkeypatch.setattr(experiment, "STACK_BYTES", 1)
         monkeypatch.setattr(experiment, "fit_stack", fails_in_the_third_stack)
+        # the values run in this process, where `stacks` counts them
+        monkeypatch.setattr(experiment, "_worker_count", lambda *args: 0)
         cfg = small_config(tmp_path, sweep=Sweep(name="outlier_count", values=[0, 2]))
         with pytest.raises(NumericalError, match="non-finite"):
             run_experiment(cfg)
@@ -437,6 +438,103 @@ class TestRunExperiment:
             assert (seq_dir / name).read_bytes() == (par_dir / name).read_bytes()
 
 
+class TestWorkerPool:
+    @pytest.mark.parametrize("cpus, workers", [(1, 0), (2, 2), (8, 3)])
+    def test_a_sweep_has_a_worker_per_value_up_to_the_cpus(self, tmp_path, monkeypatch, cpus,
+                                                           workers):
+        if not experiment._FORKS:
+            pytest.skip("the harness runs every sweep value in one process here")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        cfg = small_config(tmp_path, sweep=Sweep(name="outlier_count", values=[0, 2, 4]))
+        X = realize_dataset(cfg.dataset)
+        assert experiment._worker_count(cfg, X, None) == workers
+
+    @pytest.mark.parametrize("overrides", [
+        {},  # a single point
+        # a product of the fit of 300 x 300 x 3 > ONE_THREAD_PRODUCT
+        {"dataset": DatasetSpec(source="SYNTH_RANDOM", params={"d": 300, "n": 300}),
+         "solver": SolverConfig(method="NMF_FRO", c=3, max_iter=2),
+         "sweep": Sweep(name="lambda", values=[0.0, 1.0])},
+        # kNN blocks of 65 x 61 x 70 > ONE_THREAD_PRODUCT, the fit's 70 x 61 x 2 below it
+        {"dataset": DatasetSpec(source="SYNTH_RANDOM", params={"d": 70, "n": 60}),
+         "solver": SolverConfig(method="GEMMF", c=2, max_iter=2),
+         "sweep": Sweep(name="outlier_count", values=[0, 1]), "graph_k": 3},
+    ], ids=["single-point", "large-fit", "large-knn"])
+    def test_a_single_point_or_a_sweep_above_the_gate_creates_no_pool(self, tmp_path,
+                                                                      monkeypatch, overrides):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("run_experiment created a process pool")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        run_experiment(small_config(tmp_path, repetitions=1, **overrides))
+
+    @pytest.mark.parametrize("alone", [False, True], ids=["pool", "one-process"])
+    @pytest.mark.parametrize("error", [NumericalError, InputError])
+    def test_the_first_failing_value_raises_and_no_file_is_left(self, tmp_path, monkeypatch,
+                                                                 two_cpus, alone, error):
+        # Value 1 fails in its second stack after 0.2 s, and value 3 at once;
+        # with two workers, value 2 returns and value 3 fails before value 1
+        # does. Value 1's error is raised, as in one process, every file is
+        # removed and no worker is left running.
+        real = experiment.fit_stack
+        stacks = collections.Counter()  # each value's stacks, in the process it runs in
+
+        def fails(Xs, cfg, *args):
+            stacks[cfg.lam] += 1
+            if cfg.lam == 3.0 or (cfg.lam == 1.0 and stacks[1.0] == 2):
+                if cfg.lam == 1.0:
+                    time.sleep(0.2)
+                if error is InputError:
+                    raise InputError(f"value {cfg.lam} is bad")
+                return [NumericalError(f"value {cfg.lam} diverged", iteration=7,
+                                       objective=[cfg.lam, 2.0])] * len(Xs)
+            return real(Xs, cfg, *args)
+
+        monkeypatch.setattr(experiment, "STACK_BYTES", 1)  # one repetition per stack
+        monkeypatch.setattr(experiment, "fit_stack", fails)
+        if alone:
+            monkeypatch.setattr(experiment, "_worker_count", lambda *args: 0)
+        cfg = small_config(tmp_path, sweep=Sweep(name="lambda", values=[0.0, 1.0, 2.0, 3.0]))
+        with pytest.raises(error, match="value 1.0") as info:
+            run_experiment(cfg)
+        if error is NumericalError:
+            assert info.value.iteration == 7
+            assert info.value.objective == [1.0, 2.0]
+        assert two_cpus == ([] if alone else [2])
+        assert list(tmp_path.iterdir()) == []
+        assert multiprocessing.active_children() == []
+
+    def test_a_failure_cancels_the_later_values_that_have_not_started(self, tmp_path,
+                                                                      monkeypatch, two_cpus):
+        # One worker: value 0 fails at once while value 1 holds the worker for
+        # 0.3 s. The pool has handed at most values 1 to 3 to the worker by
+        # then, and values 4 and 5 never start.
+        real = experiment.fit_stack
+        started = tmp_path / "started.txt"
+
+        def fails_first(Xs, cfg, *args):
+            with open(started, "a", encoding="utf-8") as fh:
+                fh.write(f"{cfg.lam}\n")
+            if cfg.lam == 0.0:
+                raise InputError("value 0 is bad")
+            time.sleep(0.3)
+            return real(Xs, cfg, *args)
+
+        monkeypatch.setattr(experiment, "fit_stack", fails_first)
+        monkeypatch.setattr(experiment, "_worker_count", lambda *args: 1)
+        out = tmp_path / "out"
+        cfg = small_config(out, repetitions=1,
+                           sweep=Sweep(name="lambda", values=[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]))
+        with pytest.raises(InputError, match="value 0"):
+            run_experiment(cfg)
+        ran = started.read_text().split()
+        assert ran[0] == "0.0"
+        assert "4.0" not in ran and "5.0" not in ran
+        assert list(out.iterdir()) == []
+        assert multiprocessing.active_children() == []
+
+
 class TestRunBoundCurve:
     def test_writes_one_row_per_sample_count(self, tmp_path):
         path = run_bound_curve(10, 0.05, output_dir=str(tmp_path))
@@ -452,8 +550,9 @@ class TestRunBoundCurve:
             run_bound_curve(2, 0.05, output_dir=str(tmp_path))
 
 
-# Fits GEMMF on a kNN graph, then runs an EMMF, a GEMMF and a block_size
-# config; prints the scipy modules loaded and the modules the runs imported.
+# Fits GEMMF on a kNN graph and runs a single point, then runs a process pool
+# on `abs` and an EMMF, a GEMMF and a block_size sweep; prints the modules
+# the single point and the sweeps imported, and the scipy modules loaded.
 NO_SCIPY = """
 import sys
 from dataclasses import replace
@@ -466,6 +565,14 @@ blobs = DatasetSpec(source="SYNTH_BLOBS", params={"c": 2, "per_cluster": 6, "d":
 emmf = ExperimentConfig(dataset=blobs, solver=SolverConfig(method="EMMF", c=2, max_iter=20),
                         repetitions=2, sweep=Sweep(name="outlier_count", values=[0, 3]),
                         output_dir=sys.argv[1] + "/emmf")
+before = set(sys.modules)
+run_experiment(replace(emmf, sweep=None, output_dir=sys.argv[1] + "/single"))
+print(sorted(set(sys.modules) - before))
+# the modules of the sweep values' worker pool, and only those, may load
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork")) as pool:
+    list(pool.map(abs, [1, 2]))
 configs = [emmf,
            replace(emmf, solver=replace(emmf.solver, method="GEMMF"), graph_k=3,
                    output_dir=sys.argv[1] + "/gemmf"),
@@ -481,9 +588,10 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 
 def test_the_package_runs_without_scipy_and_a_run_imports_nothing(tmp_path):
     # the graph is numpy arrays, and a run loads no module lazily (np.unique
-    # without return_inverse would import numpy.ma)
+    # without return_inverse would import numpy.ma), except that the sweeps'
+    # worker pool loads its own
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     out = subprocess.run([sys.executable, "-c", NO_SCIPY, str(tmp_path)], env=env,
                          capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout.splitlines() == ["[]", "[]"]
+    assert out.stdout.splitlines() == ["[]", "[]", "[]"]

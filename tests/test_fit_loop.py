@@ -17,6 +17,7 @@ X (diag(q) V); and the squared residual norms from the whole residual,
 U^T U.
 """
 
+import multiprocessing
 import os
 import tracemalloc
 from dataclasses import replace
@@ -837,6 +838,8 @@ def test_output_files_do_not_depend_on_the_stack_budget(tmp_path, monkeypatch, m
         return real(Xs, *args)
 
     monkeypatch.setattr(experiment_module, "fit_stack", recording)
+    # the values run in this process, where `sizes` records their stacks
+    monkeypatch.setattr(experiment_module, "_worker_count", lambda *args: 0)
     stacked = written_bytes(cfg)
     name = sweep.name if sweep else None
     points = [] if name == "sigma" else sweep.values if sweep else [0]
@@ -864,6 +867,30 @@ def test_output_files_do_not_depend_on_the_stack_budget(tmp_path, monkeypatch, m
         assert sizes == expected
 
     check()
+
+
+@pytest.mark.parametrize("method, sweep", [
+    ("EMMF", Sweep(name="outlier_count", values=[0, 3, 6])),
+    # a graph per problem, built in the worker
+    ("GEMMF", Sweep(name="outlier_count", values=[0, 3, 6])),
+    # every fit on the one graph of the clean data
+    ("GEMMF", Sweep(name="lambda", values=[0.0, 1.0, 10.0])),
+    # k-means per problem, in the worker
+    ("EMMF", Sweep(name="block_size", values=[0, 2])),
+])
+def test_a_pool_of_workers_writes_the_bytes_of_one_process(tmp_path, monkeypatch, two_cpus,
+                                                           method, sweep):
+    # the values run in two forked workers, and then in this process: the
+    # same files, returned in the same order, and no worker left running
+    cfg = sweep_config(tmp_path, method, sweep)
+    pooled = written_bytes(cfg)
+    assert two_cpus == [2]
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(experiment_module, "_worker_count", lambda *args: 0)
+    alone = written_bytes(cfg)
+    assert two_cpus == [2]
+    assert list(alone) == list(pooled)
+    assert alone == pooled
 
 
 def former_task_fit(cfg, X_base, sweep_name, value, rep):
