@@ -454,7 +454,7 @@ def _worker_count(cfg: ExperimentConfig, X_base: DataMatrix, graph) -> int:
     d, n = X_base.d, max(_sample_count(cfg, X_base, value) for value in values)
     largest = d * n * cfg.solver.c  # c <= d, so no product of the fit is larger
     if cfg.solver.method == "GEMMF" and graph is None:
-        largest = max(largest, 65 * n * d)  # blocks of at most 65 samples (`graph._row_blocks`)
+        largest = max(largest, 64 * n * d)  # blocks of at most 64 samples (`graph._row_blocks`)
     workers = min(len(os.sched_getaffinity(0)), len(values))
     return workers if workers >= 2 and largest <= ONE_THREAD_PRODUCT else 0
 

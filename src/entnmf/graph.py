@@ -16,10 +16,11 @@ clamped at zero against cancellation when V V^T is close to S
 `knn_graph` ranks half squared distances (sq_i + sq_j) / 2 - p_i.p_j, one
 block of rows at a time, and partitions each row at index k, which leaves
 its k-th smallest distance as the largest of slots 0..k-1 and its (k+1)-th
-in slot k. Where the two differ, the row's k neighbors are the distances at
-most the k-th: one comparison into a reused mask and one flat nonzero list
-them in column order. Only rows where the two tie run the lowest-index tie
-rule.
+in slot k. Where the (k+1)-th lies beyond the rounding bound of the k-th,
+the row's k neighbors are the distances at most the k-th: one comparison
+into a reused mask and one flat nonzero list them in column order. A row
+where it does not settles its candidates within the bound exactly, on
+squared differences summed feature by feature, lowest index first on ties.
 
 The multiplicative update `graph_coeff_step` absorbs the
 orthogonality multiplier through the split
@@ -47,15 +48,15 @@ from .core import DELTA, DataMatrix
 from .errors import InputError
 
 # Bytes of one block of float64 distance rows in the neighbor search. A block
-# has min(64, BLOCK_BYTES // (8 n)) rows (at least two), so its size is
+# has min(64, BLOCK_BYTES // (8 n)) rows (at least one), so its size is
 # bounded for any n, and every n <= 32768 gets the full 64 rows. The search
 # holds two float64 blocks and a boolean one, 64 * 17 n bytes (2.2 MB at
-# n = 2000). On a 2-vCPU Xeon with OpenBLAS, against 256-row blocks (fewer
-# above n = 8192), the search measured faster up to n = 12000, where its
-# elementwise passes stay closer to the cache, and 8% slower at n = 20000,
-# where they do not and each block's Gram product, which reads all of the
-# data, counts more. A one-row remainder joins the block before it
-# (`_row_blocks`).
+# n = 2000), and no copy of C- or Fortran-ordered data. On a 2-vCPU Xeon
+# with OpenBLAS, against 256-row blocks (fewer above n = 8192), the search
+# measured faster up to n = 12000, where its elementwise passes stay closer
+# to the cache, and 8% slower at n = 20000, where they do not and each
+# block's Gram product, which reads all of the data, counts more. The graph
+# does not depend on the block size.
 BLOCK_BYTES = 16 * 2**20
 
 
@@ -184,37 +185,29 @@ class GraphStack:
 
 def _row_blocks(n: int) -> list:
     """(start, stop) of each block of rows the neighbor search takes: blocks
-    of min(64, BLOCK_BYTES // (8 n)) rows.
-
-    No block has one row: numpy sends a one-row Gram product to BLAS gemv,
-    which on C-ordered data can round the entries of two identical samples
-    apart and so break their tie. Blocks have at least two rows, and a
-    one-row remainder joins the block before it."""
-    block = min(64, max(2, BLOCK_BYTES // (8 * n)))
-    starts = list(range(0, n, block))
-    if len(starts) > 1 and n - starts[-1] == 1:
-        starts.pop()
-    return list(zip(starts, starts[1:] + [n]))
+    of min(64, BLOCK_BYTES // (8 n)) rows, at least one."""
+    block = min(64, max(1, BLOCK_BYTES // (8 * n)))
+    return [(start, min(start + block, n)) for start in range(0, n, block)]
 
 
 def knn_graph(X: DataMatrix, k: int) -> SimilarityGraph:
     """0-1 weighted k-nearest-neighbor graph on the samples (columns) of X.
 
     S_ij = 1 if j is among the k Euclidean nearest neighbors of i or vice
-    versa. The diagonal is excluded from the search and left zero; ties of
-    the computed distances are broken toward the lower sample index for
-    determinism. The graph does not depend on the memory order of X. A
-    sample whose squared norm, doubled, overflows raises InputError.
+    versa. The diagonal is excluded from the search and left zero. The
+    distances are the squared differences summed feature by feature, in
+    feature order, and their ties go to the lower sample index, so the graph
+    does not depend on the memory order of X, the block size or the BLAS
+    thread count. A sample whose squared norm, doubled, overflows raises
+    InputError.
     """
     n = X.n
     if not 1 <= k < n:
         raise InputError(f"neighbor count {k} outside [1, {n - 1}]")
-    # The search runs on C-ordered data, a copy only of data in another
-    # order (CSV input is Fortran-ordered), so every order computes the same
-    # floating-point operations. On Fortran-ordered operands in more than
-    # one block, BLAS rounded the Gram entries of two identical samples
-    # apart, breaking their tie, far more often than on C-ordered ones.
-    P = np.ascontiguousarray(X.values)
+    # BLAS takes C- and Fortran-ordered operands (CSV input is
+    # Fortran-ordered) as they are; numpy can take a product of other
+    # strided operands outside BLAS, so only those are copied.
+    P = X.values if X.values.flags.forc else np.ascontiguousarray(X.values)
     # An overflowed squared norm makes distances NaN (inf - inf), which no
     # comparison selects, so a row could lose its neighbors to the diagonal.
     # Nonnegative data keeps every squared distance within 2 max(sq), so a
@@ -225,57 +218,63 @@ def knn_graph(X: DataMatrix, k: int) -> SimilarityGraph:
     if bad.size:
         raise InputError(f"sample {bad[0]} is too large for squared distances "
                          f"(squared norm {sq[bad[0]]:.3g})")
-    # The search ranks half distances (sq_i + sq_j) / 2 - p_i.p_j. Halving is
-    # exact barring subnormal values, so each is exactly half of the squared
-    # distance as the dense formula rounded it, with the same order and the
-    # same ties, and no pass doubles the Gram rows.
+    # The blocks rank half distances D_ij = h_i + h_j - p_i.p_j, h = sq / 2.
+    # Barring underflow, a blocked D_ij, its Gram entry summed in any order
+    # (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1), is
+    # within (d + 2) eps (h_i + h_j) of the exact half distance, and so is
+    # half the feature-by-feature sum; c = 2 (d + 4) eps bounds the two's
+    # difference over h_i + h_j, with room for the rounding of the bound
+    # below. As h_j <= 2 h_i + 2 D_ij, the difference is at most
+    # c (3 h_i + 2 D_ij) / (1 - 2 c), relative to the row's own h_i (a bound
+    # relative to the largest h would settle every row of data with one
+    # large sample). So no distance the blocks put above
+    # (kth + 6 c h_i) / (1 - 4 c) sums to one at most the k-th smallest sum.
+    c = 2 * (P.shape[0] + 4) * np.finfo(float).eps
     half = 0.5 * sq
     blocks = _row_blocks(n)
     # Three buffers serve every block of rows: the Gram rows (then the
     # partition scratch), the distance rows and the neighbor mask. Fresh ones
     # per block are page-faulted in anew each time, unless malloc happens to
-    # serve them from its heap.
-    most = max(stop - start for start, stop in blocks)
+    # serve them from its heap. The first block is the largest.
+    most = blocks[0][1]
     gram = np.empty((most, n))
     dist = np.empty((most, n))
     mask = np.empty((most, n), dtype=bool)
-    # A single block would compute P^T P, which numpy sends to the symmetric
-    # product; its entries for two identical samples can differ in the last
-    # bit, breaking their tie. A copy as the right operand takes the general
-    # product, as every block of a larger search does. The left operand stays
-    # a view of P: BLAS picks its kernel by the operands' strides.
-    right = P.copy() if len(blocks) == 1 else P
     # every row keeps exactly k neighbors, listed in column order
     cols = []
     for start, stop in blocks:
-        rows = stop - start
-        G, d2, keep = gram[:rows], dist[:rows], mask[:rows]
-        np.matmul(P[:, start:stop].T, right, out=G)
+        G, d2, keep = gram[:stop - start], dist[:stop - start], mask[:stop - start]
+        np.matmul(P[:, start:stop].T, P, out=G)
         np.add.outer(half[start:stop], half, out=d2)
         d2 -= G
-        d2[np.arange(rows), np.arange(start, stop)] = np.inf
+        np.fill_diagonal(d2[:, start:], np.inf)  # d2[i, start + i]: row i's own sample
         # Partitioned at index k, a row holds its k smallest distances in
-        # slots 0..k-1 and its (k+1)-th smallest in slot k. Where the k-th
-        # smallest (their max) is below the (k+1)-th, exactly k distances are
-        # at most the k-th, and they are the row's neighbors.
+        # slots 0..k-1 and its (k+1)-th smallest in slot k. Where the
+        # (k+1)-th lies above the bound of the k-th (their max), the k
+        # distances at most the k-th are the row's neighbors. Any other row
+        # keeps every distance up to the bound as a candidate.
         np.copyto(G, d2)
         G.partition(k, axis=1)
         kth = np.max(G[:, :k], axis=1)
-        np.less_equal(d2, kth[:, None], out=keep)
-        # Where the two are equal, more distances tie at the k-th than the row
-        # has room for: keep every distance below it, then the lowest-index
-        # ties until the row has k neighbors.
-        over = np.flatnonzero(kth == G[:, k])
-        if over.size:
-            below = d2[over] < kth[over, None]
-            tied = d2[over] == kth[over, None]
-            room = k - np.sum(below, axis=1, keepdims=True)
-            keep[over] = below | (tied & (np.cumsum(tied, axis=1) <= room))
-        # k flat indices of the n x n matrix per row, in row-major order
+        bound = (kth + 6 * c * half[start:stop]) / (1 - 4 * c)
+        close = G[:, k] <= bound
+        np.less_equal(d2, np.where(close, bound, kth)[:, None], out=keep)
+        # flat indices of the n x n matrix, in row-major order
         flat = np.flatnonzero(keep)
         flat += n * start
+        if close.any():
+            # A close row ranks its candidates by their squared differences
+            # summed feature by feature, from zero in feature order, lowest
+            # index first on ties, and keeps the first k. Its own and its
+            # candidates' values are gathered one feature at a time, the same
+            # values in any memory order.
+            near = np.flatnonzero(close[flat // n - start])
+            row, col = np.divmod(flat[near], n)
+            dist2 = sum((x[col] - x[row]) ** 2 for x in P)
+            rank = np.arange(near.size) - np.searchsorted(row, row)  # within its row
+            flat = np.delete(flat, near[np.lexsort((dist2, row))[rank >= k]])
         cols.append(flat)
-    del P, right, gram, dist, mask, G, d2, keep
+    del P, gram, dist, mask, G, d2, keep
     # Symmetrize: the edge i -> j has key i n + j; each edge and its reverse,
     # sorted with duplicates dropped, list the entries of S row by row.
     keys = np.concatenate(cols)

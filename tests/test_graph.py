@@ -1,5 +1,8 @@
 """Similarity graphs, degree normalization, and the graph-coupled V update."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -32,7 +35,7 @@ def dense_knn_graph(P, k, general=False):
 
     numpy sends its P^T P to the symmetric product, whose entries for two
     identical samples can differ in the last bit and so break their tie;
-    `general` takes the general product instead, as `knn_graph` does."""
+    `general` takes the general product instead."""
     n = P.shape[1]
     sq = np.sum(P * P, axis=0)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (P.T @ (P.copy() if general else P))
@@ -44,17 +47,28 @@ def dense_knn_graph(P, k, general=False):
     return np.maximum(A, A.T)
 
 
+def former_row_blocks(n):
+    """The former blocks of min(64, BLOCK_BYTES // (8 n)) rows, sized by the
+    module's BLOCK_BYTES, so patching it sizes both searches' blocks alike.
+    No block has one row (numpy sends a one-row Gram product to BLAS gemv),
+    and a one-row remainder joins the block before it."""
+    block = min(64, max(2, graph_module.BLOCK_BYTES // (8 * n)))
+    starts = list(range(0, n, block))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
+
+
 def former_knn_graph(X, k):
     """The former per-block neighbor selection, kept as the reference: a
     partition at k - 1, then below/tied passes over every block entry and a 2-D
-    nonzero. Its blocks are the module's `_row_blocks`, so patching
-    BLOCK_BYTES sizes both searches' blocks alike."""
+    nonzero, over the former blocks of at least two rows."""
     n = X.n
     if not 1 <= k < n:
         raise InputError(f"neighbor count {k} outside [1, {n - 1}]")
     P = X.values
     sq = np.sum(P * P, axis=0)
-    blocks = graph_module._row_blocks(n)
+    blocks = former_row_blocks(n)
     # Two float64 buffers serve every block of rows: the Gram rows (then the
     # partition scratch) and the distance rows. Fresh ones per block are
     # page-faulted in anew each time, unless malloc happens to serve them
@@ -210,6 +224,25 @@ class TestSimilarityGraph:
             SimilarityGraph(S=sparse.coo_array(([1.0, 0.5], ([1, 2], [2, 1])), shape=(3, 3)))
 
 
+# Builds the kNN graph (n = argv[1], k = argv[2]) of d=100 random samples, a
+# fifth of them copied over another fifth, and prints the hex of its indptr
+# and indices bytes.
+DUPLICATED_GRAPH = """
+import sys
+import numpy as np
+from entnmf import DataMatrix, knn_graph
+n, k = int(sys.argv[1]), int(sys.argv[2])
+rng = np.random.default_rng(0)
+V = rng.random((100, n))
+src = rng.choice(n, n // 5, replace=False)
+dst = rng.choice(n, n // 5, replace=False)
+V[:, dst] = V[:, src]
+g = knn_graph(DataMatrix(values=V), k)
+print(g.indptr.tobytes().hex())
+print(g.indices.tobytes().hex())
+"""
+
+
 class TestKnnGraph:
     def test_line_of_points_links_consecutive_neighbors(self):
         # samples on a line at 0, 1, 2.1, 10; one neighbor each
@@ -263,28 +296,30 @@ class TestKnnGraph:
         # the last sample copies sample 3, so every other sample is exactly
         # as far from one as from the other, and the tie goes to sample 3. At
         # n=30 the default budget takes the rows in one block; at n=257 and
-        # 300 it takes several, and at n=257 the last row joins the block
-        # before it. Budgets of one, 16 and 64 rows cut every n into blocks
-        # (blocks of two for one row). On Fortran-ordered operands the Gram
-        # rows of several blocks can break the tie, so the search takes
-        # C-ordered ones.
+        # 300 it takes several, and at n=257 the last block has one row.
+        # Budgets of one, 16 and 64 rows cut every n into blocks. At d=100
+        # the Gram rows of several blocks, in either memory order, can round
+        # the two samples' distances apart (n=257 and 300 at seed 1), which
+        # the search settles on the feature-by-feature sums.
         default = graph_module.BLOCK_BYTES
-        for n, seeds in ((30, 50), (257, 10), (300, 10)):
+        for d, n, seeds in [(d, n, seeds) for d in (4, 30, 100)
+                            for n, seeds in ((30, 20), (257, 3), (300, 3))]:
             copy = n - 1
             others = np.setdiff1d(np.arange(n), [3, copy])
             for budget in (default, 8 * n, 16 * 8 * n, 64 * 8 * n):
                 monkeypatch.setattr(graph_module, "BLOCK_BYTES", budget)
                 for seed in range(seeds):
-                    P = np.random.default_rng(seed).random((4, n))
+                    P = np.random.default_rng(seed).random((d, n))
                     P[:, copy] = P[:, 3]
                     X = DataMatrix(values=np.asarray(P, order=order))
                     for k in range(1, 8):
                         S = csr(knn_graph(X, k)).toarray()
-                        assert np.all(S[others, copy] <= S[others, 3]), (n, budget, seed, k)
+                        assert np.all(S[others, copy] <= S[others, 3]), (d, n, budget, seed, k)
 
     def test_the_graph_does_not_depend_on_the_memory_order(self):
         # at d=100 a column sum rounds differently in C and Fortran order;
-        # the search runs on one C-ordered copy whatever the order given
+        # the search copies only strided data, and settles its close rows on
+        # feature-by-feature sums, which are the same in any order
         rng = np.random.default_rng(3)
         P = with_duplicate_columns(rng, rng.random((100, 600)))
         wide = np.zeros((100, 1200))
@@ -293,6 +328,22 @@ class TestKnnGraph:
             expected = knn_graph(DataMatrix(values=P), k)
             for given in (np.asfortranarray(P), wide[:, ::2]):
                 assert_same_csr(knn_graph(DataMatrix(values=given), k), expected, k)
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="BLAS needs two CPUs for two threads")
+    @pytest.mark.parametrize("n, k", [(300, 3), (1500, 1)])
+    def test_the_graph_does_not_depend_on_the_blas_thread_count(self, n, k):
+        # a fifth of the samples copied over another fifth, at d=100: one
+        # and two BLAS threads sum a block's Gram rows in different orders,
+        # and can round the distances of identical samples apart differently
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        built = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"),
+                       OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            out = subprocess.run([sys.executable, "-c", DUPLICATED_GRAPH, str(n), str(k)], env=env,
+                                 capture_output=True, text=True, check=True, timeout=120)
+            built.append(out.stdout)
+        assert built[0] == built[1]
 
     def test_row_blocks_match_the_dense_oracle(self, monkeypatch):
         # quarter-integer coordinates make every distance exact, so ties
@@ -564,8 +615,9 @@ def test_edge_path_stays_under_64_bytes_per_edge(monkeypatch):
 
 def test_neighbor_search_at_the_default_budget_holds_three_64_row_blocks():
     """At n=2000, d=100 on Fortran-ordered data (as CSV input arrives), the
-    kNN build peaks below three 64 x n float64 blocks, the C-ordered copy of
-    the data and 128 bytes per directed edge."""
+    kNN build peaks below three 64 x n float64 blocks and 16 bytes per
+    directed edge (3.23 MB at k=5): it takes the data as it is, with no
+    copy."""
     n, d, k = 2000, 100, 5
     X = DataMatrix(values=np.asfortranarray(np.random.default_rng(2).random((d, n))))
     tracemalloc.start()
@@ -574,7 +626,7 @@ def test_neighbor_search_at_the_default_budget_holds_three_64_row_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 64 * n * 8 + 8 * d * n + 128 * n * k
+    assert peak < 3 * 64 * n * 8 + 16 * n * k
 
 
 def test_default_budget_keeps_64_row_blocks_up_to_32768_samples():
