@@ -21,6 +21,8 @@ held at a time; the metrics and summary rows are kept until the end. A
 sweep's values run in forked worker processes, one value per worker, when
 their fits are too small for BLAS to thread (`_worker_count`); the files do
 not depend on where a value ran.
+A run writes into a staging directory and its files are moved into place,
+manifest last, only once it succeeds, so a manifest marks one whole run.
 """
 
 from __future__ import annotations
@@ -30,7 +32,10 @@ import inspect
 import json
 import math
 import os
+import re
+import shutil
 import sys
+import tempfile
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from typing import get_args, get_type_hints
@@ -73,6 +78,10 @@ SWEEPS = {
 
 # Offset separating injection randomness from fit randomness within a repetition.
 INJECTION_SEED_OFFSET = 10007
+
+# The names of the output files besides manifest.json; a run that succeeds
+# removes those in its output directory that it did not write.
+_OUTPUT_NAME = re.compile(r"(trace|errors)_\d+\.csv|metrics\.csv|summary\.csv|phi_curves\.csv")
 
 # Bytes of stacked data matrices in one stack of repetitions: a sweep point's
 # repetitions are fitted max(1, STACK_BYTES // (8 d n)) at a time. Under
@@ -300,9 +309,11 @@ def _write_csv(path, header, rows):
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list:
     """Execute the configured runs and write all output files.
 
-    Returns the list of written paths. On any failure every file written so
-    far is removed before the error propagates. The repetitions of a sweep
-    point are fitted as stacks (see `entnmf.solvers`), one after another.
+    Returns the list of written paths. Every file is written into a staging
+    directory `.entnmf-*` in `cfg.output_dir` and published (`_publish`) only
+    on success; the staging directory is removed however the run ends, so a
+    failed run leaves the output directory as it was. The repetitions of a
+    sweep point are fitted as stacks (see `entnmf.solvers`), one after another.
     The sweep's values run in a pool of forked worker processes, one value
     per worker, when it has two or more values, this process may use two or
     more CPUs and every matrix product of their fits is small enough for
@@ -324,20 +335,42 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list:
     graph = _base_graph(cfg, X_base)
     perturbed = _perturbed(cfg, X_base)
     os.makedirs(cfg.output_dir, exist_ok=True)
-    written = []
+    # on the output directory's filesystem, so that os.replace moves a file
+    stage = tempfile.mkdtemp(prefix=".entnmf-", dir=cfg.output_dir)
     try:
-        return _run_experiment_inner(cfg, X_base, graph, perturbed, written)
-    except BaseException:
-        _remove(written)
-        raise
+        if perturbed is not None:
+            staged = [_run_influence(cfg, X_base, graph, perturbed, stage)]
+            # a sigma sweep fits once, at the solver seed, and injects nothing
+            seeds = {"fit": [cfg.solver.seed], "injection": []}
+        else:
+            staged = _run_fits(cfg, X_base, graph, stage)
+            fit_seeds = [cfg.solver.seed + r for r in range(cfg.repetitions)]
+            seeds = {"fit": fit_seeds, "injection": [s + INJECTION_SEED_OFFSET for s in fit_seeds]}
+        manifest = {"config": config_to_dict(cfg), "seeds": seeds}
+        staged.append(os.path.join(stage, "manifest.json"))
+        with open(staged[-1], "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        return _publish(staged, cfg.output_dir)
+    finally:
+        shutil.rmtree(stage)
 
 
-def _remove(paths):
-    for path in paths:
-        try:
-            os.remove(path)
-        except OSError:
-            pass
+def _publish(staged, output_dir) -> list:
+    """Move the `staged` files into `output_dir` in order, the manifest last,
+    and return their paths there. The old manifest is removed first, then
+    the output files (`_OUTPUT_NAME`) that the staged ones do not replace;
+    no other file is touched."""
+    names = [os.path.basename(path) for path in staged]
+    paths = [os.path.join(output_dir, name) for name in names]
+    if os.path.exists(paths[-1]):
+        os.remove(paths[-1])
+    for name in set(os.listdir(output_dir)).difference(names):
+        if _OUTPUT_NAME.fullmatch(name):
+            os.remove(os.path.join(output_dir, name))
+    for source, path in zip(staged, paths):
+        os.replace(source, path)
+    return paths
 
 
 def _base_graph(cfg: ExperimentConfig, X_base: DataMatrix):
@@ -368,30 +401,11 @@ def _perturbed(cfg: ExperimentConfig, X_base: DataMatrix):
     return perturbed
 
 
-def _run_experiment_inner(cfg, X_base, graph, perturbed, written):
-    if perturbed is not None:
-        written.append(_run_influence(cfg, X_base, graph, perturbed))
-        # a sigma sweep fits once, at the solver seed, and injects nothing
-        seeds = {"fit": [cfg.solver.seed], "injection": []}
-    else:
-        _run_fits(cfg, X_base, graph, written)
-        fit_seeds = [cfg.solver.seed + r for r in range(cfg.repetitions)]
-        seeds = {"fit": fit_seeds, "injection": [s + INJECTION_SEED_OFFSET for s in fit_seeds]}
-    manifest = {"config": config_to_dict(cfg), "seeds": seeds}
-    path = os.path.join(cfg.output_dir, "manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    written.append(path)
-    return written
-
-
-def _run_fits(cfg, X_base, graph, written):
+def _run_fits(cfg, X_base, graph, stage) -> list:
     """Every (sweep value, repetition) fit, G-EMMF on `graph` if given: each
     value's fits in a worker process (`_worker_count`), or value after value
     in this process. The metrics and summary files follow the last value.
-    Paths are appended to `written` in value order."""
-    out = cfg.output_dir
+    Returns the paths written in `stage`, in value order."""
     sweep_name = cfg.sweep.name if cfg.sweep else "none"
     values = cfg.sweep.values if cfg.sweep else [0]
 
@@ -405,17 +419,17 @@ def _run_fits(cfg, X_base, graph, written):
             for rep in range(cfg.repetitions)
         ]
 
-    run = partial(_run_value, cfg, X_base, graph, bases)
+    run = partial(_run_value, cfg, X_base, graph, bases, stage)
     workers = _worker_count(cfg, X_base, graph)
     if workers:
         # the largest fits start first, so that none is left to run alone last
         order = sorted(range(len(values)), key=lambda i: -_sample_count(cfg, X_base, values[i]))
-        outcomes = (future.result() for future in _in_pool(run, order, workers))
+        outcomes = _in_pool(run, order, workers)
     else:
         outcomes = map(run, range(len(values)))
-    metric_rows, summary_rows = [], []
+    written, metric_rows, summary_rows = [], [], []
     for value, (rows, paths) in zip(values, outcomes):
-        written.extend(paths)
+        written += paths
         metric_rows += rows
         s = summarize([r[4] for r in rows], [r[5] for r in rows])  # acc and nmi
         summary_rows.append([sweep_name, value, s.acc_mean, s.acc_std, s.nmi_mean, s.nmi_std,
@@ -423,18 +437,19 @@ def _run_fits(cfg, X_base, graph, written):
 
     written.append(
         _write_csv(
-            os.path.join(out, "metrics.csv"),
+            os.path.join(stage, "metrics.csv"),
             ["sweep", "value", "repetition", "seed", "acc", "nmi", "iterations", "objective"],
             metric_rows,
         )
     )
     written.append(
         _write_csv(
-            os.path.join(out, "summary.csv"),
+            os.path.join(stage, "summary.csv"),
             ["sweep", "value", "acc_mean", "acc_std", "nmi_mean", "nmi_std", "runs"],
             summary_rows,
         )
     )
+    return written
 
 
 def _sample_count(cfg: ExperimentConfig, X_base: DataMatrix, value) -> int:
@@ -461,14 +476,13 @@ def _worker_count(cfg: ExperimentConfig, X_base: DataMatrix, graph) -> int:
 
 def _in_pool(run, order, workers) -> list:
     """Run run(index) for each index in `order`, in that order, in `workers`
-    forked worker processes; return the settled futures in index order. Once
-    a run raises, the runs of higher index that have not started are
-    cancelled and the files of those that returned are removed: read in
-    index order, the results end at the error of the lowest failing index,
-    as they would in one process."""
+    forked worker processes, and return the results in index order. Read in
+    index order, they end at the error of the lowest failing index, as they
+    would in one process; on an error or interrupt the runs that have not
+    started are cancelled and the started ones finish."""
     import multiprocessing
     import signal
-    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures import ProcessPoolExecutor
 
     # Forked, not spawned: a spawned worker imports numpy and entnmf afresh,
     # about 0.15 s, half of what it saves on the README sweep. The pool forks
@@ -476,40 +490,23 @@ def _in_pool(run, order, workers) -> list:
     # across a fork. The workers ignore SIGINT, which a terminal sends to
     # them too: a worker interrupted while it waits for a value would break
     # the pool, which then kills the others mid-file. This process takes the
-    # interrupt, lets the started values finish and removes their files.
-    futures = {}
-    failed = len(order)  # the lowest index whose run raised
-    try:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                 initializer=signal.signal,
-                                 initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
-            futures = {pool.submit(run, index): index for index in order}
-            try:
-                for future in as_completed(futures):
-                    index = futures[future]
-                    if index < failed and not future.cancelled() and future.exception() is not None:
-                        failed = index
-                        for later, i in futures.items():
-                            if i > index:
-                                later.cancel()
-            except BaseException:  # an interrupt: start no other run and keep no file
-                failed = -1
-                for future in futures:
-                    future.cancel()
-                raise
-    finally:
-        for future, index in futures.items():
-            if index > failed and not future.cancelled() and future.exception() is None:
-                _remove(future.result()[1])
-    return sorted(futures, key=futures.get)
+    # interrupt, lets the started values finish and then removes the staging
+    # directory they wrote into.
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=signal.signal,
+                             initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
+        futures = {index: pool.submit(run, index) for index in order}
+        try:
+            return [futures[index].result() for index in sorted(futures)]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
-def _run_value(cfg, X_base, graph, bases, index):
+def _run_value(cfg, X_base, graph, bases, stage, index):
     """The fits of sweep value `index`, one stack at a time, G-EMMF on
     `graph` if given: the value's metric rows and the paths of its runs'
-    trace and errors files, each written as its stack returns. On a failure
-    the files written are removed before the error propagates."""
-    out = cfg.output_dir
+    trace and errors files, each written in `stage` as its stack returns."""
     sweep_name = cfg.sweep.name if cfg.sweep else "none"
     value = cfg.sweep.values[index] if cfg.sweep else 0
     solver_cfg = cfg.solver
@@ -522,51 +519,48 @@ def _run_value(cfg, X_base, graph, bases, index):
     # order, as X - U V^T allocates it, so the sums round alike
     M = np.empty((X_base.d, n))
     rows, written = [], []
-    try:
-        for first in range(0, cfg.repetitions, size):
-            reps = range(first, min(first + size, cfg.repetitions))
-            problems = [_problem(cfg, X_base, value, rep, bases, graph) for rep in reps]
-            Xs, masks, initials, graphs = zip(*problems)
-            fits = fit_stack(Xs, solver_cfg, initials, graphs)
-            for rep, X, score_mask, result in zip(reps, Xs, masks, fits):
-                if isinstance(result, NumericalError):
-                    raise result
-                acc_val = nmi_val = float("nan")
-                if X.labels is not None:
-                    pred = result.assignments
-                    truth = X.labels
-                    if score_mask is not None:
-                        pred = pred[score_mask]
-                        truth = truth[score_mask]
-                    acc_val = accuracy(pred, truth)
-                    nmi_val = nmi(pred, truth)
-                run = index * cfg.repetitions + rep
-                trace = result.trace
-                rows.append([sweep_name, value, rep, cfg.solver.seed + rep, acc_val, nmi_val,
-                             trace.iterations, trace.objective[-1]])
-                written.append(_write_csv(os.path.join(out, f"trace_{run}.csv"),
-                                          ["iteration", "objective"], enumerate(trace.objective)))
-                residual(X.values, result.factors.U, result.factors.V, out=M)
-                errors = np.sqrt(np.sum(np.multiply(M, M, out=M), axis=0))
-                written.append(_write_csv(os.path.join(out, f"errors_{run}.csv"),
-                                          ["sample", "error"], enumerate(errors.tolist())))
-    except BaseException:
-        _remove(written)
-        raise
+    for first in range(0, cfg.repetitions, size):
+        reps = range(first, min(first + size, cfg.repetitions))
+        problems = [_problem(cfg, X_base, value, rep, bases, graph) for rep in reps]
+        Xs, masks, initials, graphs = zip(*problems)
+        fits = fit_stack(Xs, solver_cfg, initials, graphs)
+        for rep, X, score_mask, result in zip(reps, Xs, masks, fits):
+            if isinstance(result, NumericalError):
+                raise result
+            acc_val = nmi_val = float("nan")
+            if X.labels is not None:
+                pred = result.assignments
+                truth = X.labels
+                if score_mask is not None:
+                    pred = pred[score_mask]
+                    truth = truth[score_mask]
+                acc_val = accuracy(pred, truth)
+                nmi_val = nmi(pred, truth)
+            run = index * cfg.repetitions + rep
+            trace = result.trace
+            rows.append([sweep_name, value, rep, cfg.solver.seed + rep, acc_val, nmi_val,
+                         trace.iterations, trace.objective[-1]])
+            written.append(_write_csv(os.path.join(stage, f"trace_{run}.csv"),
+                                      ["iteration", "objective"], enumerate(trace.objective)))
+            residual(X.values, result.factors.U, result.factors.V, out=M)
+            errors = np.sqrt(np.sum(np.multiply(M, M, out=M), axis=0))
+            written.append(_write_csv(os.path.join(stage, f"errors_{run}.csv"),
+                                      ["sample", "error"], enumerate(errors.tolist())))
     return rows, written
 
 
-def _run_influence(cfg: ExperimentConfig, X_base: DataMatrix, graph, perturbed) -> str:
+def _run_influence(cfg: ExperimentConfig, X_base: DataMatrix, graph, perturbed, stage) -> str:
     """Sigma sweep: fit once on clean data (G-EMMF on `graph`, the graph of
     X_base), then take each perturbed matrix (`_perturbed`) and record each
-    method's share of its objective attributed to the perturbed sample."""
+    method's share of its objective attributed to the perturbed sample in
+    `stage`."""
     result = fit(X_base, cfg.solver, graph)
     rows = []
     for sigma, X in zip(cfg.sweep.values, perturbed):
         report = influence_ratios(X, result.factors, 0)
         rows.append([float(sigma), report.phi_nmf, report.phi_l21, report.phi_emmf])
     return _write_csv(
-        os.path.join(cfg.output_dir, "phi_curves.csv"),
+        os.path.join(stage, "phi_curves.csv"),
         ["sigma", "phi_nmf", "phi_l21", "phi_emmf"],
         rows,
     )

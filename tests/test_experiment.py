@@ -5,6 +5,7 @@ import concurrent.futures
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -393,7 +394,9 @@ class TestRunExperiment:
         on_disk = []
 
         def recording(Xs, *args):
-            on_disk.append(sorted(p.name for p in tmp_path.iterdir()))
+            stage, = tmp_path.iterdir()  # the run's staging directory
+            assert stage.name.startswith(".entnmf-")
+            on_disk.append(sorted(p.name for p in stage.iterdir()))
             return real(Xs, *args)
 
         monkeypatch.setattr(experiment, "STACK_BYTES", 1)  # one repetition per stack
@@ -533,6 +536,102 @@ class TestWorkerPool:
         assert "4.0" not in ran and "5.0" not in ran
         assert list(out.iterdir()) == []
         assert multiprocessing.active_children() == []
+
+
+def files(directory):
+    """The bytes of each file in `directory`, by name."""
+    return {p.name: p.read_bytes() for p in directory.iterdir() if p.is_file()}
+
+
+class TestRerun:
+    """An output directory holds the last run that succeeded, whole."""
+
+    @pytest.mark.parametrize("first, second", [
+        (Sweep(name="outlier_count", values=[0, 2, 4]), Sweep(name="outlier_count", values=[0, 2])),
+        (Sweep(name="outlier_count", values=[0, 2]), Sweep(name="sigma", values=[1.0, 10.0])),
+        (Sweep(name="sigma", values=[1.0]), None),
+    ], ids=["fewer-values", "sweep-then-sigma", "sigma-then-point"])
+    def test_a_rerun_leaves_exactly_the_paths_it_returns(self, tmp_path, first, second):
+        # and the files that are not entnmf's
+        (tmp_path / "notes.txt").write_text("kept")
+        (tmp_path / "trace_0.csv.bak").write_text("kept")
+        run_experiment(small_config(tmp_path, sweep=first))
+        paths = run_experiment(small_config(tmp_path, sweep=second))
+        names = [os.path.basename(p) for p in paths]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names + ["notes.txt",
+                                                                             "trace_0.csv.bak"])
+
+    @pytest.mark.parametrize("alone", [False, True], ids=["pool", "one-process"])
+    def test_a_rerun_that_fails_leaves_the_previous_run_as_it_was(self, tmp_path, monkeypatch,
+                                                                    request, alone):
+        sweep = Sweep(name="outlier_count", values=[0, 2])
+        run_experiment(small_config(tmp_path, repetitions=3, sweep=sweep))
+        before = files(tmp_path)
+        real = experiment.fit_stack
+        stacks = []  # the stacks fitted in the process this runs in
+
+        def fails_in_the_third_stack(Xs, *args):
+            stacks.append(len(Xs))
+            results = real(Xs, *args)
+            if len(stacks) == 3:
+                results[0] = NumericalError("objective became non-finite", iteration=4)
+            return results
+
+        monkeypatch.setattr(experiment, "STACK_BYTES", 1)  # one repetition per stack
+        monkeypatch.setattr(experiment, "fit_stack", fails_in_the_third_stack)
+        if alone:
+            monkeypatch.setattr(experiment, "_worker_count", lambda *args: 0)
+        pools = [] if alone else request.getfixturevalue("two_cpus")
+        # another seed, so that no file of this run equals one of the last
+        solver = SolverConfig(method="EMMF", c=2, seed=4, max_iter=25)
+        with pytest.raises(NumericalError, match="non-finite"):
+            run_experiment(small_config(tmp_path, repetitions=3, sweep=sweep, solver=solver))
+        # in a pool of two, the workers fit every stack
+        assert (stacks, pools) == (([1, 1, 1], []) if alone else ([], [2]))
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)
+        assert files(tmp_path) == before
+
+
+# The README sweep at 20 outlier counts: about 1.5 s of fitting on two CPUs,
+# whose first value's files are staged after about 0.1 s.
+README_SWEEP = {
+    "dataset": {"source": "SYNTH_BLOBS", "normalize": True,
+                "params": {"c": 3, "per_cluster": 40, "d": 10, "separation": 8.0, "seed": 1}},
+    "solver": {"method": "EMMF", "c": 3, "max_iter": 300, "tol": 1e-6, "lambda": 5.0,
+               "seed": 3, "init": "KMEANS"},
+    "repetitions": 20,
+    "sweep": {"name": "outlier_count", "values": list(range(0, 40, 2))},
+}
+
+
+def test_a_sweep_killed_mid_run_leaves_the_previous_run_as_it_was(tmp_path):
+    out = tmp_path / "out"
+    config = write_json(tmp_path, dict(README_SWEEP, output_dir=str(out)))
+    run_experiment(load_config(config))
+    before = files(out)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    # in a process group of its own, which the kill takes with the workers
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "entnmf.cli", "sweep", "--config", str(config), "--seed", "4"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True)
+    try:
+        deadline = time.monotonic() + 60
+        while proc.poll() is None and time.monotonic() < deadline:
+            if any(any(stage.iterdir()) for stage in out.glob(".entnmf-*")):
+                break  # a staged file: the run is in mid-sweep
+            time.sleep(0.005)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:  # the run had ended
+            pass
+        proc.wait(timeout=60)
+    assert proc.returncode == -signal.SIGKILL
+    stages = [p.name for p in out.iterdir() if p.name.startswith(".entnmf-")]
+    assert len(stages) == 1 and (out / stages[0]).is_dir()
+    assert sorted(p.name for p in out.iterdir()) == sorted([*before, *stages])
+    assert files(out) == before
 
 
 class TestRunBoundCurve:
