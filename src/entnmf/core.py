@@ -114,16 +114,11 @@ class FactorPair:
 class ResidualWeights:
     """Per-sample residual norms (n,), guarded below by epsilon > 0, and the
     diagonal q (n,) >= 0 of the weights Q they induce, as a fit leaves them
-    (`FitResult.final_q`); total, derived, is the sum of the norms."""
+    (`FitResult.final_q`)."""
 
     norms: np.ndarray
     q: np.ndarray
     epsilon: float
-
-    @property
-    def total(self) -> float:
-        """||M||_{2,1} over the guarded norms."""
-        return float(np.sum(self.norms))
 
 
 @dataclass

@@ -22,13 +22,15 @@ from .errors import InputError
 def load_csv(path: str | os.PathLike, has_labels: bool = False) -> DataMatrix:
     """Read a rectangular numeric CSV; optional integer label column last.
 
-    A non-numeric first row is treated as a header and skipped. Ragged rows,
-    non-numeric cells, and negative values raise with 1-based line numbers.
+    A non-numeric first row is treated as a header and skipped; a leading
+    byte order mark (Excel's "CSV UTF-8") is dropped. Ragged rows,
+    non-numeric, non-finite and negative cells raise with 1-based line
+    numbers.
     """
     rows = []
     line_numbers = []
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             for lineno, record in enumerate(csv.reader(fh), start=1):
                 if not record or all(cell.strip() == "" for cell in record):
                     continue
@@ -61,6 +63,12 @@ def load_csv(path: str | os.PathLike, has_labels: bool = False) -> DataMatrix:
                 raise InputError(
                     f"{path}: line {lineno}, column {c + 1}: not a number: {cell!r}"
                 ) from None
+    bad = np.argwhere(~np.isfinite(parsed))
+    if bad.size:
+        r, c = bad[0]
+        raise InputError(
+            f"{path}: line {line_numbers[r]}, column {c + 1}: non-finite value {parsed[r, c]}"
+        )
 
     labels = None
     if has_labels:

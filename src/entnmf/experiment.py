@@ -54,7 +54,7 @@ from .data import (
     unit_normalize,
 )
 from .errors import InputError, NumericalError
-from .graph import knn_graph
+from .graph import _block_rows, knn_graph
 from .losses import influence_ratios, influence_upper_bound
 from .metrics import accuracy, nmi, summarize
 from .solvers import (SolverConfig, check_cluster_count, extend_factors, fit, fit_stack,
@@ -334,7 +334,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list:
         check_block_noise(X_base, max(cfg.sweep.values), _samples_per_class(cfg))
     graph = _base_graph(cfg, X_base)
     perturbed = _perturbed(cfg, X_base)
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    _make_output_dir(cfg.output_dir)
     # on the output directory's filesystem, so that os.replace moves a file
     stage = tempfile.mkdtemp(prefix=".entnmf-", dir=cfg.output_dir)
     try:
@@ -354,6 +354,15 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list:
         return _publish(staged, cfg.output_dir)
     finally:
         shutil.rmtree(stage)
+
+
+def _make_output_dir(path) -> None:
+    """Create the directory `path` if it is missing; a path that is a file,
+    or lies under one, is an InputError."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise InputError(f"output directory {path} is a file or lies under one") from None
 
 
 def _publish(staged, output_dir) -> list:
@@ -382,7 +391,7 @@ def _base_graph(cfg: ExperimentConfig, X_base: DataMatrix):
     sweep_name = cfg.sweep.name if cfg.sweep else None
     if sweep_name in (None, "lambda", "sigma"):
         return knn_graph(X_base, cfg.graph_k)
-    n = X_base.n + (min(cfg.sweep.values) if sweep_name == "outlier_count" else 0)
+    n = min(_sample_count(cfg, X_base, value) for value in cfg.sweep.values)
     if cfg.graph_k >= n:
         raise InputError(f"graph_k {cfg.graph_k} must be below {n}, the fewest samples a fit sees")
     return None
@@ -469,7 +478,7 @@ def _worker_count(cfg: ExperimentConfig, X_base: DataMatrix, graph) -> int:
     d, n = X_base.d, max(_sample_count(cfg, X_base, value) for value in values)
     largest = d * n * cfg.solver.c  # c <= d, so no product of the fit is larger
     if cfg.solver.method == "GEMMF" and graph is None:
-        largest = max(largest, 64 * n * d)  # blocks of at most 64 samples (`graph._row_blocks`)
+        largest = max(largest, _block_rows(n) * n * d)
     workers = min(len(os.sched_getaffinity(0)), len(values))
     return workers if workers >= 2 and largest <= ONE_THREAD_PRODUCT else 0
 
@@ -574,5 +583,5 @@ def run_bound_curve(n_max: int, p_step: float, output_dir: str = ".") -> str:
     for n in range(3, n_max + 1):
         bound, _ = influence_upper_bound(n, p_step)
         rows.append([n, bound])
-    os.makedirs(output_dir, exist_ok=True)
+    _make_output_dir(output_dir)
     return _write_csv(os.path.join(output_dir, "bound.csv"), ["n", "upper_bound"], rows)

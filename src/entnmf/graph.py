@@ -183,10 +183,15 @@ class GraphStack:
         return SV.reshape(V.shape)
 
 
+def _block_rows(n: int) -> int:
+    """The rows of a block of the neighbor search among n samples:
+    min(64, BLOCK_BYTES // (8 n)), at least one."""
+    return min(64, max(1, BLOCK_BYTES // (8 * n)))
+
+
 def _row_blocks(n: int) -> list:
-    """(start, stop) of each block of rows the neighbor search takes: blocks
-    of min(64, BLOCK_BYTES // (8 n)) rows, at least one."""
-    block = min(64, max(1, BLOCK_BYTES // (8 * n)))
+    """(start, stop) of each block of rows the neighbor search takes."""
+    block = _block_rows(n)
     return [(start, min(start + block, n)) for start in range(0, n, block)]
 
 

@@ -147,6 +147,19 @@ class FitResult:
         return np.argmax(self.factors.V, axis=1)
 
 
+def _sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, c) squared Euclidean distance of each sample (row of points) to each
+    center (row of centers), one center at a time: nothing n x c x d is formed."""
+    return np.stack([np.sum((points - center) ** 2, axis=1) for center in centers], axis=1)
+
+
+def _start_rows(labels: np.ndarray, c: int) -> np.ndarray:
+    """V's starting rows for cluster labels: one-hot plus V_INIT_OFFSET."""
+    V = np.full((len(labels), c), V_INIT_OFFSET)
+    V[np.arange(len(labels)), labels] += 1.0
+    return V
+
+
 def _kmeans(points: np.ndarray, c: int, rng: np.random.Generator):
     """Lloyd's algorithm with k-means++ seeding on points (rows are samples).
 
@@ -154,21 +167,17 @@ def _kmeans(points: np.ndarray, c: int, rng: np.random.Generator):
     centroid. Returns (centroids c x d, labels n)."""
     n = points.shape[0]
     centers = np.empty((c, points.shape[1]))
-    centers[0] = points[rng.integers(n)]
-    d2 = np.sum((points - centers[0]) ** 2, axis=1)
-    for j in range(1, c):
+    d2 = np.zeros(n)  # squared distance to the nearest center so far
+    for j in range(c):
+        # the first center, and any drawn when all points coincide, uniformly
         total = d2.sum()
-        if total > 0:
-            centers[j] = points[rng.choice(n, p=d2 / total)]
-        else:
-            centers[j] = points[rng.integers(n)]
-        d2 = np.minimum(d2, np.sum((points - centers[j]) ** 2, axis=1))
+        centers[j] = points[rng.choice(n, p=d2 / total) if total > 0 else rng.integers(n)]
+        dist = _sq_distances(points, centers[j : j + 1])[:, 0]
+        d2 = np.minimum(d2, dist) if j else dist
 
     labels = np.zeros(n, dtype=int)
-    dist = np.empty((n, c))  # squared distance of each point to each centroid
     for _ in range(100):  # at most 100 rounds
-        for j in range(c):
-            dist[:, j] = np.sum((points - centers[j]) ** 2, axis=1)
+        dist = _sq_distances(points, centers)
         new_labels = np.argmin(dist, axis=1)
         for j in range(c):
             mask = new_labels == j
@@ -179,7 +188,6 @@ def _kmeans(points: np.ndarray, c: int, rng: np.random.Generator):
                 centers[j] = points[far]
                 new_labels[far] = j
         if np.array_equal(new_labels, labels):
-            labels = new_labels
             break
         labels = new_labels
     return centers, labels
@@ -202,17 +210,12 @@ def init_factors(X: DataMatrix, c: int, seed: int, strategy: str = "KMEANS") -> 
     check_cluster_count(X, c)
     rng = np.random.default_rng(seed)
     if strategy == "RANDOM":
-        U = 1.0 - rng.random((X.d, c))
-        V = 1.0 - rng.random((X.n, c))
-        return FactorPair(U=U, V=V)
+        return FactorPair(U=1.0 - rng.random((X.d, c)), V=1.0 - rng.random((X.n, c)))
     centers, labels = _kmeans(X.values.T, c, rng)
     # Centroids of nonnegative data can still contain exact zeros; floor them
     # so the multiplicative rules can move every entry.
     floor = 1e-8 * max(1.0, float(X.values.max()))
-    U = np.maximum(centers.T, floor)
-    V = np.full((X.n, c), V_INIT_OFFSET)
-    V[np.arange(X.n), labels] += 1.0
-    return FactorPair(U=U, V=V)
+    return FactorPair(U=np.maximum(centers.T, floor), V=_start_rows(labels, c))
 
 
 def extend_factors(F: FactorPair, X: DataMatrix) -> FactorPair:
@@ -221,15 +224,12 @@ def extend_factors(F: FactorPair, X: DataMatrix) -> FactorPair:
     Each new column gets a one-hot row (nearest basis column, Euclidean)
     plus the usual strictly positive offset. U is kept as-is, so a fit
     started from the result isolates how the new columns move the basis."""
-    extra = X.n - F.V.shape[0]
-    if extra < 0:
-        raise InputError(f"factors cover {F.V.shape[0]} samples but data has only {X.n}")
-    tail = X.values[:, F.V.shape[0] :]
-    dist = np.sum((tail[:, :, None] - F.U[:, None, :]) ** 2, axis=0)
-    nearest = np.argmin(dist, axis=1)
-    V_new = np.full((extra, F.c), V_INIT_OFFSET)
-    V_new[np.arange(extra), nearest] += 1.0
-    return FactorPair(U=F.U.copy(), V=np.vstack([F.V, V_new]))
+    n0 = F.V.shape[0]
+    if X.n < n0:
+        raise InputError(f"factors cover {n0} samples but data has only {X.n}")
+    nearest = np.argmin(_sq_distances(X.values[:, n0:].T, F.U.T), axis=1)
+    # C-ordered whatever U's order: the fits started from it round by it
+    return FactorPair(U=F.U.copy(), V=np.vstack([F.V, _start_rows(nearest, F.c)]))
 
 
 def _divergence(X: np.ndarray, B: np.ndarray, zero: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -369,7 +369,6 @@ def fit_stack(Xs, cfg: SolverConfig, initials, graphs=None) -> list:
     measure, step = _method(X, eps[:, None], cfg, graphs)
     objective = [[] for _ in range(B)]
     results = [None] * B
-    prev = [math.inf] * B  # each slice's objective at the last measure
     with np.errstate(all="ignore"):  # non-finite values become NumericalErrors below
         value, norms, carry = measure(U, V, None)
         t = 0
@@ -379,7 +378,7 @@ def fit_stack(Xs, cfg: SolverConfig, initials, graphs=None) -> list:
             # arrays, and round exactly like them.
             values = value.tolist()
             stay = []
-            for j, (b, v, p) in enumerate(zip(members, values, prev)):
+            for j, (b, v) in enumerate(zip(members, values)):
                 if not math.isfinite(v):
                     # a non-finite factor entry shows in the objective
                     failure = ("non-finite entries produced while updating U"
@@ -389,6 +388,7 @@ def fit_stack(Xs, cfg: SolverConfig, initials, graphs=None) -> list:
                                else "objective became non-finite")
                     results[b] = NumericalError(failure, iteration=t, objective=objective[b])
                     continue
+                p = objective[b][-1] if t else math.inf  # the member's last objective
                 objective[b].append(v)
                 converged = t > 0 and abs(v - p) / max(p, 1e-30) < cfg.tol
                 if not converged and t < cfg.max_iter:
@@ -399,7 +399,6 @@ def fit_stack(Xs, cfg: SolverConfig, initials, graphs=None) -> list:
                     final_q = ResidualWeights(norms=norms[j], q=carry[0][j], epsilon=float(eps[b]))
                 trace = ConvergenceTrace(objective=objective[b], converged=converged)
                 results[b] = FitResult(FactorPair(U=U[j], V=V[j]), trace, final_q)
-            prev = [values[j] for j in stay]
             if len(stay) < len(members):  # some member leaves the stack
                 if not stay:
                     return results

@@ -252,6 +252,25 @@ def test_a_perturbation_below_zero_exits_1_before_the_fit(tmp_path, capsys, monk
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["fit", "sweep", "influence", "bound-curve"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_a_file"])
+def test_an_output_path_that_is_a_file_exits_1_naming_it(tmp_path, capsys, command, under):
+    blocker = tmp_path / "taken"
+    blocker.write_text("kept\n", encoding="utf-8")
+    output = str(blocker / "out" if under else blocker)
+    if command == "bound-curve":
+        argv = ["bound-curve", "--n-max", "5", "--output", output]
+    else:
+        sweep = {"sweep": {"name": "outlier_count", "values": [0, 1]}} if command == "sweep" else {}
+        argv = [command, "--config", base_config(tmp_path, **sweep), "--output", output]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: output directory {output} is a file or lies "
+                                         "under one"]
+    assert blocker.read_text(encoding="utf-8") == "kept\n"
+
+
 def test_bound_curve_writes_its_table(tmp_path, capsys):
     out = tmp_path / "curve"
     assert main(["bound-curve", "--n-max", "12", "--p-step", "0.05", "--output", str(out)]) == 0

@@ -71,6 +71,24 @@ class TestLoadCsv:
         with pytest.raises(InputError, match="line 2, column 2"):
             load_csv(path)
 
+    def test_byte_order_mark_is_not_part_of_the_first_row(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with a BOM; it must not turn
+        # the first data row into a header
+        X = load_csv(write(tmp_path, "\ufeff1,2\n3,4\n5,6\n"))
+        assert X.values.shape == (2, 3)
+        assert np.array_equal(X.values[:, 0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("text, has_labels, where", [
+        ("f1,f2\n1,2\n3,nan\n", False, "line 3, column 2: non-finite value nan"),
+        ("1,2\n3,4\ninf,5\n", False, "line 3, column 1: non-finite value inf"),
+        ("1,-inf\n", False, "line 1, column 2: non-finite value -inf"),
+        ("1,1e400\n", False, "line 1, column 2: non-finite value inf"),
+        ("1,2,0\n3,4,inf\n", True, "line 2, column 3: non-finite value inf"),  # a label
+    ])
+    def test_non_finite_cell_names_line_and_column(self, tmp_path, text, has_labels, where):
+        with pytest.raises(InputError, match=r"data\.csv: " + where):
+            load_csv(write(tmp_path, text), has_labels=has_labels)
+
     def test_fractional_label_is_rejected(self, tmp_path):
         path = write(tmp_path, "1,2,0.5\n")
         with pytest.raises(InputError, match="not an integer"):

@@ -285,7 +285,7 @@ def assert_identical(X, cfg, graph=None, initial=None):
     else:
         assert np.array_equal(r.final_q.q, final_q.q)
         assert np.array_equal(r.final_q.norms, final_q.norms)
-        assert r.final_q.total == final_q.total
+        assert np.sum(r.final_q.norms) == np.sum(final_q.norms)
     return r
 
 
@@ -532,7 +532,8 @@ def assert_same_fit(r, alone):
     else:
         assert np.array_equal(r.final_q.q, alone.final_q.q)
         assert np.array_equal(r.final_q.norms, alone.final_q.norms)
-        assert (r.final_q.total, r.final_q.epsilon) == (alone.final_q.total, alone.final_q.epsilon)
+        assert np.sum(r.final_q.norms) == np.sum(alone.final_q.norms)
+        assert r.final_q.epsilon == alone.final_q.epsilon
 
 
 def assert_stack_matches(Xs, cfg, initials, graphs=None):

@@ -37,7 +37,7 @@ def test_entropy_weights_hand_values():
     # column norms 1 and 3, total 4: q = (ln 4, ln(4/3) / 3)
     w = entropy_weights(np.array([[1.0, 3.0]]), EPS)
     assert np.array_equal(w.norms, [1.0, 3.0])
-    assert w.total == 4.0
+    assert np.sum(w.norms) == 4.0
     assert w.q[0] == pytest.approx(1.3862943611198906, abs=1e-12)
     assert w.q[1] == pytest.approx(0.09589402415059363, abs=1e-12)
 

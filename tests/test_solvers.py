@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entnmf import (
     DataMatrix,
@@ -23,7 +25,7 @@ from entnmf import (
 )
 from entnmf.graph import graph_penalty, normalize_graph
 from entnmf.losses import default_epsilon
-from entnmf.solvers import METHODS, V_INIT_OFFSET, _kmeans, _method, fit_stack
+from entnmf.solvers import METHODS, V_INIT_OFFSET, _kmeans, _method, _sq_distances, fit_stack
 from conftest import csr, entropy_objective, entropy_weights
 
 
@@ -58,6 +60,92 @@ def broadcast_kmeans(points, c, rng, n_iter=100):
             break
         labels = new_labels
     return centers, labels
+
+
+def former_kmeans(points, c, rng):
+    """The former `_kmeans`, kept as the oracle: its seeding and its Lloyd
+    loop each write the squared distance sum themselves, the loop into one
+    (n, c) array it reuses."""
+    n = points.shape[0]
+    centers = np.empty((c, points.shape[1]))
+    centers[0] = points[rng.integers(n)]
+    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    for j in range(1, c):
+        total = d2.sum()
+        if total > 0:
+            centers[j] = points[rng.choice(n, p=d2 / total)]
+        else:
+            centers[j] = points[rng.integers(n)]
+        d2 = np.minimum(d2, np.sum((points - centers[j]) ** 2, axis=1))
+    labels = np.zeros(n, dtype=int)
+    dist = np.empty((n, c))
+    for _ in range(100):
+        for j in range(c):
+            dist[:, j] = np.sum((points - centers[j]) ** 2, axis=1)
+        new_labels = np.argmin(dist, axis=1)
+        for j in range(c):
+            mask = new_labels == j
+            if mask.any():
+                centers[j] = points[mask].mean(axis=0)
+            else:
+                far = int(np.argmax(dist[np.arange(n), new_labels]))
+                centers[j] = points[far]
+                new_labels[far] = j
+        if np.array_equal(new_labels, labels):
+            labels = new_labels
+            break
+        labels = new_labels
+    return centers, labels
+
+
+def former_init_factors(X, c, seed):
+    """The former KMEANS `init_factors` on `former_kmeans`, kept as the oracle."""
+    centers, labels = former_kmeans(X.values.T, c, np.random.default_rng(seed))
+    U = np.maximum(centers.T, 1e-8 * max(1.0, float(X.values.max())))
+    V = np.full((X.n, c), V_INIT_OFFSET)
+    V[np.arange(X.n), labels] += 1.0
+    return FactorPair(U=U, V=V)
+
+
+def broadcast_distances(F, X):
+    """The squared distance of each column X appends to F's samples to each
+    basis column, as the former `extend_factors` formed it: one d x extra x c
+    broadcast."""
+    tail = X.values[:, F.V.shape[0] :]
+    return np.sum((tail[:, :, None] - F.U[:, None, :]) ** 2, axis=0)
+
+
+def broadcast_extend_factors(F, X):
+    """The former `extend_factors`, kept as the oracle."""
+    extra = X.n - F.V.shape[0]
+    nearest = np.argmin(broadcast_distances(F, X), axis=1)
+    V_new = np.full((extra, F.c), V_INIT_OFFSET)
+    V_new[np.arange(extra), nearest] += 1.0
+    return FactorPair(U=F.U.copy(), V=np.vstack([F.V, V_new]))
+
+
+@st.composite
+def anchored_problems(draw):
+    """Clean data of n0 samples and the same data with `extra` columns
+    appended, both in one memory order, for a c-cluster start. Quarter-integer
+    entries give tied distances, and data with fewer distinct points than
+    centroids gives emptied clusters."""
+    d = draw(st.integers(1, 12))
+    n0 = draw(st.integers(2, 30))
+    extra = draw(st.integers(0, 20))
+    c = draw(st.integers(1, min(d, n0, 6)))
+    seed = draw(st.integers(0, 2**31 - 1))
+    order = draw(st.sampled_from("CF"))
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(["quarters", "few", "uniform"]))
+    if kind == "quarters":
+        values = rng.integers(0, 8, (d, n0 + extra)) / 4
+    elif kind == "few":
+        values = rng.integers(0, 3, (d, n0 + extra)) / 4
+    else:
+        values = draw(st.sampled_from([1e-3, 1.0, 1e3])) * rng.random((d, n0 + extra))
+    base = DataMatrix(values=np.asarray(values[:, :n0], order=order))
+    return base, DataMatrix(values=np.asarray(values, order=order)), c, seed
 
 
 def dense_penalty(S, V):
@@ -123,6 +211,22 @@ class TestInitFactors:
             want = broadcast_kmeans(points, c, np.random.default_rng(seed))
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
+    @settings(derandomize=True, deadline=None, max_examples=150, database=None)
+    @given(anchored_problems())
+    def test_kmeans_start_and_its_extension_match_the_former_code(self, problem):
+        # the k-means start, Fortran-ordered U and all, bit for bit; its
+        # extension reads the broadcast's distances bit for bit
+        base, X, c, seed = problem
+        F, want = init_factors(base, c, seed), former_init_factors(base, c, seed)
+        assert F.U.flags.f_contiguous
+        assert np.array_equal(F.U, want.U) and np.array_equal(F.V, want.V)
+        n0 = base.n
+        assert np.array_equal(_sq_distances(X.values[:, n0:].T, F.U.T),
+                              broadcast_distances(F, X))
+        G, want = extend_factors(F, X), broadcast_extend_factors(F, X)
+        assert G.U.flags.c_contiguous
+        assert np.array_equal(G.U, want.U) and np.array_equal(G.V, want.V)
+
     def test_random_init_is_in_the_unit_interval(self):
         X = synth_random(4, 9, seed=0)
         F = init_factors(X, 2, seed=5, strategy="RANDOM")
@@ -166,6 +270,33 @@ class TestExtendFactors:
         G = extend_factors(F, X)
         assert np.array_equal(G.V, F.V)
         assert G.U is not F.U and G.V is not F.V
+
+    @settings(derandomize=True, deadline=None, max_examples=150, database=None)
+    @given(anchored_problems())
+    def test_extending_a_random_start_assigns_as_the_broadcast(self, problem):
+        # a C-ordered U: the broadcast itself rounds the distances
+        # differently by U's memory order, so they may differ from the
+        # kernel's in the last bit; the assignments, and so V, do not
+        base, X, c, seed = problem
+        F = init_factors(base, c, seed, "RANDOM")
+        G, want = extend_factors(F, X), broadcast_extend_factors(F, X)
+        assert np.array_equal(G.U, want.U) and np.array_equal(G.V, want.V)
+
+    def test_forms_nothing_of_size_d_by_extra_by_c(self):
+        # d = 100, 1000 appended columns, c = 5: a d x extra x c broadcast
+        # would take 4 MB
+        rng = np.random.default_rng(0)
+        d, n0, extra, c = 100, 200, 1000, 5
+        X = DataMatrix(values=rng.random((d, n0 + extra)))
+        F = FactorPair(U=rng.random((d, c)), V=rng.random((n0, c)))
+        tracemalloc.start()
+        try:
+            G = extend_factors(F, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert G.V.shape == (n0 + extra, c)
+        assert peak < 2_000_000
 
     def test_rejects_shrinking_data(self):
         F = FactorPair(U=np.ones((2, 1)), V=np.ones((5, 1)))
