@@ -13,14 +13,14 @@ in its expanded form
 clamped at zero against cancellation when V V^T is close to S
 (`graph_penalty`).
 
-`knn_graph` ranks half squared distances (sq_i + sq_j) / 2 - p_i.p_j, one
-block of rows at a time, and partitions each row at index k, which leaves
-its k-th smallest distance as the largest of slots 0..k-1 and its (k+1)-th
-in slot k. Where the (k+1)-th lies beyond the rounding bound of the k-th,
-the row's k neighbors are the distances at most the k-th: one comparison
-into a reused mask and one flat nonzero list them in column order. A row
-where it does not settles its candidates within the bound exactly, on
-squared differences summed feature by feature, lowest index first on ties.
+`knn_graph` ranks h_j - p_i.p_j (h = sq / 2), the half squared distance
+less the row's own h_i, one block of rows at a time. A partitioned copy of
+the block gives each row's k-th smallest value, and every row keeps the
+samples within the rounding bound of its k-th: one comparison into a reused
+mask and one flat nonzero list them in column order. A row that keeps
+exactly k is done. A row that keeps more settles them exactly, on squared
+differences summed feature by feature, lowest index first on ties; the
+samples bitwise equal to its own take the sum 0 with no per-feature pass.
 
 The multiplicative update `graph_coeff_step` absorbs the
 orthogonality multiplier through the split
@@ -185,14 +185,68 @@ class GraphStack:
 
 def _block_rows(n: int) -> int:
     """The rows of a block of the neighbor search among n samples:
-    min(64, BLOCK_BYTES // (8 n)), at least one."""
-    return min(64, max(1, BLOCK_BYTES // (8 * n)))
+    min(64, n, BLOCK_BYTES // (8 n)), at least one."""
+    return min(64, n, max(1, BLOCK_BYTES // (8 * n)))
 
 
 def _row_blocks(n: int) -> list:
     """(start, stop) of each block of rows the neighbor search takes."""
     block = _block_rows(n)
     return [(start, min(start + block, n)) for start in range(0, n, block)]
+
+
+def _duplicate_groups(P: np.ndarray) -> np.ndarray:
+    """A label per column of P, shared only by bitwise-equal columns.
+
+    The columns are sorted by a hash of their bits, and each takes the label
+    of the one before it when the two are equal bit for bit: d passes over
+    the n columns. Equal columns kept apart by a colliding one get two
+    labels, which costs their rows the feature-by-feature sums, no more."""
+    bits = P.view(np.uint64)
+    key = np.zeros(P.shape[1], dtype=np.uint64)
+    for x in bits:
+        key *= np.uint64(0x9E3779B97F4A7C15)
+        key ^= x
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    same = np.flatnonzero(key[1:] == key[:-1])  # order[same] hashes as order[same + 1]
+    for x in bits:
+        same = same[x[order[same]] == x[order[same + 1]]]
+    first = np.ones(P.shape[1], dtype=bool)
+    first[same + 1] = False
+    groups = np.empty(P.shape[1], dtype=np.intp)
+    groups[order] = np.cumsum(first)
+    return groups
+
+
+def _settle(P, groups, flat, count, k, start):
+    """The flat indices `flat` of a block of rows from row `start`, `count`
+    in each row, less all but the nearest k of each row that holds more.
+
+    Such a row ranks its candidates by their squared differences summed
+    feature by feature, from zero in feature order, lowest index first on
+    ties. Its own and its candidates' values are gathered one feature at a
+    time, the same values in any memory order; a candidate bitwise equal to
+    the row's sample (`groups`, see `_duplicate_groups`) sums to 0 with no
+    pass."""
+    n = P.shape[1]
+    crowded = count > k
+    held = np.repeat(crowded, count)  # the entries of crowded rows
+    near = np.flatnonzero(held)
+    count = count[crowded]
+    row = np.repeat(np.flatnonzero(crowded), count)
+    col = flat[near] - n * row
+    row += start
+    dist2 = np.zeros(near.size)
+    other = groups[col] != groups[row]
+    if other.any():
+        i, j = row[other], col[other]
+        dist2[other] = sum((x[j] - x[i]) ** 2 for x in P)
+    # each crowded row's entries, ranked; the first k of each stay
+    order = np.lexsort((dist2, row))
+    first = np.cumsum(count) - count
+    held[near[order[(first[:, None] + np.arange(k)).ravel()]]] = False
+    return flat[~held]
 
 
 def knn_graph(X: DataMatrix, k: int) -> SimilarityGraph:
@@ -223,63 +277,58 @@ def knn_graph(X: DataMatrix, k: int) -> SimilarityGraph:
     if bad.size:
         raise InputError(f"sample {bad[0]} is too large for squared distances "
                          f"(squared norm {sq[bad[0]]:.3g})")
-    # The blocks rank half distances D_ij = h_i + h_j - p_i.p_j, h = sq / 2.
-    # Barring underflow, a blocked D_ij, its Gram entry summed in any order
-    # (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1), is
-    # within (d + 2) eps (h_i + h_j) of the exact half distance, and so is
-    # half the feature-by-feature sum; c = 2 (d + 4) eps bounds the two's
-    # difference over h_i + h_j, with room for the rounding of the bound
-    # below. As h_j <= 2 h_i + 2 D_ij, the difference is at most
-    # c (3 h_i + 2 D_ij) / (1 - 2 c), relative to the row's own h_i (a bound
-    # relative to the largest h would settle every row of data with one
-    # large sample). So no distance the blocks put above
-    # (kth + 6 c h_i) / (1 - 4 c) sums to one at most the k-th smallest sum.
+    # The blocks rank E_ij = h_j - p_i.p_j, h = sq / 2: the half distance
+    # D_ij = h_i + E_ij less the row's own h_i, so a row ranks alike on both.
+    # Barring underflow, with u = eps / 2 and E*, D* the exact values, a
+    # blocked E_ij (its Gram entry summed in any order: Higham, Accuracy and
+    # Stability of Numerical Algorithms, sec. 3.1) is off by at most
+    # (d + 1) u (h_i + 2 h_j) + u |E*_ij|. As E* lies in [-h_i, D*] and
+    # h_j <= 2 h_i + 2 D*, D = h_i + E is within (d + 2) u (5 h_i + 4 D*) of
+    # D*, a bound relative to the row's own h_i (one relative to the largest
+    # h would settle every row of data with one large sample). Half the
+    # feature-by-feature sum is within (d + 3) u D* of D*. With
+    # c = 2 (d + 4) eps, a sample whose D exceeds (D_k + 2.5 c h_i) / (1 - 2.5 c),
+    # D_k = h_i + kth and kth the row's k-th smallest E, sums to more than
+    # each of the k samples at most the k-th; that is, its E exceeds
+    # (kth + 5 c h_i) / (1 - 2.5 c). The bound below, (kth + 6 c h_i) / (1 - 3 c),
+    # exceeds that by more than its own rounding, and the rounding of h.
     c = 2 * (P.shape[0] + 4) * np.finfo(float).eps
     half = 0.5 * sq
     blocks = _row_blocks(n)
-    # Three buffers serve every block of rows: the Gram rows (then the
-    # partition scratch), the distance rows and the neighbor mask. Fresh ones
-    # per block are page-faulted in anew each time, unless malloc happens to
-    # serve them from its heap. The first block is the largest.
+    # Three buffers serve every block of rows: the ranked rows, their
+    # partitioned copy and the neighbor mask. Fresh ones per block are
+    # page-faulted in anew each time, unless malloc happens to serve them
+    # from its heap. The first block is the largest.
     most = blocks[0][1]
-    gram = np.empty((most, n))
-    dist = np.empty((most, n))
+    ranked = np.empty((most, n))
+    scratch = np.empty((most, n))
     mask = np.empty((most, n), dtype=bool)
+    groups = None  # a label per sample, shared only by bitwise-equal columns
     # every row keeps exactly k neighbors, listed in column order
     cols = []
     for start, stop in blocks:
-        G, d2, keep = gram[:stop - start], dist[:stop - start], mask[:stop - start]
-        np.matmul(P[:, start:stop].T, P, out=G)
-        np.add.outer(half[start:stop], half, out=d2)
-        d2 -= G
-        np.fill_diagonal(d2[:, start:], np.inf)  # d2[i, start + i]: row i's own sample
-        # Partitioned at index k, a row holds its k smallest distances in
-        # slots 0..k-1 and its (k+1)-th smallest in slot k. Where the
-        # (k+1)-th lies above the bound of the k-th (their max), the k
-        # distances at most the k-th are the row's neighbors. Any other row
-        # keeps every distance up to the bound as a candidate.
-        np.copyto(G, d2)
-        G.partition(k, axis=1)
-        kth = np.max(G[:, :k], axis=1)
-        bound = (kth + 6 * c * half[start:stop]) / (1 - 4 * c)
-        close = G[:, k] <= bound
-        np.less_equal(d2, np.where(close, bound, kth)[:, None], out=keep)
-        # flat indices of the n x n matrix, in row-major order
+        E, part, keep = ranked[:stop - start], scratch[:stop - start], mask[:stop - start]
+        np.matmul(P[:, start:stop].T, P, out=E)
+        np.subtract(half, E, out=E)
+        np.fill_diagonal(E[:, start:], np.inf)  # E[i, start + i]: row i's own sample
+        # Partitioned at k - 1, a row holds its k-th smallest value there.
+        # Every row keeps the samples up to the bound of its k-th, in column
+        # order, as flat indices of the block; a row that keeps more than k
+        # settles them exactly.
+        np.copyto(part, E)
+        part.partition(k - 1, axis=1)
+        bound = (part[:, k - 1] + 6 * c * half[start:stop]) / (1 - 3 * c)
+        np.less_equal(E, bound[:, None], out=keep)
         flat = np.flatnonzero(keep)
+        count = np.diff(np.searchsorted(flat, n * np.arange(stop - start + 1)))
+        if np.any(count > k):
+            if groups is None:
+                groups = _duplicate_groups(P)
+            flat = _settle(P, groups, flat, count, k, start)
+        # flat indices of the n x n matrix, in row-major order
         flat += n * start
-        if close.any():
-            # A close row ranks its candidates by their squared differences
-            # summed feature by feature, from zero in feature order, lowest
-            # index first on ties, and keeps the first k. Its own and its
-            # candidates' values are gathered one feature at a time, the same
-            # values in any memory order.
-            near = np.flatnonzero(close[flat // n - start])
-            row, col = np.divmod(flat[near], n)
-            dist2 = sum((x[col] - x[row]) ** 2 for x in P)
-            rank = np.arange(near.size) - np.searchsorted(row, row)  # within its row
-            flat = np.delete(flat, near[np.lexsort((dist2, row))[rank >= k]])
         cols.append(flat)
-    del P, gram, dist, mask, G, d2, keep
+    del P, ranked, scratch, mask, E, part, keep
     # Symmetrize: the edge i -> j has key i n + j; each edge and its reverse,
     # sorted with duplicates dropped, list the entries of S row by row.
     keys = np.concatenate(cols)

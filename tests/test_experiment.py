@@ -458,8 +458,8 @@ class TestWorkerPool:
         {"dataset": DatasetSpec(source="SYNTH_RANDOM", params={"d": 300, "n": 300}),
          "solver": SolverConfig(method="NMF_FRO", c=3, max_iter=2),
          "sweep": Sweep(name="lambda", values=[0.0, 1.0])},
-        # kNN blocks of 65 x 61 x 70 > ONE_THREAD_PRODUCT, the fit's 70 x 61 x 2 below it
-        {"dataset": DatasetSpec(source="SYNTH_RANDOM", params={"d": 70, "n": 60}),
+        # a kNN block of 64 x 65 x 70 > ONE_THREAD_PRODUCT, the fit's 70 x 65 x 2 below it
+        {"dataset": DatasetSpec(source="SYNTH_RANDOM", params={"d": 70, "n": 64}),
          "solver": SolverConfig(method="GEMMF", c=2, max_iter=2),
          "sweep": Sweep(name="outlier_count", values=[0, 1]), "graph_k": 3},
     ], ids=["single-point", "large-fit", "large-knn"])

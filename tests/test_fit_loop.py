@@ -870,6 +870,20 @@ def test_output_files_do_not_depend_on_the_stack_budget(tmp_path, monkeypatch, m
     check()
 
 
+def assert_pooled_bytes_match_one_process(cfg, monkeypatch, pools):
+    """The values of `cfg` run in two forked workers (`pools`, the
+    `two_cpus` fixture), and then in this process: the same files, returned
+    in the same order, and no worker left running."""
+    pooled = written_bytes(cfg)
+    assert pools == [2]
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(experiment_module, "_worker_count", lambda *args: 0)
+    alone = written_bytes(cfg)
+    assert pools == [2]
+    assert list(alone) == list(pooled)
+    assert alone == pooled
+
+
 @pytest.mark.parametrize("method, sweep", [
     ("EMMF", Sweep(name="outlier_count", values=[0, 3, 6])),
     # a graph per problem, built in the worker
@@ -881,17 +895,17 @@ def test_output_files_do_not_depend_on_the_stack_budget(tmp_path, monkeypatch, m
 ])
 def test_a_pool_of_workers_writes_the_bytes_of_one_process(tmp_path, monkeypatch, two_cpus,
                                                            method, sweep):
-    # the values run in two forked workers, and then in this process: the
-    # same files, returned in the same order, and no worker left running
-    cfg = sweep_config(tmp_path, method, sweep)
-    pooled = written_bytes(cfg)
-    assert two_cpus == [2]
-    assert multiprocessing.active_children() == []
-    monkeypatch.setattr(experiment_module, "_worker_count", lambda *args: 0)
-    alone = written_bytes(cfg)
-    assert two_cpus == [2]
-    assert list(alone) == list(pooled)
-    assert alone == pooled
+    assert_pooled_bytes_match_one_process(sweep_config(tmp_path, method, sweep), monkeypatch,
+                                          two_cpus)
+
+
+def test_a_sweep_whose_one_knn_block_is_within_the_gate_runs_in_a_pool(tmp_path, monkeypatch,
+                                                                       two_cpus):
+    # d = 70 at 60 and 61 samples: a graph per problem, whose one kNN block
+    # of 61 x 61 x 70 products is within ONE_THREAD_PRODUCT
+    cfg = replace(sweep_config(tmp_path, "GEMMF", Sweep(name="outlier_count", values=[0, 1])),
+                  dataset=DatasetSpec(source="SYNTH_RANDOM", params={"d": 70, "n": 60}))
+    assert_pooled_bytes_match_one_process(cfg, monkeypatch, two_cpus)
 
 
 def former_task_fit(cfg, X_base, sweep_name, value, rep):

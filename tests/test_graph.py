@@ -280,16 +280,74 @@ class TestKnnGraph:
             assert np.array_equal(S, csr(knn_graph(X, k)).toarray())
 
     def test_matches_the_dense_oracle_including_ties(self):
+        # random samples, a third of them copies of others, all-identical
+        # samples, 3-valued integers, and three samples of entries near
+        # 1e-170 with two copies of one of them: their squared differences
+        # underflow, so they tie at an exact 0 with each other as with the
+        # copies, and the lower index goes first. In C and Fortran order.
         for seed in range(25):
             rng = np.random.default_rng(seed)
             n = int(rng.integers(8, 40))
             P = rng.random((int(rng.integers(1, 6)), n))
             tied = with_duplicate_columns(rng, P)
-            for k in range(1, 7):
-                g = knn_graph(DataMatrix(values=P), k)
-                assert np.array_equal(csr(g).toarray(), dense_knn_graph(P, k)), (seed, k)
-                g = knn_graph(DataMatrix(values=tied), k)
-                assert np.array_equal(csr(g).toarray(), dense_knn_graph(tied, k, general=True)), (seed, k)
+            d = P.shape[0]
+            tiny = rng.random((d, n))
+            at = rng.choice(n, 5, replace=False)
+            tiny[:, at[:3]] = rng.random((d, 3)) * 1e-170
+            tiny[:, at[3:]] = tiny[:, at[:1]]
+            for given, general in ((P, False), (tied, True), (np.repeat(P[:, :1], n, axis=1), True),
+                                   (rng.integers(0, 3, size=(d, n)).astype(float), True),
+                                   (tiny, True)):
+                for k in range(1, 7):
+                    expected = dense_knn_graph(given, k, general)
+                    for order in "CF":
+                        g = knn_graph(DataMatrix(values=np.asarray(given, order=order)), k)
+                        assert np.array_equal(csr(g).toarray(), expected), (seed, k, order)
+
+    def test_identical_samples_link_their_lowest_index_others(self):
+        # 2000 copies of one sample at d=100: every row holds all 1999 others
+        # within the bound of its 5th, each bitwise equal to its own sample,
+        # and links the 5 lowest-index others. The settle gives each copy the
+        # sum 0 with no pass; summing the 100 squared differences of every
+        # candidate peaked at 11.51 MB here (tracemalloc) and took 1.5 s on a
+        # 2-vCPU Xeon, against 9.7 MB and 0.2 s.
+        n, k = 2000, 5
+        X = DataMatrix(values=np.repeat(np.random.default_rng(0).random((100, 1)), n, axis=1))
+        tracemalloc.start()
+        try:
+            g = knn_graph(X, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 11.52e6
+        lowest = [np.setdiff1d(np.arange(k + 1), [i])[:k] for i in range(n)]
+        A = sparse.csr_array((np.ones(n * k), np.concatenate(lowest), k * np.arange(n + 1)),
+                             shape=(n, n))
+        assert (csr(g) != A.maximum(A.T)).nnz == 0
+
+    def test_a_hash_collision_splits_duplicates_without_changing_the_graph(self):
+        # sample 1 is made to hash as sample 0 under the fold key * M ^ x of
+        # `_duplicate_groups`, and samples 2 and 3 copy sample 0. Sorted by
+        # hash, the collision parts sample 0 from its copies: labels stay
+        # shared only by bitwise-equal samples, and the rows of the copies
+        # sum their differences from sample 0 instead, to the same exact 0
+        P = np.random.default_rng(0).random((2, 12))
+        P[:, 0] = 0.25, 0.5
+        P[0, 1] = 0.10200100050025013
+        bits = P.view(np.uint64)
+        folded = bits[0, :2] * np.uint64(0x9E3779B97F4A7C15)
+        bits[1, 1] = folded[0] ^ bits[1, 0] ^ folded[1]
+        P[:, [2, 3]] = P[:, [0]]
+        groups = graph_module._duplicate_groups(P)
+        assert len(set(groups[:4])) == 3
+        for label in np.unique(groups):
+            same = bits[:, groups == label]
+            assert np.all(same == same[:, :1]), label
+        for order in "CF":
+            X = DataMatrix(values=np.asarray(P, order=order))
+            for k in range(1, 5):
+                assert np.array_equal(csr(knn_graph(X, k)).toarray(),
+                                      dense_knn_graph(P, k, general=True)), (order, k)
 
     @pytest.mark.parametrize("order", "CF")
     def test_rows_linking_a_duplicated_pair_link_its_lower_index(self, monkeypatch, order):
@@ -318,8 +376,8 @@ class TestKnnGraph:
 
     def test_the_graph_does_not_depend_on_the_memory_order(self):
         # at d=100 a column sum rounds differently in C and Fortran order;
-        # the search copies only strided data, and settles its close rows on
-        # feature-by-feature sums, which are the same in any order
+        # the search copies only strided data, and settles its crowded rows
+        # on feature-by-feature sums, which are the same in any order
         rng = np.random.default_rng(3)
         P = with_duplicate_columns(rng, rng.random((100, 600)))
         wide = np.zeros((100, 1200))
@@ -360,8 +418,8 @@ class TestKnnGraph:
     @pytest.mark.parametrize("rows", [1, 7, 256])
     @pytest.mark.parametrize("order", "CF")
     def test_matches_the_former_selection_byte_for_byte(self, monkeypatch, rows, order):
-        # tie-heavy inputs, every k up to n - 1 (where slot k of the partition
-        # is the diagonal's inf), blocks of 1, 7 and 256 rows
+        # tie-heavy inputs, every k up to n - 1 (where a row keeps every
+        # other sample), blocks of 1, 7 and 256 rows
         for seed in range(8):
             rng = np.random.default_rng(seed)
             n = int(rng.integers(3, 30))
