@@ -334,9 +334,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list:
         check_block_noise(X_base, max(cfg.sweep.values), _samples_per_class(cfg))
     graph = _base_graph(cfg, X_base)
     perturbed = _perturbed(cfg, X_base)
-    _make_output_dir(cfg.output_dir)
-    # on the output directory's filesystem, so that os.replace moves a file
-    stage = tempfile.mkdtemp(prefix=".entnmf-", dir=cfg.output_dir)
+    stage = _make_output_dir(cfg.output_dir, stage=True)
     try:
         if perturbed is not None:
             staged = [_run_influence(cfg, X_base, graph, perturbed, stage)]
@@ -356,13 +354,18 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list:
         shutil.rmtree(stage)
 
 
-def _make_output_dir(path) -> None:
-    """Create the directory `path` if it is missing; a path that is a file,
-    or lies under one, is an InputError."""
+def _make_output_dir(path, stage=False):
+    """Create the directory `path` if it is missing and, with `stage`, return a
+    new staging directory in it, on its filesystem so that os.replace moves a
+    file. Any OSError (a path that is a file or lies under one, permission
+    denied, a read-only filesystem) is an InputError naming the path."""
     try:
         os.makedirs(path, exist_ok=True)
+        return tempfile.mkdtemp(prefix=".entnmf-", dir=path) if stage else None
     except (FileExistsError, NotADirectoryError):
         raise InputError(f"output directory {path} is a file or lies under one") from None
+    except OSError as err:
+        raise InputError(f"output directory {path} cannot be written: {err.strerror}") from None
 
 
 def _publish(staged, output_dir) -> list:

@@ -2,11 +2,11 @@
 
 The graph term lambda * ||S - V V^T||_F^2 on a degree-normalized similarity
 graph softly couples the coefficient rows of neighboring samples; the fit
-normalizes the raw graph it is given (`normalize_graph`). A kNN graph has
-O(n k) edges, so S is stored as three numpy CSR arrays (`indptr`, `indices`,
-`data`, each row's columns ascending) and no n x n matrix is ever formed:
-the neighbor search runs over blocks of rows, and the penalty is evaluated
-in its expanded form
+is given the raw graph, and its operator (`GraphStack`) normalizes it. A
+kNN graph has O(n k) edges, so S is stored as three numpy CSR arrays
+(`indptr`, `indices`, `data`, each row's columns ascending) and no n x n
+matrix is ever formed: the neighbor search runs over blocks of rows, and the
+penalty is evaluated in its expanded form
 
     ||S - V V^T||_F^2 = ||S||_F^2 - 2 sum((S V) o V) + ||V^T V||_F^2,
 
@@ -67,8 +67,9 @@ class SimilarityGraph:
     its own `tocsr()`, so the package needs no scipy). Its entries (see
     `_entries`) are stored as the numpy CSR arrays `indptr`, `indices` and
     `data`, the columns of each row ascending. A fit regularizes with the
-    degree normalization of the graph it is given (`normalize_graph`), so
-    callers pass the raw graph. A row's weights must sum to a finite degree.
+    degree normalization of the graph it is given, which its operator
+    (`GraphStack`) forms, so callers pass the raw graph. A row's weights must
+    sum to a finite degree.
     """
 
     def __init__(self, S):
@@ -100,10 +101,6 @@ class SimilarityGraph:
     @property
     def n(self) -> int:
         return len(self.indptr) - 1
-
-    @property
-    def sq_norm(self) -> float:  # ||S||_F^2
-        return float(self.data @ self.data)
 
 
 def _entries(S):
@@ -143,7 +140,8 @@ def graph_penalty(sq_norm, SV: np.ndarray, V: np.ndarray):
 
 
 class GraphStack:
-    """Same-size graphs as one block-diagonal operator on a stack of V.
+    """The degree normalizations of same-size raw graphs as one block-diagonal
+    operator on a stack of V, with each member's ||S_b||_F^2 (`sq_norm`).
 
     Graph b's edges take rows and columns [b n, (b + 1) n), in each graph's
     own order, so one product S V computes every member's S_b V_b exactly as
@@ -151,22 +149,32 @@ class GraphStack:
     """
 
     def __init__(self, graphs):
-        n = graphs[0].n
-        self.size = len(graphs) * n
+        B, n = len(graphs), graphs[0].n
+        self.size = B * n
         counts = np.concatenate([np.diff(g.indptr) for g in graphs])
+        ends = np.cumsum(counts)
+        rows = np.repeat(np.arange(self.size), counts)
+        indices = np.concatenate([g.indices + b * n for b, g in enumerate(graphs)])
+        data = np.concatenate([g.data for g in graphs])
+        # D^-1/2 S D^-1/2: each entry S_ij times d_i^-1/2 d_j^-1/2, the same
+        # product for S_ji, so the result stays exactly symmetric. An
+        # isolated vertex (zero degree) keeps its zero row and column.
+        deg = _degrees(np.concatenate(([0], ends)), data)
+        inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
+        data *= inv_sqrt[rows] * inv_sqrt[indices]
+        # each member's squares added one after another from zero, with no
+        # BLAS dot, whose threads would split the sum by the thread count
+        self.sq_norm = np.bincount(rows // n, data * data, minlength=B)  # for graph_penalty
         # The entries slot by slot: every row's first entry, then every row's
         # second, and so on. Each row's entries keep their order, and the
         # adds of a row no longer follow one another (bincount took 1.6x as
         # long on the entries row by row, at n = 2100). The slots are sorted
         # in the smallest unsigned type, which numpy's stable sort takes by
         # radix (six times as fast as on int64).
-        slot = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        slot = np.arange(data.size) - np.repeat(ends - counts, counts)
         slot = slot.astype(np.min_scalar_type(slot.max(initial=0)))
         order = np.argsort(slot, kind="stable")
-        self.rows = np.repeat(np.arange(self.size), counts)[order]
-        self.indices = np.concatenate([g.indices + b * n for b, g in enumerate(graphs)])[order]
-        self.data = np.concatenate([g.data for g in graphs])[order]
-        self.sq_norm = np.array([g.sq_norm for g in graphs])  # for graph_penalty
+        self.rows, self.indices, self.data = rows[order], indices[order], data[order]
 
     def product(self, V: np.ndarray) -> np.ndarray:
         """S_b V_b for every member b of the stack V (B, n, c), C-ordered.
@@ -338,23 +346,6 @@ def knn_graph(X: DataMatrix, k: int) -> SimilarityGraph:
     keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
     indptr = np.searchsorted(keys, n * np.arange(n + 1))
     return SimilarityGraph._of(indptr, keys % n, np.ones(keys.size))
-
-
-def normalize_graph(graph: SimilarityGraph) -> SimilarityGraph:
-    """Degree normalization S <- D^{-1/2} S D^{-1/2}.
-
-    Each stored entry S_ij is scaled by the product d_i^{-1/2} d_j^{-1/2},
-    which is the same for S_ji, so the result stays exactly symmetric.
-    Isolated vertices (zero degree) keep their zero row and column instead of
-    dividing by zero. `fit` applies it to the graph it is given, so callers
-    pass the raw graph.
-    """
-    indptr, indices = graph.indptr, graph.indices
-    deg = _degrees(indptr, graph.data)
-    inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
-    rows = np.repeat(np.arange(graph.n), np.diff(indptr))
-    data = graph.data * (inv_sqrt[rows] * inv_sqrt[indices])
-    return SimilarityGraph._of(indptr, indices, data)
 
 
 def graph_coeff_step(A: np.ndarray, G: np.ndarray, V: np.ndarray, Q: np.ndarray,

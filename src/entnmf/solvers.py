@@ -92,8 +92,7 @@ from .core import (
     sample_sq_norms,
 )
 from .errors import InputError, NumericalError
-from .graph import (GraphStack, SimilarityGraph, graph_coeff_step, graph_penalty,
-                    normalize_graph)
+from .graph import GraphStack, SimilarityGraph, graph_coeff_step, graph_penalty
 from .losses import default_epsilon, entropy_terms
 
 METHODS = ("EMMF", "GEMMF", "NMF_FRO", "NMF_DIV", "L21_NMF")
@@ -227,6 +226,8 @@ def extend_factors(F: FactorPair, X: DataMatrix) -> FactorPair:
     n0 = F.V.shape[0]
     if X.n < n0:
         raise InputError(f"factors cover {n0} samples but data has only {X.n}")
+    if X.d != F.U.shape[0]:
+        raise InputError(f"factors have {F.U.shape[0]} features but data has {X.d}")
     nearest = np.argmin(_sq_distances(X.values[:, n0:].T, F.U.T), axis=1)
     # C-ordered whatever U's order: the fits started from it round by it
     return FactorPair(U=F.U.copy(), V=np.vstack([F.V, _start_rows(nearest, F.c)]))
@@ -249,8 +250,8 @@ def _divergence(X: np.ndarray, B: np.ndarray, zero: np.ndarray, out: np.ndarray)
 
 def _method(X: np.ndarray, eps: np.ndarray, cfg: SolverConfig, graphs):
     """(measure, step) of cfg.method on the stack X (B, d, n); see the module
-    docstring. eps is (B, 1); graphs are the members' graphs as `fit_stack`
-    normalized them, read only by GEMMF."""
+    docstring. eps is (B, 1); graphs are the members' raw graphs, read only
+    by GEMMF, whose operator normalizes them."""
     if cfg.method == "NMF_DIV":
         # UV^T has a workspace of its own, because the next step's first
         # ratio reuses it; every other d x n quantity goes to M
@@ -334,10 +335,9 @@ def fit_stack(Xs, cfg: SolverConfig, initials, graphs=None) -> list:
 
     All members share cfg (its seed is not used: the members start from
     their `initials`); GEMMF needs one raw similarity graph per member and
-    regularizes with its degree normalization, formed once per call. Returns
-    one entry per member, in order: its FitResult, or the NumericalError
-    that stopped it, carrying the iteration and the member's objective trace
-    so far. Each result is bit for bit what `fit` gives for that member alone,
+    regularizes with its degree normalization. Returns one entry per member,
+    in order: its FitResult, or the NumericalError that stopped it, carrying
+    the iteration and the member's objective trace so far. Each result is bit for bit what `fit` gives for that member alone,
     provided the members' arrays share their memory order (C or Fortran).
     """
     B = len(Xs)
@@ -355,7 +355,6 @@ def fit_stack(Xs, cfg: SolverConfig, initials, graphs=None) -> list:
         for g in graphs:
             if g.n != n:
                 raise InputError(f"graph has {g.n} vertices but data has {n} samples")
-        graphs = [normalize_graph(g) for g in graphs]
     for F in initials:
         if F.U.shape != (d, cfg.c) or F.V.shape != (n, cfg.c):
             raise InputError(

@@ -1,12 +1,15 @@
 """Shared fixtures: seeded random problem instances, weight helpers, the
 checked call of an update kernel, and the weighted-surrogate oracle; the
 entropy oracles on one whole residual (`entropy_weights`, `entropy_objective`,
-`single_outlier_share`); the scipy oracle of a similarity graph (`csr`);
+`single_outlier_share`); the scipy oracle of a similarity graph (`csr`), of
+its degree normalization (`normalized`) and of its squared Frobenius norm
+(`sq_norm`), and a graph operator's entries as a scipy matrix (`stack_csr`);
 and two CPUs for the harness's worker pool (`two_cpus`). Tests import the
 oracles from here."""
 
 import concurrent.futures
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -65,6 +68,32 @@ def csr(graph) -> sparse.csr_array:
     """The graph as a scipy `csr_array` on its own CSR arrays: the oracle of
     its product and its dense form (`.toarray()`)."""
     return sparse.csr_array((graph.data, graph.indices, graph.indptr), shape=(graph.n,) * 2)
+
+
+def normalized(graph) -> SimpleNamespace:
+    """The degree normalization D^-1/2 S D^-1/2 of a raw graph, on the same
+    CSR arrays: each weight S_ij times d_i^-1/2 d_j^-1/2, from scipy's row
+    sums, as the former `normalize_graph` formed it. Isolated vertices keep
+    their zero row and column. The oracle of the operator `GraphStack` forms."""
+    deg = csr(graph).sum(axis=1)
+    inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
+    rows = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
+    return SimpleNamespace(n=graph.n, indptr=graph.indptr, indices=graph.indices,
+                           data=graph.data * (inv_sqrt[rows] * inv_sqrt[graph.indices]))
+
+
+def sq_norm(graph) -> float:
+    """||S||_F^2 as one BLAS dot of the stored weights, as the former
+    `SimilarityGraph.sq_norm` took it: the oracle of `GraphStack.sq_norm`
+    up to rounding (OpenBLAS splits a dot of more than 10 000 entries across
+    its threads)."""
+    return float(graph.data @ graph.data)
+
+
+def stack_csr(S) -> sparse.csr_array:
+    """The block-diagonal operator of a `GraphStack` as a scipy `csr_array`
+    on its entries, each row's in the order the operator keeps them."""
+    return sparse.csr_array((S.data, (S.rows, S.indices)), shape=(S.size,) * 2)
 
 
 @pytest.fixture

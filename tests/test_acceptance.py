@@ -39,9 +39,9 @@ from entnmf import (
     unit_normalize,
 )
 from entnmf.core import basis_step, coeff_step
-from entnmf.graph import graph_coeff_step, normalize_graph
+from entnmf.graph import graph_coeff_step
 from entnmf.losses import default_epsilon
-from conftest import csr, entropy_objective, entropy_weights
+from conftest import csr, entropy_objective, entropy_weights, normalized
 
 LAMBDA_GRID = (1e1, 1e3, 1e5, 1e7, 1e9)
 
@@ -139,7 +139,7 @@ def test_exact_factorizations_are_fixed_points(kernel):
         close(U * (ratio @ V) / (np.sum(V, axis=0)[None, :] + 1e-12), U)
         close(V * (ratio.T @ U) / (np.sum(U, axis=0)[None, :] + 1e-12), V)
         # graph-coupled rule with the graph term switched off
-        g = normalize_graph(knn_graph(X, 3))
+        g = normalized(knn_graph(X, 3))
         close(kernel(graph_coeff_step, X, U, V, entropy_weights(M, eps).q, csr(g) @ V, 0.0), V)
 
 

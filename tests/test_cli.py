@@ -271,6 +271,30 @@ def test_an_output_path_that_is_a_file_exits_1_naming_it(tmp_path, capsys, comma
     assert blocker.read_text(encoding="utf-8") == "kept\n"
 
 
+@pytest.mark.parametrize("command, call", [
+    ("fit", "os.makedirs"), ("fit", "tempfile.mkdtemp"), ("sweep", "os.makedirs"),
+    ("sweep", "tempfile.mkdtemp"), ("bound-curve", "os.makedirs"),  # it stages nothing
+])
+def test_an_output_directory_that_cannot_be_written_exits_1_naming_it(tmp_path, capsys,
+                                                                      monkeypatch, command, call):
+    # patched, since root writes whatever the mode bits say
+    def denied(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(call, denied)
+    output = str(tmp_path / "out")
+    if command == "bound-curve":
+        argv = ["bound-curve", "--n-max", "5", "--output", output]
+    else:
+        sweep = {"sweep": {"name": "outlier_count", "values": [0, 1]}} if command == "sweep" else {}
+        argv = [command, "--config", base_config(tmp_path, **sweep), "--output", output]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: output directory {output} cannot be written: "
+                                         "Permission denied"]
+
+
 def test_bound_curve_writes_its_table(tmp_path, capsys):
     out = tmp_path / "curve"
     assert main(["bound-curve", "--n-max", "12", "--p-step", "0.05", "--output", str(out)]) == 0

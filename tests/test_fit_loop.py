@@ -19,6 +19,8 @@ U^T U.
 
 import multiprocessing
 import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -49,10 +51,10 @@ from entnmf import core
 from entnmf import experiment as experiment_module
 from entnmf import solvers as solvers_module
 from entnmf.experiment import DatasetSpec, ExperimentConfig, Sweep, run_experiment
-from entnmf.graph import graph_penalty, normalize_graph
+from entnmf.graph import graph_penalty
 from entnmf.losses import default_epsilon, entropy_terms
 from entnmf.solvers import fit_stack
-from conftest import csr
+from conftest import csr, normalized
 from test_properties import PROPERTY, stacks
 
 METHODS = ("EMMF", "GEMMF", "NMF_FRO", "NMF_DIV", "L21_NMF")
@@ -188,11 +190,16 @@ def ref_fit_emmf(X, cfg, initial=None):
 
 def ref_fit_gemmf(X, graph, cfg, initial=None):
     eps = cfg.epsilon if cfg.epsilon is not None else default_epsilon(X.values)
-    S = normalize_graph(graph)
+    S = normalized(graph)
+    # ||S||_F^2 with the squares added one after another from zero, the
+    # rounding of the fit's operator
+    sq_norm = 0.0
+    for w in S.data.tolist():
+        sq_norm += w * w
 
     def objective_of(F):
         return ref_entropy_objective(X, F, eps) + cfg.lam * float(
-            graph_penalty(S.sq_norm, csr(S) @ F.V, F.V))
+            graph_penalty(sq_norm, csr(S) @ F.V, F.V))
 
     def step(F):
         w = ref_entropy_weights(X, F, eps)
@@ -962,3 +969,44 @@ def test_the_first_failing_repetition_stops_the_run(tmp_path, monkeypatch):
     assert info.value.iteration == 4
     assert len(info.value.objective) == 4
     assert list(tmp_path.iterdir()) == []
+
+
+# Fits the gemmf_2k benchmark recipe: the README blobs at c = 5, 380 per
+# cluster, d = 100, unit-normalized, with 100 injected outliers, by GEMMF at
+# lambda = 5 for 40 iterations from the harness's start, and prints the hex
+# of each objective and of epsilon, and the sha256 of the factors' bytes.
+LARGE_GEMMF_FIT = """
+import hashlib
+from entnmf import (SolverConfig, extend_factors, fit, init_factors, inject_outlier_vectors,
+                   knn_graph, synth_blobs, unit_normalize)
+from entnmf.experiment import INJECTION_SEED_OFFSET
+X_base = unit_normalize(synth_blobs(5, 380, 100, 8.0, seed=1))
+X, _ = inject_outlier_vectors(X_base, 100, seed=3 + INJECTION_SEED_OFFSET)
+initial = extend_factors(init_factors(X_base, 5, 3, "KMEANS"), X)
+cfg = SolverConfig(method="GEMMF", c=5, max_iter=40, tol=1e-6, lam=5.0, seed=3)
+result = fit(X, cfg, knn_graph(X, 5), initial)
+for t, value in enumerate(result.trace.objective):
+    print(t, value.hex())
+print("epsilon", result.final_q.epsilon.hex())
+for name in ("U", "V"):
+    print(name, hashlib.sha256(getattr(result.factors, name).tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="BLAS needs two CPUs for two threads")
+def test_a_large_gemmf_fit_does_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits a dot of more than 10 000 entries across its threads:
+    # the graph of 2000 samples has more, and so has the data, d n = 210 000.
+    # ||S||_F^2 and ||X||_F are numpy reductions, so one and two threads
+    # write the same objectives, factors and epsilon.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    printed = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", LARGE_GEMMF_FIT], env=env,
+                             capture_output=True, text=True, check=True, timeout=300)
+        printed.append(out.stdout.splitlines())
+    assert len(printed[0]) == 41 + 3
+    for one, two in zip(*printed):
+        assert one == two

@@ -24,22 +24,21 @@ from entnmf import (
 )
 from entnmf import graph as graph_module
 from entnmf.core import DELTA
-from entnmf.graph import GraphStack, graph_coeff_step, normalize_graph
-from conftest import csr, entropy_weights
+from entnmf.graph import GraphStack, graph_coeff_step
+from conftest import csr, entropy_weights, normalized, sq_norm, stack_csr
 
 EPS = 1e-10
 
 
-def dense_knn_graph(P, k, general=False):
-    """The former dense n x n neighbor search, kept as the reference.
-
-    numpy sends its P^T P to the symmetric product, whose entries for two
-    identical samples can differ in the last bit and so break their tie;
-    `general` takes the general product instead."""
+def exact_knn_graph(P, k):
+    """The kNN graph on exact rules, kept as the reference: the squared
+    differences of every pair of samples summed feature by feature from zero
+    in feature order, each row ranked by a stable argsort (lowest index
+    first on ties), and the k nearest linked both ways."""
     n = P.shape[1]
-    sq = np.sum(P * P, axis=0)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (P.T @ (P.copy() if general else P))
-    d2 = 0.5 * (d2 + d2.T)
+    d2 = np.zeros((n, n))
+    for x in P:
+        d2 += (x[:, None] - x[None, :]) ** 2
     np.fill_diagonal(d2, np.inf)
     order = np.argsort(d2, axis=1, kind="stable")
     A = np.zeros((n, n))
@@ -156,16 +155,14 @@ def with_duplicate_columns(rng, P):
     return P
 
 
-def graph_instance(seed, normalized=True):
+def graph_instance(seed, raw=False):
     rng = np.random.default_rng(seed)
     d, n, c = 5, 9, 3
     X = DataMatrix(values=rng.random((d, n)) + 0.1)
     F = FactorPair(U=rng.random((d, c)) + 0.1, V=rng.random((n, c)) + 0.1)
     w = entropy_weights(residual_matrix(X, F.U, F.V), EPS)
     g = knn_graph(X, 3)
-    if normalized:
-        g = normalize_graph(g)
-    return X, F, w, g
+    return X, F, w, g if raw else normalized(g)
 
 
 class TestSimilarityGraph:
@@ -190,7 +187,6 @@ class TestSimilarityGraph:
             assert np.array_equal(g.indices, [1, 0, 2, 1])
             assert np.array_equal(g.data, [2.0, 2.0, 1.0, 1.0])
             assert np.array_equal(csr(g).toarray(), dense)
-            assert g.sq_norm == 10.0
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_rejects_non_finite_weights_naming_the_entry(self, bad):
@@ -284,25 +280,25 @@ class TestKnnGraph:
         # samples, 3-valued integers, and three samples of entries near
         # 1e-170 with two copies of one of them: their squared differences
         # underflow, so they tie at an exact 0 with each other as with the
-        # copies, and the lower index goes first. In C and Fortran order.
-        for seed in range(25):
-            rng = np.random.default_rng(seed)
+        # copies, and the lower index goes first. At every d from 1 to 100
+        # (five seeds each up to d = 5), where the Gram entries of copies
+        # round apart, in C and Fortran order.
+        for d, seed in [(d, seed) for d in range(1, 101) for seed in range(5 if d <= 5 else 1)]:
+            rng = np.random.default_rng([d, seed])
             n = int(rng.integers(8, 40))
-            P = rng.random((int(rng.integers(1, 6)), n))
+            P = rng.random((d, n))
             tied = with_duplicate_columns(rng, P)
-            d = P.shape[0]
             tiny = rng.random((d, n))
             at = rng.choice(n, 5, replace=False)
             tiny[:, at[:3]] = rng.random((d, 3)) * 1e-170
             tiny[:, at[3:]] = tiny[:, at[:1]]
-            for given, general in ((P, False), (tied, True), (np.repeat(P[:, :1], n, axis=1), True),
-                                   (rng.integers(0, 3, size=(d, n)).astype(float), True),
-                                   (tiny, True)):
+            for given in (P, tied, np.repeat(P[:, :1], n, axis=1),
+                          rng.integers(0, 3, size=(d, n)).astype(float), tiny):
                 for k in range(1, 7):
-                    expected = dense_knn_graph(given, k, general)
+                    expected = exact_knn_graph(given, k)
                     for order in "CF":
                         g = knn_graph(DataMatrix(values=np.asarray(given, order=order)), k)
-                        assert np.array_equal(csr(g).toarray(), expected), (seed, k, order)
+                        assert np.array_equal(csr(g).toarray(), expected), (d, seed, k, order)
 
     def test_identical_samples_link_their_lowest_index_others(self):
         # 2000 copies of one sample at d=100: every row holds all 1999 others
@@ -347,7 +343,7 @@ class TestKnnGraph:
             X = DataMatrix(values=np.asarray(P, order=order))
             for k in range(1, 5):
                 assert np.array_equal(csr(knn_graph(X, k)).toarray(),
-                                      dense_knn_graph(P, k, general=True)), (order, k)
+                                      exact_knn_graph(P, k)), (order, k)
 
     @pytest.mark.parametrize("order", "CF")
     def test_rows_linking_a_duplicated_pair_link_its_lower_index(self, monkeypatch, order):
@@ -413,7 +409,7 @@ class TestKnnGraph:
             P = rng.integers(0, 5, size=(int(rng.integers(1, 6)), n)) / 4.0
             for k in range(1, 7):
                 g = knn_graph(DataMatrix(values=P), k)
-                assert np.array_equal(csr(g).toarray(), dense_knn_graph(P, k)), (seed, k)
+                assert np.array_equal(csr(g).toarray(), exact_knn_graph(P, k)), (seed, k)
 
     @pytest.mark.parametrize("rows", [1, 7, 256])
     @pytest.mark.parametrize("order", "CF")
@@ -478,38 +474,51 @@ class TestKnnGraph:
             knn_graph(X, 4)
 
 
+def operator(*graphs):
+    """The degree-normalized operator `GraphStack` forms on raw graphs, as a
+    scipy matrix of its entries."""
+    return stack_csr(GraphStack(graphs))
+
+
 class TestNormalizeGraph:
+    """The degree normalization D^-1/2 S D^-1/2 that `GraphStack` forms."""
+
     def test_star_graph_hand_values(self):
         # hub of degree 2, leaves of degree 1: edge weight 1/sqrt(2)
         star = SimilarityGraph(S=np.array([[0.0, 1, 1], [1, 0, 0], [1, 0, 0]]))
-        g = normalize_graph(star)
+        g = operator(star)
         root_half = 1.0 / np.sqrt(2.0)
         # edges (0, 1), (0, 2) and their reverses, none between the leaves
         assert np.array_equal(g.indptr, [0, 2, 3, 4])
         assert np.array_equal(g.indices, [1, 2, 0, 0])
         assert g.data == pytest.approx([root_half] * 4, abs=1e-15)
+        assert GraphStack([star]).sq_norm == pytest.approx([2.0], rel=1e-15)
 
     def test_isolated_vertices_stay_zero(self):
         S = np.zeros((3, 3))
         S[0, 1] = S[1, 0] = 1.0
-        g = normalize_graph(SimilarityGraph(S=S))
-        S = csr(g).toarray()
+        S = operator(SimilarityGraph(S=S)).toarray()
         assert S[0, 1] == 1.0
         assert np.all(S[2] == 0) and np.all(S[:, 2] == 0)
 
     def test_keeps_the_neighbor_structure(self):
-        _, _, _, g = graph_instance(4, normalized=False)
-        h = normalize_graph(g)
+        _, _, _, g = graph_instance(4, raw=True)
+        h = operator(g)
         assert np.array_equal(h.indptr, g.indptr)
         assert np.array_equal(h.indices, g.indices)
 
     def test_matches_the_dense_formula(self):
+        # alone, and as the last member of a stack after a graph of other
+        # degrees
         for seed in range(25):
             rng = np.random.default_rng(seed)
             P = with_duplicate_columns(rng, rng.random((3, int(rng.integers(8, 40)))))
             g = knn_graph(DataMatrix(values=P), int(rng.integers(1, 7)))
             expected = dense_normalize(csr(g).toarray())
-            assert np.array_equal(csr(normalize_graph(g)).toarray(), expected), seed
+            assert np.array_equal(operator(g).toarray(), expected), seed
+            other = knn_graph(DataMatrix(values=rng.random((3, g.n))), 1)
+            stacked = operator(other, g).toarray()[g.n:, g.n:]
+            assert np.array_equal(stacked, expected), seed
 
     def test_weighted_graphs_stay_exactly_symmetric(self):
         for seed in range(10):
@@ -517,7 +526,7 @@ class TestNormalizeGraph:
             W = rng.random((15, 15)) * (rng.random((15, 15)) < 0.3)
             W = np.triu(W, 1)
             W = W + W.T
-            S = csr(normalize_graph(SimilarityGraph(S=W))).toarray()
+            S = operator(SimilarityGraph(S=W)).toarray()
             assert np.array_equal(S, S.T)
             assert np.allclose(S, dense_normalize(W), rtol=1e-15, atol=0)
 
@@ -539,39 +548,74 @@ class TestScipyOracle:
     row sums on the same arrays."""
 
     def test_stack_product_equals_scipy_bit_for_bit(self):
-        # weighted graphs, raw and normalized, in stacks of 1-5 members
+        # weighted graphs, and their normalizations as raw graphs, in stacks
+        # of 1-5 members: each member's product on its normalized graph
         for seed in range(60):
             rng = np.random.default_rng(seed)
             B, n, c = 1 + seed % 5, int(rng.integers(2, 61)), 1 + seed % 6
             graphs = [weighted_graph(rng, n) for _ in range(B)]
             if seed % 2:
-                graphs = [normalize_graph(g) for g in graphs]
+                graphs = [normalized(g) for g in graphs]
             V = rng.random((B, n, c))
             SV = GraphStack(graphs).product(V)
             assert SV.shape == V.shape and SV.flags.c_contiguous
             for b, g in enumerate(graphs):
-                assert np.array_equal(SV[b], csr(g) @ V[b]), (seed, b)
+                assert np.array_equal(SV[b], csr(normalized(g)) @ V[b]), (seed, b)
 
     def test_product_on_normalized_blob_knn_graphs_equals_scipy(self):
         for seed in range(10):
             X = unit_normalize(synth_blobs(3, 20, 10, 8.0, seed=seed))
-            graphs = [normalize_graph(knn_graph(X, k)) for k in (3, 5, 9)]
+            graphs = [knn_graph(X, k) for k in (3, 5, 9)]
             V = np.random.default_rng(seed).random((3, X.n, 4))
             SV = GraphStack(graphs).product(V)
             for b, g in enumerate(graphs):
-                assert np.array_equal(SV[b], csr(g) @ V[b]), (seed, b)
+                assert np.array_equal(SV[b], csr(normalized(g)) @ V[b]), (seed, b)
 
     def test_weighted_degrees_equal_scipy_row_sums(self):
         # the normalized weights scale by the degrees as scipy sums them
+        # (`normalized`)
         for seed in range(20):
             rng = np.random.default_rng(seed)
             g = weighted_graph(rng, int(rng.integers(2, 61)))
-            deg = csr(g).sum(axis=1)
-            with np.errstate(divide="ignore"):
-                inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
-            rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
-            expected = g.data * (inv_sqrt[rows] * inv_sqrt[g.indices])
-            assert np.array_equal(normalize_graph(g).data, expected), seed
+            assert np.array_equal(operator(g).data, normalized(g).data), seed
+
+
+class TestGraphStack:
+    def test_a_member_equals_its_operator_alone(self):
+        # a weighted and a kNN graph and the weighted one again, in one
+        # stack: each member's block and ||S_b||_F^2 are its lone operator's
+        rng = np.random.default_rng(0)
+        n = 30
+        graphs = [weighted_graph(rng, n), knn_graph(DataMatrix(values=rng.random((4, n))), 3)]
+        graphs.append(graphs[0])
+        S = GraphStack(graphs)
+        whole = stack_csr(S).toarray()
+        for b, g in enumerate(graphs):
+            alone = GraphStack([g])
+            assert S.sq_norm[b] == alone.sq_norm[0], b
+            block = whole[b * n:(b + 1) * n, b * n:(b + 1) * n]
+            assert np.array_equal(block, stack_csr(alone).toarray()), b
+
+    def test_sq_norm_is_the_blas_dot_up_to_rounding(self):
+        # ||S||_F^2 adds the squares of the normalized weights one after
+        # another from zero, in stored order; the former BLAS dot (`sq_norm`)
+        # summed them in another order, which OpenBLAS splits across its
+        # threads beyond 10 000 entries. Both are sums of nnz nonnegative
+        # terms, so they differ by at most nnz eps of their value. The kNN
+        # graph of 2100 samples has more than 10 000 entries.
+        rng = np.random.default_rng(1)
+        graphs = [weighted_graph(rng, 50), knn_graph(DataMatrix(values=rng.random((4, 40))), 3),
+                  knn_graph(DataMatrix(values=rng.random((10, 2100))), 5)]
+        assert graphs[-1].data.size > 10_000
+        for g in graphs:
+            h = normalized(g)
+            got = GraphStack([g]).sq_norm[0]
+            total = 0.0
+            for w in h.data.tolist():
+                total += w * w
+            assert got == total
+            old = sq_norm(h)
+            assert abs(got - old) <= h.data.size * np.finfo(float).eps * old
 
 
 class TestMultiplierSplit:

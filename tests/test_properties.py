@@ -16,9 +16,9 @@ from entnmf import DataMatrix, InputError, SimilarityGraph, SolverConfig, core, 
 from entnmf import solvers
 from entnmf.core import (basis_step, coeff_step, gram_products, residual, residual_sq_norms,
                          sample_sq_norms)
-from entnmf.graph import graph_coeff_step, normalize_graph
+from entnmf.graph import GraphStack, graph_coeff_step
 from entnmf.losses import entropy_terms
-from conftest import csr
+from conftest import csr, normalized, stack_csr
 
 METHODS = ("EMMF", "GEMMF", "NMF_FRO", "NMF_DIV", "L21_NMF")
 # methods whose recorded objective the update rules never increase
@@ -188,7 +188,7 @@ def test_exact_products_are_fixed_points_of_the_weighted_kernels(problem):
     for name, q in weights.items():
         assert_fixed(basis_step(X, U, V, q[:, None]), U, name)
         assert_fixed(coeff_step(*gram_products(X, U), V, q[:, None]), V, name)
-    graph = normalize_graph(knn_graph(DataMatrix(values=X), min(3, X.shape[1] - 1)))
+    graph = normalized(knn_graph(DataMatrix(values=X), min(3, X.shape[1] - 1)))
     q = weights["entropy"][:, None]
     assert_fixed(graph_coeff_step(*gram_products(X, U), V, q, csr(graph) @ V, 0.0), V, "graph")
 
@@ -269,16 +269,18 @@ def test_a_graph_holds_scipys_csr_arrays_and_normalizes_by_its_row_sums(graph):
     assert np.array_equal(g.indices, M.indices)
     assert np.array_equal(g.data, M.data)
     assert np.array_equal(csr(g).toarray(), S)
-    with np.errstate(over="ignore"):  # both are inf at scale 1e307
-        got, sq_norm = g.sq_norm, np.sum(S * S)
-    assert got == sq_norm or abs(got - sq_norm) <= 1e-12 * sq_norm
-    # D^-1/2 S D^-1/2 on each stored entry, from the degrees scipy sums
+    # D^-1/2 S D^-1/2 on each stored entry, from the degrees scipy sums, as
+    # the fit's operator forms it
     with np.errstate(divide="ignore"):
         inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
     rows = np.repeat(np.arange(g.n), np.diff(M.indptr))
-    h = normalize_graph(g)
+    op = GraphStack([g])
+    h = stack_csr(op)
     assert np.array_equal(h.indptr, g.indptr) and np.array_equal(h.indices, g.indices)
     assert np.array_equal(h.data, M.data * (inv_sqrt[rows] * inv_sqrt[M.indices]))
+    dense = h.toarray()
+    got, expected = op.sq_norm[0], np.sum(dense * dense)
+    assert got == expected or abs(got - expected) <= 1e-12 * expected
     # S_ij <= d_i, d_j bounds each weight by 1, up to the rounding of the
     # square roots, their reciprocals and two products (a lone weight
     # of 6.4e-4 normalizes to 1 + 2^-52)

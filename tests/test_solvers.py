@@ -23,10 +23,10 @@ from entnmf import (
     synth_outliers,
     synth_random,
 )
-from entnmf.graph import graph_penalty, normalize_graph
+from entnmf.graph import graph_penalty
 from entnmf.losses import default_epsilon
 from entnmf.solvers import METHODS, V_INIT_OFFSET, _kmeans, _method, _sq_distances, fit_stack
-from conftest import csr, entropy_objective, entropy_weights
+from conftest import csr, entropy_objective, entropy_weights, normalized, sq_norm
 
 
 def broadcast_kmeans(points, c, rng, n_iter=100):
@@ -155,7 +155,7 @@ def dense_penalty(S, V):
 
 def penalty(g, V):
     """||S - V V^T||_F^2 of graph g by the kernel the fit loop runs."""
-    return float(graph_penalty(g.sq_norm, csr(g) @ V, V))
+    return float(graph_penalty(sq_norm(g), csr(g) @ V, V))
 
 
 class TestSolverConfig:
@@ -302,6 +302,14 @@ class TestExtendFactors:
         F = FactorPair(U=np.ones((2, 1)), V=np.ones((5, 1)))
         with pytest.raises(InputError):
             extend_factors(F, DataMatrix(values=np.ones((2, 3))))
+
+    @pytest.mark.parametrize("d", [3, 1])
+    def test_rejects_data_of_another_feature_count(self, d):
+        # 4-feature factors: at d = 3 the distances would not broadcast, and
+        # at d = 1 they would broadcast to a 4 x 2 U for 1-feature data
+        F = FactorPair(U=np.ones((4, 2)), V=np.ones((3, 2)))
+        with pytest.raises(InputError, match=f"factors have 4 features but data has {d}$"):
+            extend_factors(F, DataMatrix(values=np.ones((d, 5))))
 
 
 class TestFitLoop:
@@ -459,7 +467,7 @@ class TestGemmf:
         lam = 2.5
         F0 = init_factors(X, 2, seed=0)
         r = fit(X, SolverConfig(method="GEMMF", c=2, lam=lam, max_iter=1), g, initial=F0)
-        S = csr(normalize_graph(g)).toarray()
+        S = csr(normalized(g)).toarray()
         eps = default_epsilon(X.values)
         expected = entropy_objective(X, F0, eps) + lam * np.linalg.norm(S - F0.V @ F0.V.T) ** 2
         assert r.trace.objective[0] == pytest.approx(expected, rel=1e-12)
@@ -482,7 +490,7 @@ class TestGemmf:
         for seed in range(25):
             rng = np.random.default_rng(seed)
             n = int(rng.integers(8, 60))
-            g = normalize_graph(knn_graph(synth_random(4, n, seed=seed), int(rng.integers(1, 7))))
+            g = normalized(knn_graph(synth_random(4, n, seed=seed), int(rng.integers(1, 7))))
             V = rng.random((n, int(rng.integers(1, 5))))
             assert penalty(g, V) == pytest.approx(dense_penalty(csr(g).toarray(), V), rel=1e-12)
 
@@ -494,15 +502,15 @@ class TestGemmf:
             rng = np.random.default_rng(seed)
             sizes = rng.integers(2, 8, size=3)
             labels = np.repeat(np.arange(3), sizes)
-            g = normalize_graph(SimilarityGraph(S=labels[:, None] == labels[None, :]))
+            g = normalized(SimilarityGraph(S=labels[:, None] == labels[None, :]))
             V0 = (labels[:, None] == np.arange(3)) / np.sqrt(sizes)
             for scale in (0.0, 1e-5):
                 V = V0 + scale * rng.random(V0.shape)
                 expected = dense_penalty(csr(g).toarray(), V)
-                assert expected < 1e-6 * g.sq_norm
+                assert expected < 1e-6 * sq_norm(g)
                 value = penalty(g, V)
                 assert value >= 0
-                assert abs(value - expected) <= 1e-12 * g.sq_norm
+                assert abs(value - expected) <= 1e-12 * sq_norm(g)
 
 
 class TestBaselines:
