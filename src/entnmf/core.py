@@ -12,8 +12,10 @@ for a caller-supplied diagonal weight Q >= 0, via the multiplicative rules
     V_ik <- V_ik * sqrt( (Q X^T U)_ik / (Q V U^T U)_ik ).
 
 Different choices of Q realize different losses behind one kernel:
-Q = I gives the Frobenius objective, Q_ii = 1/(2||m_i||) the l2,1 objective,
-and the entropy weights (see `entnmf.losses`) the entropy objective.
+Q_ii = 1/(2||m_i||) gives the l2,1 objective and the entropy weights (see
+`entnmf.losses`) the entropy objective; Q = I would give the Frobenius one,
+but NMF_FRO runs its own unweighted rules, with no square root. G-EMMF's
+graph term is an optional addend of the V step (`coeff_step`).
 Every denominator carries an additive guard `DELTA` against 0/0; exact zeros
 in a factor are preserved by construction.
 """
@@ -221,16 +223,36 @@ def basis_step(X: np.ndarray, U: np.ndarray, V: np.ndarray, Q: np.ndarray) -> np
     return U * np.sqrt(numer / (denom + DELTA))
 
 
-def coeff_step(A: np.ndarray, G: np.ndarray, V: np.ndarray, Q: np.ndarray) -> np.ndarray:
+def coeff_step(A: np.ndarray, G: np.ndarray, V: np.ndarray, Q: np.ndarray,
+               SV: np.ndarray | None = None, lam: float = 0.0) -> np.ndarray:
     """V_ik <- V_ik * sqrt( (Q X^T U)_ik / (Q V (U^T U))_ik ), given A = X^T U,
     G = U^T U and the diagonal weights broadcastable to V's shape.
 
     Q being diagonal, the only shape-consistent reading of the denominator is
-    Q (V (U^T U)). The elementwise work runs in place on the n x c products,
-    which gives the same bits as fresh arrays would."""
+    Q (V (U^T U)). Given SV = S V, the step adds the graph term
+    lambda ||S - V V^T||_F^2 (G-EMMF), absorbing the orthogonality
+    multiplier through the split
+
+        L5 = V^T Q X^T U + 2 lambda V^T S V - V^T Q V U^T U = L5+ - L5-,
+        L5- = V^T Q V U^T U,    L5+ = V^T Q X^T U + 2 lambda V^T S V,
+
+    both parts elementwise nonnegative, so that
+
+        V_ik <- V_ik * sqrt( (Q X^T U + 2 lambda S V + V L5-)_ik
+                           / (Q V U^T U + V L5+)_ik ).
+
+    At lambda = 0 the split remains, so G-EMMF's step is not EMMF's. A and
+    G are left as they are, for the residual norms; the sums run in place on
+    the n x c products, which gives the same bits as fresh arrays would."""
     numer = Q * A
     denom = V @ G
     denom *= Q
+    if SV is not None:
+        Vt = V.swapaxes(-1, -2)
+        plus = Vt @ numer + 2.0 * lam * (Vt @ SV)    # L5+
+        numer += 2.0 * lam * SV
+        numer += V @ (Vt @ denom)                    # V L5-
+        denom += V @ plus
     denom += DELTA
     numer /= denom
     np.sqrt(numer, out=numer)

@@ -1,4 +1,4 @@
-"""Similarity graphs and the graph-regularized coefficient update.
+"""Similarity graphs and the operator behind G-EMMF's graph term.
 
 The graph term lambda * ||S - V V^T||_F^2 on a degree-normalized similarity
 graph softly couples the coefficient rows of neighboring samples; the fit
@@ -22,29 +22,20 @@ exactly k is done. A row that keeps more settles them exactly, on squared
 differences summed feature by feature, lowest index first on ties; the
 samples bitwise equal to its own take the sum 0 with no per-feature pass.
 
-The multiplicative update `graph_coeff_step` absorbs the
-orthogonality multiplier through the split
-
-    L5 = V^T Q X^T U + 2 lambda V^T S V - V^T Q V U^T U = L5+ - L5-,
-    L5- = V^T Q V U^T U,    L5+ = V^T Q X^T U + 2 lambda V^T S V,
-
-both parts elementwise nonnegative, giving
-
-    V_ik <- V_ik * sqrt( (Q X^T U + 2 lambda S V + V L5-)_ik
-                       / (Q V U^T U + V L5+)_ik ).
-
-The fit loop advances a stack of problems at once; `GraphStack` places the
-members' graphs on the diagonal of one CSR operator, so one product applies
-each member's own graph to its own V. The product sums each row's terms
-data_jj * V[indices_jj] left to right from zero, the order of scipy's CSR
-product, so it gives scipy's bits without importing it.
+The graph term enters G-EMMF's V update as an addend of the one weighted V
+step, `core.coeff_step`, given S V. The fit loop advances a stack of
+problems at once; `GraphStack` places the members' graphs on the diagonal of
+one CSR operator, so one product applies each member's own graph to its own
+V. The product sums each row's terms data_jj * V[indices_jj] left to right
+from zero, the order of scipy's CSR product, so it gives scipy's bits
+without importing it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import DELTA, DataMatrix
+from .core import DataMatrix
 from .errors import InputError
 
 # Bytes of one block of float64 distance rows in the neighbor search. A block
@@ -346,30 +337,3 @@ def knn_graph(X: DataMatrix, k: int) -> SimilarityGraph:
     keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
     indptr = np.searchsorted(keys, n * np.arange(n + 1))
     return SimilarityGraph._of(indptr, keys % n, np.ones(keys.size))
-
-
-def graph_coeff_step(A: np.ndarray, G: np.ndarray, V: np.ndarray, Q: np.ndarray,
-                     SV: np.ndarray, lam: float) -> np.ndarray:
-    """Graph-regularized multiplicative step on V, given A = X^T U, G = U^T U,
-    SV = S V and the diagonal weights Q broadcastable to V's shape.
-
-    Raw arrays, one problem or a stack (..., n, c), like the kernels in
-    `entnmf.core`; no checks, no silenced warnings. A and G are left as they
-    are, for the residual norms; the elementwise work runs in place on the
-    n x c products, which gives the same bits as fresh arrays would."""
-    A = A * Q                                          # Q X^T U
-    B = V @ G                                          # Q V U^T U
-    B *= Q
-    Vt = V.swapaxes(-1, -2)
-    minus = Vt @ B                                     # L5-
-    plus = Vt @ A + 2.0 * lam * (Vt @ SV)              # L5+
-    numer = 2.0 * lam * SV
-    numer += A
-    numer += V @ minus
-    denom = V @ plus
-    denom += B
-    denom += DELTA
-    numer /= denom
-    np.sqrt(numer, out=numer)
-    numer *= V
-    return numer

@@ -37,7 +37,7 @@ sum and steps by its own unweighted rules. The other three take the norms,
 the squares' roots, and are one measure and one step: L21_NMF differs from
 EMMF only in its objective and weights, and GEMMF is EMMF with the graph as
 an optional term. Its measure forms S V once, adds the penalty from it and
-carries it to the step, whose V update is then the graph-regularized one.
+carries it to the step, whose V update adds the graph term from it.
 
 NMF_DIV holds U V^T in one workspace, because it carries over into the next
 step, writes its ratios and loss terms into a second, and keeps the zero
@@ -47,7 +47,7 @@ is built with it and so rebuilt only when members leave; it is local to the
 
   EMMF     weights q from the entropy linearization (`entnmf.losses`),
            shared weighted engine for U and V; records the entropy loss.
-  GEMMF    EMMF with the graph-regularized V step on the normalized graph;
+  GEMMF    EMMF with the graph term in its V step, on the normalized graph;
            records entropy + lambda ||S - VV^T||_F^2. The members' graphs
            act as one block-diagonal sparse operator.
   NMF_FRO  classic multiplicative rules for the squared Frobenius loss;
@@ -92,7 +92,7 @@ from .core import (
     sample_sq_norms,
 )
 from .errors import InputError, NumericalError
-from .graph import GraphStack, SimilarityGraph, graph_coeff_step, graph_penalty
+from .graph import GraphStack, SimilarityGraph, graph_penalty
 from .losses import default_epsilon, entropy_terms
 
 METHODS = ("EMMF", "GEMMF", "NMF_FRO", "NMF_DIV", "L21_NMF")
@@ -308,7 +308,7 @@ def _method(X: np.ndarray, eps: np.ndarray, cfg: SolverConfig, graphs):
         Q = np.repeat(q[..., :, None], V.shape[-1], axis=-1)
         U = basis_step(X, U, V, Q)
         A, G = gram_products(X, U)
-        V = coeff_step(A, G, V, Q) if SV is None else graph_coeff_step(A, G, V, Q, SV, cfg.lam)
+        V = coeff_step(A, G, V, Q, SV, cfg.lam)
         return U, V, (A, G)
 
     return measure, fro_step if cfg.method == "NMF_FRO" else step

@@ -1,11 +1,12 @@
 """Shared fixtures: seeded random problem instances, weight helpers, the
 checked call of an update kernel, and the weighted-surrogate oracle; the
-entropy oracles on one whole residual (`entropy_weights`, `entropy_objective`,
-`single_outlier_share`); the scipy oracle of a similarity graph (`csr`), of
-its degree normalization (`normalized`) and of its squared Frobenius norm
-(`sq_norm`), and a graph operator's entries as a scipy matrix (`stack_csr`);
-and two CPUs for the harness's worker pool (`two_cpus`). Tests import the
-oracles from here."""
+graph-regularized V step as a kernel of its own (`graph_coeff_step`), the
+oracle of `core.coeff_step` given S V; the entropy oracles on one whole
+residual (`entropy_weights`, `entropy_objective`, `single_outlier_share`);
+the scipy oracle of a similarity graph (`csr`), of its degree normalization
+(`normalized`) and of its squared Frobenius norm (`sq_norm`), and a graph
+operator's entries as a scipy matrix (`stack_csr`); and two CPUs for the
+harness's worker pool (`two_cpus`). Tests import the oracles from here."""
 
 import concurrent.futures
 import os
@@ -25,8 +26,7 @@ from entnmf import (
     residual_matrix,
 )
 from entnmf import experiment
-from entnmf.core import coeff_step, gram_products
-from entnmf.graph import graph_coeff_step
+from entnmf.core import DELTA, coeff_step, gram_products
 from entnmf.losses import _share_terms, entropy_terms
 
 
@@ -62,6 +62,35 @@ def single_outlier_share(p: float, n: int) -> float:
     """
     numer, denom = _share_terms(p, n)
     return numer / denom
+
+
+def graph_coeff_step(A: np.ndarray, G: np.ndarray, V: np.ndarray, Q: np.ndarray,
+                     SV: np.ndarray, lam: float) -> np.ndarray:
+    """Graph-regularized multiplicative step on V, given A = X^T U, G = U^T U,
+    SV = S V and the diagonal weights Q broadcastable to V's shape, with its
+    sums in their own order: the oracle of `core.coeff_step` given SV, bit
+    for bit.
+
+    Raw arrays, one problem or a stack (..., n, c), like the kernels in
+    `entnmf.core`; no checks, no silenced warnings. A and G are left as they
+    are, for the residual norms; the elementwise work runs in place on the
+    n x c products, which gives the same bits as fresh arrays would."""
+    A = A * Q                                          # Q X^T U
+    B = V @ G                                          # Q V U^T U
+    B *= Q
+    Vt = V.swapaxes(-1, -2)
+    minus = Vt @ B                                     # L5-
+    plus = Vt @ A + 2.0 * lam * (Vt @ SV)              # L5+
+    numer = 2.0 * lam * SV
+    numer += A
+    numer += V @ minus
+    denom = V @ plus
+    denom += B
+    denom += DELTA
+    numer /= denom
+    np.sqrt(numer, out=numer)
+    numer *= V
+    return numer
 
 
 def csr(graph) -> sparse.csr_array:
@@ -125,16 +154,15 @@ def ones_weights():
 
 @pytest.fixture
 def kernel():
-    """Call an update kernel (`core.basis_step`, `core.coeff_step`,
-    `graph.graph_coeff_step`) on X.values as the fit loop runs it: the
-    weights q as a full array of V's shape, the V steps on the Gram products
-    at the given U, with floating-point warnings silenced, and the step
-    asserted finite."""
+    """Call an update kernel (`core.basis_step`, or `core.coeff_step` with or
+    without S V) on X.values as the fit loop runs it: the weights q as a full
+    array of V's shape, the V step on the Gram products at the given U, with
+    floating-point warnings silenced, and the step asserted finite."""
 
     def run(step, X, U, V, q, *args):
         Q = np.repeat(q[:, None], V.shape[1], axis=1)
         with np.errstate(invalid="ignore", divide="ignore"):
-            if step in (coeff_step, graph_coeff_step):
+            if step is coeff_step:
                 out = step(*gram_products(X.values, U), V, Q, *args)
             else:
                 out = step(X.values, U, V, Q, *args)

@@ -39,7 +39,6 @@ from entnmf import (
     unit_normalize,
 )
 from entnmf.core import basis_step, coeff_step
-from entnmf.graph import graph_coeff_step
 from entnmf.losses import default_epsilon
 from conftest import csr, entropy_objective, entropy_weights, normalized
 
@@ -140,7 +139,7 @@ def test_exact_factorizations_are_fixed_points(kernel):
         close(V * (ratio.T @ U) / (np.sum(U, axis=0)[None, :] + 1e-12), V)
         # graph-coupled rule with the graph term switched off
         g = normalized(knn_graph(X, 3))
-        close(kernel(graph_coeff_step, X, U, V, entropy_weights(M, eps).q, csr(g) @ V, 0.0), V)
+        close(kernel(coeff_step, X, U, V, entropy_weights(M, eps).q, csr(g) @ V, 0.0), V)
 
 
 def test_residual_weights_match_the_objective(trace_objective):
@@ -275,16 +274,61 @@ def test_accuracy_survives_outlier_injection():
     assert time.perf_counter() - start < 60.0
 
 
+def effective_sample_count(X, result):
+    """exp(H), H the Shannon entropy of the shares ||m_i|| / sum_j ||m_j|| of
+    the final residual norms, with no guard floor (0 log 0 = 0)."""
+    norms = residual_errors(X, result)
+    p = norms / norms.sum()
+    p = p[p > 0]
+    return float(np.exp(-np.sum(p * np.log(p))))
+
+
+def test_entropy_puts_the_residual_on_fewer_samples_than_l21():
+    """The paper's mechanism, which l2,1 does not share: the entropy fit
+    leaves its residual on fewer samples, a lower effective sample count
+    exp(H) (see `effective_sample_count`).
+
+    On the 10-inlier/3-outlier set, rank 1, 500 iterations, seeds 0-19:
+    EMMF's exp(H) is below L21_NMF's and NMF_FRO's on every seed (smallest
+    margins measured: 0.0163 against L21_NMF, at seed 19, and 1.90 against
+    NMF_FRO). On the recipe of `test_accuracy_survives_outlier_injection`,
+    seeds 0-9 with 10, 20 and 40 injected: EMMF's exp(H) is below L21_NMF's
+    in all 30 cases (smallest margin measured: 2.16 % of L21_NMF's, at
+    seed 0 with 40 injected). Budget: 10 s."""
+    start = time.perf_counter()
+
+    def counts(X, methods, c, seed, max_iter, initial=None):
+        return {method: effective_sample_count(X, fit(X, SolverConfig(
+            method=method, c=c, seed=seed, max_iter=max_iter), initial=initial))
+            for method in methods}
+
+    for s in range(20):
+        h = counts(synth_outliers(s), ("EMMF", "L21_NMF", "NMF_FRO"), 1, s, 500)
+        assert h["EMMF"] < h["L21_NMF"] and h["EMMF"] < h["NMF_FRO"], (s, h)
+
+    for s in range(10):
+        base = unit_normalize(synth_blobs(3, 40, 10, 8.0, seed=s))
+        for count in (10, 20, 40):
+            X, _ = inject_outlier_vectors(base, count, seed=1000 + s)
+            initial = extend_factors(init_factors(base, 3, s, "KMEANS"), X)
+            h = counts(X, ("EMMF", "L21_NMF"), 3, s, 300, initial)
+            assert h["EMMF"] < h["L21_NMF"], (s, count, h)
+    assert time.perf_counter() - start < 10.0
+
+
 def test_graph_coupling_helps_ring_data():
     """On two concentric rings with a 5-NN graph, the best graph weight from
     the decade grid 1e1..1e9 gives mean accuracy over 20 repetitions at least
     0.05 above G-EMMF at lambda = 0 from the same starts, so the graph and
     not G-EMMF's V rule carries the gain (measured: 0.7575 at 1e9 against
-    0.6369), and at least matching the ungrouped entropy fit (0.5969)."""
-    X = two_rings(n_per=40, seed=2)
-    g = knn_graph(X, 5)
+    0.6369), and at least matching the ungrouped entropy fit (0.5969).
 
-    def mean_acc(method, lam):
+    That is ring seed 2. On each ring seed 0-7 the best grid weight beats
+    lambda = 0, and the mean gain is at least 0.04 (measured: +0.1125,
+    +0.0156, +0.1206, +0.0406, +0.0669, +0.0275, +0.0237 and +0.0631, a
+    mean of 0.0588)."""
+
+    def mean_acc(X, g, method, lam):
         scores = []
         for rep in range(20):
             cfg = SolverConfig(method=method, c=2, lam=lam, seed=rep, max_iter=200)
@@ -292,11 +336,18 @@ def test_graph_coupling_helps_ring_data():
             scores.append(accuracy(r.assignments, X.labels))
         return float(np.mean(scores))
 
-    plain = mean_acc("EMMF", 0.0)
-    ungraphed = mean_acc("GEMMF", 0.0)
-    coupled = max(mean_acc("GEMMF", lam) for lam in LAMBDA_GRID)
-    assert coupled >= ungraphed + 0.05, f"graph gain {coupled:.3f} - {ungraphed:.3f} < 0.05"
-    assert coupled >= plain, f"graph term hurt: {coupled:.3f} < {plain:.3f}"
+    gains = []
+    for ring_seed in range(8):
+        X = two_rings(n_per=40, seed=ring_seed)
+        g = knn_graph(X, 5)
+        ungraphed = mean_acc(X, g, "GEMMF", 0.0)
+        coupled = max(mean_acc(X, g, "GEMMF", lam) for lam in LAMBDA_GRID)
+        gains.append(coupled - ungraphed)
+        if ring_seed == 2:
+            plain = mean_acc(X, g, "EMMF", 0.0)
+            assert coupled >= ungraphed + 0.05, f"graph gain {coupled:.3f} - {ungraphed:.3f} < 0.05"
+            assert coupled >= plain, f"graph term hurt: {coupled:.3f} < {plain:.3f}"
+    assert min(gains) > 0 and np.mean(gains) >= 0.04, f"gains per ring seed: {gains}"
 
 
 def test_matching_and_scores_agree_with_an_exhaustive_reference():

@@ -510,9 +510,9 @@ def test_numerical_failure_names_the_iteration_and_keeps_the_trace(monkeypatch):
     real = solvers_module.coeff_step
     calls = []
 
-    def breaks_on_the_third_step(X, U, V, q):
+    def breaks_on_the_third_step(A, G, V, Q, *graph_term):
         calls.append(1)
-        V = real(X, U, V, q)
+        V = real(A, G, V, Q, *graph_term)
         return V * np.inf if len(calls) == 3 else V
 
     monkeypatch.setattr(solvers_module, "coeff_step", breaks_on_the_third_step)
@@ -716,9 +716,9 @@ def test_a_failing_member_raises_only_its_own_error(monkeypatch):
     real = solvers_module.coeff_step
     calls = []
 
-    def breaks_member_one_on_the_third_step(X, U, V, q):
+    def breaks_member_one_on_the_third_step(A, G, V, Q, *graph_term):
         calls.append(1)
-        V = real(X, U, V, q)
+        V = real(A, G, V, Q, *graph_term)
         if len(calls) == 3:
             V[1] = np.inf
         return V
@@ -956,9 +956,9 @@ def test_the_first_failing_repetition_stops_the_run(tmp_path, monkeypatch):
     real = solvers_module.coeff_step
     calls = []
 
-    def breaks_member_two_on_the_fourth_step(X, U, V, q):
+    def breaks_member_two_on_the_fourth_step(A, G, V, Q, *graph_term):
         calls.append(1)
-        V = real(X, U, V, q)
+        V = real(A, G, V, Q, *graph_term)
         if len(calls) == 4:
             V[2] = np.nan
         return V

@@ -23,8 +23,8 @@ from entnmf import (
     unit_normalize,
 )
 from entnmf import graph as graph_module
-from entnmf.core import DELTA
-from entnmf.graph import GraphStack, graph_coeff_step
+from entnmf.core import DELTA, coeff_step
+from entnmf.graph import GraphStack
 from conftest import csr, entropy_weights, normalized, sq_norm, stack_csr
 
 EPS = 1e-10
@@ -634,7 +634,7 @@ class TestMultiplierSplit:
             numer = Q @ X.values.T @ F.U + 2.0 * lam * S @ F.V + F.V @ minus
             denom = Q @ F.V @ F.U.T @ F.U + F.V @ plus
             expected = F.V * np.sqrt(numer / (denom + DELTA))
-            out = kernel(graph_coeff_step, X, F.U, F.V, w.q, csr(g) @ F.V, lam)
+            out = kernel(coeff_step, X, F.U, F.V, w.q, csr(g) @ F.V, lam)
             assert np.allclose(out, expected, atol=1e-12)
 
 
@@ -650,7 +650,7 @@ class TestGemmfUpdate:
             numer = A + 2.0 * lam * SV + F.V @ (F.V.T @ B)
             denom = B + F.V @ (F.V.T @ A + 2.0 * lam * F.V.T @ SV)
             expected = F.V * np.sqrt(numer / (denom + DELTA))
-            out = kernel(graph_coeff_step, X, F.U, F.V, w.q, csr(g) @ F.V, lam)
+            out = kernel(coeff_step, X, F.U, F.V, w.q, csr(g) @ F.V, lam)
             assert np.allclose(out, expected, atol=1e-12)
 
     def test_preserves_zeros_and_nonnegativity(self, kernel):
@@ -659,7 +659,7 @@ class TestGemmfUpdate:
         V[2, 1] = 0.0
         F = FactorPair(U=F.U, V=V)
         w = entropy_weights(residual_matrix(X, F.U, F.V), EPS)
-        out = kernel(graph_coeff_step, X, F.U, F.V, w.q, csr(g) @ F.V, 10.0)
+        out = kernel(coeff_step, X, F.U, F.V, w.q, csr(g) @ F.V, 10.0)
         assert out[2, 1] == 0.0
         assert out.min() >= 0 and np.all(np.isfinite(out))
 

@@ -16,9 +16,9 @@ from entnmf import DataMatrix, InputError, SimilarityGraph, SolverConfig, core, 
 from entnmf import solvers
 from entnmf.core import (basis_step, coeff_step, gram_products, residual, residual_sq_norms,
                          sample_sq_norms)
-from entnmf.graph import GraphStack, graph_coeff_step
+from entnmf.graph import GraphStack
 from entnmf.losses import entropy_terms
-from conftest import csr, normalized, stack_csr
+from conftest import csr, graph_coeff_step, normalized, stack_csr
 
 METHODS = ("EMMF", "GEMMF", "NMF_FRO", "NMF_DIV", "L21_NMF")
 # methods whose recorded objective the update rules never increase
@@ -190,7 +190,23 @@ def test_exact_products_are_fixed_points_of_the_weighted_kernels(problem):
         assert_fixed(coeff_step(*gram_products(X, U), V, q[:, None]), V, name)
     graph = normalized(knn_graph(DataMatrix(values=X), min(3, X.shape[1] - 1)))
     q = weights["entropy"][:, None]
-    assert_fixed(graph_coeff_step(*gram_products(X, U), V, q, csr(graph) @ V, 0.0), V, "graph")
+    assert_fixed(coeff_step(*gram_products(X, U), V, q, csr(graph) @ V, 0.0), V, "graph")
+
+
+@PROPERTY
+@given(stacks(), st.sampled_from([0.0, 1e-3, 5.0, 1e9]), st.integers(0, 2**31 - 1))
+def test_the_v_step_with_the_graph_term_matches_its_oracle_bit_for_bit(stack, lam, seed):
+    # every member on its own kNN graph, the weights as the fit loop passes
+    # them; A and G stay as they are, for the residual norms
+    X, U, V = stack
+    n, c = V.shape[-2:]
+    Q = np.repeat(np.random.default_rng(seed).random(V.shape[:-1])[..., None], c, axis=-1)
+    SV = GraphStack([knn_graph(DataMatrix(values=x), min(3, n - 1)) for x in X]).product(V)
+    A, G = gram_products(X, U)
+    A0, G0 = A.copy(), G.copy()
+    got = coeff_step(A, G, V, Q, SV, lam)
+    assert np.array_equal(A, A0) and np.array_equal(G, G0)
+    assert np.array_equal(got, graph_coeff_step(A, G, V, Q, SV, lam))
 
 
 @PROPERTY
