@@ -35,13 +35,17 @@ DELTA = 1e-12
 
 @dataclass(frozen=True)
 class DataMatrix:
-    """Nonnegative d x n sample matrix, columns are samples."""
+    """Nonnegative d x n sample matrix, columns are samples, held as a
+    C-ordered float64 array: one in that layout is kept as it is, any other
+    is copied into it. Every sum over the features, and so every fit, graph
+    and k-means start, then depends only on the values, not on where they
+    came from."""
 
     values: np.ndarray
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = np.asarray(self.values, dtype=float, order="C")
         object.__setattr__(self, "values", values)
         if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
             raise InputError(f"data matrix must be 2-D and non-empty, got shape {values.shape}")
@@ -89,14 +93,15 @@ def _casts_exactly(label) -> bool:
 
 @dataclass(frozen=True)
 class FactorPair:
-    """Nonnegative basis U (d x c) and coefficients V (n x c)."""
+    """Nonnegative basis U (d x c) and coefficients V (n x c), held
+    C-ordered float64 as `DataMatrix` holds its values."""
 
     U: np.ndarray
     V: np.ndarray
 
     def __post_init__(self):
-        U = np.asarray(self.U, dtype=float)
-        V = np.asarray(self.V, dtype=float)
+        U = np.asarray(self.U, dtype=float, order="C")
+        V = np.asarray(self.V, dtype=float, order="C")
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "V", V)
         if U.ndim != 2 or V.ndim != 2 or U.shape[1] != V.shape[1]:

@@ -10,6 +10,7 @@ columns are byte-identical to the input.
 
 from __future__ import annotations
 
+import array
 import csv
 import os
 
@@ -23,51 +24,56 @@ def load_csv(path: str | os.PathLike, has_labels: bool = False) -> DataMatrix:
     """Read a rectangular numeric CSV; optional integer label column last.
 
     A non-numeric first row is treated as a header and skipped; a leading
-    byte order mark (Excel's "CSV UTF-8") is dropped. Ragged rows,
-    non-numeric, non-finite and negative cells raise with 1-based line
-    numbers.
+    byte order mark (Excel's "CSV UTF-8") is dropped. Each row is parsed to
+    float64 as it is read, so no cell is held as a string. Ragged rows and
+    non-numeric cells raise as their row is read, then non-finite cells,
+    fractional labels and negative cells, each with its 1-based line number.
     """
-    rows = []
-    line_numbers = []
+    cells = array.array("d")  # the values of every data row, row after row
+    lines = array.array("q")  # the line number of each data row
+    width = None
+    header = True  # whether a non-numeric row would be the header
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             for lineno, record in enumerate(csv.reader(fh), start=1):
                 if not record or all(cell.strip() == "" for cell in record):
                     continue
-                rows.append([cell.strip() for cell in record])
-                line_numbers.append(lineno)
+                if width is not None and len(record) != width:
+                    raise InputError(
+                        f"{path}: line {lineno} has {len(record)} cells, expected {width}"
+                    )
+                try:
+                    row = [float(cell) for cell in record]
+                except ValueError:
+                    if header:
+                        header = False
+                        continue
+                    for c, cell in enumerate(record):
+                        try:
+                            float(cell)
+                        except ValueError:
+                            raise InputError(f"{path}: line {lineno}, column {c + 1}: "
+                                             f"not a number: {cell.strip()!r}") from None
+                header = False
+                if width is None:
+                    width = len(record)
+                    if has_labels and width < 2:
+                        raise InputError(
+                            f"{path}: need at least one feature column besides the labels"
+                        )
+                cells.extend(row)
+                lines.append(lineno)
     except OSError as err:
         raise InputError(f"{path}: {err.strerror}") from None
-    if rows:
-        try:
-            [float(cell) for cell in rows[0]]
-        except ValueError:
-            rows = rows[1:]
-            line_numbers = line_numbers[1:]
-    if not rows:
+    if width is None:
         raise InputError(f"{path}: no data rows")
 
-    width = len(rows[0])
-    if has_labels and width < 2:
-        raise InputError(f"{path}: need at least one feature column besides the labels")
-    parsed = np.empty((len(rows), width))
-    for r, (record, lineno) in enumerate(zip(rows, line_numbers)):
-        if len(record) != width:
-            raise InputError(
-                f"{path}: line {lineno} has {len(record)} cells, expected {width}"
-            )
-        for c, cell in enumerate(record):
-            try:
-                parsed[r, c] = float(cell)
-            except ValueError:
-                raise InputError(
-                    f"{path}: line {lineno}, column {c + 1}: not a number: {cell!r}"
-                ) from None
+    parsed = np.frombuffer(cells).reshape(-1, width)
     bad = np.argwhere(~np.isfinite(parsed))
     if bad.size:
         r, c = bad[0]
         raise InputError(
-            f"{path}: line {line_numbers[r]}, column {c + 1}: non-finite value {parsed[r, c]}"
+            f"{path}: line {lines[r]}, column {c + 1}: non-finite value {parsed[r, c]}"
         )
 
     labels = None
@@ -76,18 +82,18 @@ def load_csv(path: str | os.PathLike, has_labels: bool = False) -> DataMatrix:
         if not np.all(raw == np.round(raw)):
             bad = int(np.argmax(raw != np.round(raw)))
             raise InputError(
-                f"{path}: line {line_numbers[bad]}: label {raw[bad]!r} is not an integer"
+                f"{path}: line {lines[bad]}: label {raw[bad]!r} is not an integer"
             )
         labels = raw.astype(int)
-        # the features alone, so X is Fortran-ordered as unlabelled input is
-        parsed = np.ascontiguousarray(parsed[:, :-1])
+        parsed = parsed[:, :-1]
     neg = np.argwhere(parsed < 0)
     if neg.size:
         r, c = neg[0]
         raise InputError(
-            f"{path}: line {line_numbers[r]}, column {c + 1}: negative value {parsed[r, c]}"
+            f"{path}: line {lines[r]}, column {c + 1}: negative value {parsed[r, c]}"
         )
-    return DataMatrix(values=parsed.T, labels=labels)
+    # samples-as-rows on disk, features-by-samples in memory
+    return DataMatrix(values=parsed.T.copy(), labels=labels)
 
 
 def unit_normalize(X: DataMatrix) -> DataMatrix:

@@ -42,10 +42,10 @@ from .errors import InputError
 # has min(64, BLOCK_BYTES // (8 n)) rows (at least one), so its size is
 # bounded for any n, and every n <= 32768 gets the full 64 rows. The search
 # holds two float64 blocks and a boolean one, 64 * 17 n bytes (2.2 MB at
-# n = 2000), and no copy of C- or Fortran-ordered data. On a 2-vCPU Xeon
-# with OpenBLAS, against 256-row blocks (fewer above n = 8192), the search
-# measured faster up to n = 12000, where its elementwise passes stay closer
-# to the cache, and 8% slower at n = 20000, where they do not and each
+# n = 2000), and no copy of the data. On a 2-vCPU Xeon with OpenBLAS,
+# against 256-row blocks (fewer above n = 8192), the search measured faster
+# up to n = 12000, where its elementwise passes stay closer to the cache,
+# and 8% slower at n = 20000, where they do not and each
 # block's Gram product, which reads all of the data, counts more. The graph
 # does not depend on the block size.
 BLOCK_BYTES = 16 * 2**20
@@ -225,9 +225,8 @@ def _settle(P, groups, flat, count, k, start):
     Such a row ranks its candidates by their squared differences summed
     feature by feature, from zero in feature order, lowest index first on
     ties. Its own and its candidates' values are gathered one feature at a
-    time, the same values in any memory order; a candidate bitwise equal to
-    the row's sample (`groups`, see `_duplicate_groups`) sums to 0 with no
-    pass."""
+    time; a candidate bitwise equal to the row's sample (`groups`, see
+    `_duplicate_groups`) sums to 0 with no pass."""
     n = P.shape[1]
     crowded = count > k
     held = np.repeat(crowded, count)  # the entries of crowded rows
@@ -255,17 +254,13 @@ def knn_graph(X: DataMatrix, k: int) -> SimilarityGraph:
     versa. The diagonal is excluded from the search and left zero. The
     distances are the squared differences summed feature by feature, in
     feature order, and their ties go to the lower sample index, so the graph
-    does not depend on the memory order of X, the block size or the BLAS
-    thread count. A sample whose squared norm, doubled, overflows raises
-    InputError.
+    does not depend on the block size or the BLAS thread count. A sample
+    whose squared norm, doubled, overflows raises InputError.
     """
     n = X.n
     if not 1 <= k < n:
         raise InputError(f"neighbor count {k} outside [1, {n - 1}]")
-    # BLAS takes C- and Fortran-ordered operands (CSV input is
-    # Fortran-ordered) as they are; numpy can take a product of other
-    # strided operands outside BLAS, so only those are copied.
-    P = X.values if X.values.flags.forc else np.ascontiguousarray(X.values)
+    P = X.values
     # An overflowed squared norm makes distances NaN (inf - inf), which no
     # comparison selects, so a row could lose its neighbors to the diagonal.
     # Nonnegative data keeps every squared distance within 2 max(sq), so a

@@ -148,7 +148,9 @@ class FitResult:
 
 def _sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """(n, c) squared Euclidean distance of each sample (row of points) to each
-    center (row of centers), one center at a time: nothing n x c x d is formed."""
+    center (row of centers), one center at a time: nothing n x c x d is formed.
+    The points are the transpose of C-ordered data, so each sum adds the
+    features one after another."""
     return np.stack([np.sum((points - center) ** 2, axis=1) for center in centers], axis=1)
 
 
@@ -229,7 +231,6 @@ def extend_factors(F: FactorPair, X: DataMatrix) -> FactorPair:
     if X.d != F.U.shape[0]:
         raise InputError(f"factors have {F.U.shape[0]} features but data has {X.d}")
     nearest = np.argmin(_sq_distances(X.values[:, n0:].T, F.U.T), axis=1)
-    # C-ordered whatever U's order: the fits started from it round by it
     return FactorPair(U=F.U.copy(), V=np.vstack([F.V, _start_rows(nearest, F.c)]))
 
 
@@ -315,19 +316,11 @@ def _method(X: np.ndarray, eps: np.ndarray, cfg: SolverConfig, graphs):
 
 
 def _stacked(arrays) -> np.ndarray:
-    """The same-shape arrays as one stack (B, ...).
-
-    BLAS can round a product of Fortran-ordered operands (k-means gives a
-    Fortran-ordered U, CSV input a Fortran-ordered X) differently from the
-    same product in C order; np.stack keeps the members' common memory
-    order in every slice, so each member computes what it would alone. One
-    C- or Fortran-ordered array is its own stack, a view with no copy: the
-    fit loop never writes its operands. Any other layout is copied, because
-    numpy can take a product of strided operands outside BLAS."""
-    first = arrays[0]
-    if len(arrays) == 1 and (first.flags.c_contiguous or first.flags.f_contiguous):
-        return first[None]
-    return np.stack(arrays)
+    """The same-shape C-ordered arrays (as `DataMatrix` and `FactorPair` hold
+    them) as one stack (B, ...), C-ordered in every slice: one array is its
+    own stack, a view with no copy (the fit loop never writes its operands),
+    and several are stacked by np.stack."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 def fit_stack(Xs, cfg: SolverConfig, initials, graphs=None) -> list:
@@ -337,8 +330,8 @@ def fit_stack(Xs, cfg: SolverConfig, initials, graphs=None) -> list:
     their `initials`); GEMMF needs one raw similarity graph per member and
     regularizes with its degree normalization. Returns one entry per member,
     in order: its FitResult, or the NumericalError that stopped it, carrying
-    the iteration and the member's objective trace so far. Each result is bit for bit what `fit` gives for that member alone,
-    provided the members' arrays share their memory order (C or Fortran).
+    the iteration and the member's objective trace so far. Each result is
+    bit for bit what `fit` gives for that member alone.
     """
     B = len(Xs)
     if B < 1 or len(initials) != B or (graphs is not None and len(graphs) != B):
@@ -401,8 +394,7 @@ def fit_stack(Xs, cfg: SolverConfig, initials, graphs=None) -> list:
             if len(stay) < len(members):  # some member leaves the stack
                 if not stay:
                     return results
-                # indexing keeps each slice's memory order; the next measure
-                # replaces norms
+                # the next measure replaces norms
                 members = [members[j] for j in stay]
                 X, U, V = X[stay], U[stay], V[stay]
                 carry = tuple(A[stay] for A in carry)

@@ -41,6 +41,16 @@ class TestDataMatrix:
         with pytest.raises(InputError):
             DataMatrix(values=np.empty((0, 3)))
 
+    def test_holds_its_values_c_ordered_and_copies_only_other_layouts(self):
+        # a C-ordered float64 array is kept as it is: data in memory is never
+        # copied
+        A = np.random.default_rng(0).random((3, 8))
+        assert DataMatrix(values=A).values is A
+        for given in (np.asfortranarray(A), A[:, ::2], A.astype(np.float32)):
+            values = DataMatrix(values=given).values
+            assert values.flags.c_contiguous and values.dtype == float
+            assert np.array_equal(values, given)
+
     def test_labels_must_cover_every_sample(self):
         for labels in ([0, 1], [[1], 2, 3]):  # too few, and ragged
             with pytest.raises(InputError, match="labels must .* per sample"):
@@ -80,6 +90,13 @@ class TestFactorPair:
     def test_exposes_component_count(self):
         F = FactorPair(U=np.ones((4, 2)), V=np.ones((5, 2)))
         assert F.c == 2
+
+    def test_holds_its_factors_c_ordered_and_copies_only_other_layouts(self):
+        U, V = np.ones((4, 2)), np.ones((6, 2))
+        F = FactorPair(U, V)
+        assert F.U is U and F.V is V
+        F = FactorPair(np.asfortranarray(U), V[::2])
+        assert F.U.flags.c_contiguous and F.V.flags.c_contiguous
 
 
 class TestResidualWeights:

@@ -1,5 +1,7 @@
 """CSV ingestion, normalization, synthetic generators, and corruption injectors."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -43,12 +45,12 @@ class TestLoadCsv:
         assert X.values.shape == (2, 2)
         assert np.array_equal(X.labels, [0, 1])
 
-    def test_labelled_and_unlabelled_values_are_fortran_ordered(self, tmp_path):
-        # one contiguous layout, so no fit or kNN search copies labelled data
+    def test_labelled_and_unlabelled_values_are_c_ordered(self, tmp_path):
+        # the layout `DataMatrix` holds, built directly, so it copies neither
         text = "1,2,3,0\n4,5,6,1\n7,8,9,1\n"
         labelled = load_csv(write(tmp_path, text), has_labels=True)
         unlabelled = load_csv(write(tmp_path, text, "plain.csv"))
-        assert labelled.values.flags.f_contiguous and unlabelled.values.flags.f_contiguous
+        assert labelled.values.flags.c_contiguous and unlabelled.values.flags.c_contiguous
         assert np.array_equal(labelled.values, unlabelled.values[:-1])
 
     def test_ragged_row_names_its_line(self, tmp_path):
@@ -105,6 +107,35 @@ class TestLoadCsv:
     def test_missing_file_is_an_input_error(self, tmp_path):
         with pytest.raises(InputError):
             load_csv(tmp_path / "absent.csv")
+
+    @pytest.mark.parametrize("text, where", [
+        ("1,nan\n3\n", "line 2 has 1 cells"),  # a ragged row before a non-finite cell
+        ("-1,2\n3,x\n", "line 2, column 2: not a number"),  # ... a non-numeric one, a negative
+        ("1,-2\n3,inf\n", "line 2, column 2: non-finite"),  # a non-finite cell, a negative
+    ])
+    def test_defects_are_reported_in_their_order(self, tmp_path, text, where):
+        # ragged and non-numeric cells as their rows are read, then the
+        # non-finite, label and negative checks on the parsed values
+        with pytest.raises(InputError, match=where):
+            load_csv(write(tmp_path, text))
+
+    def test_peak_memory_stays_below_three_times_the_data(self, tmp_path):
+        # each row is parsed to float64 as it is read; holding every cell as
+        # a string until the end peaked at about 10.8 times the data
+        rng = np.random.default_rng(0)
+        values = rng.random((2000, 51))
+        values[:, -1] = rng.integers(0, 3, len(values))
+        path = tmp_path / "large.csv"
+        np.savetxt(path, values, delimiter=",", fmt="%.17g")
+        tracemalloc.start()
+        try:
+            X = load_csv(path, has_labels=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * values.nbytes
+        assert np.array_equal(X.values, values[:, :-1].T)
+        assert np.array_equal(X.labels, values[:, -1])
 
 
 class TestUnitNormalize:

@@ -440,6 +440,36 @@ class TestRunExperiment:
         for name in ("metrics.csv", "summary.csv", "trace_1.csv", "errors_2.csv"):
             assert (seq_dir / name).read_bytes() == (par_dir / name).read_bytes()
 
+    @pytest.mark.parametrize("method", ["EMMF", "GEMMF"])
+    def test_the_same_data_writes_the_same_bytes_from_memory_and_from_a_csv(self, tmp_path,
+                                                                            method):
+        # the README blobs, generated and saved as a labelled CSV of repr
+        # floats: data is held C-ordered whatever its source, so every sum
+        # over the features, and so every fit and file, is the same
+        blobs = {"c": 3, "per_cluster": 40, "d": 10, "separation": 8.0, "seed": 1}
+        X = realize_dataset(DatasetSpec(source="SYNTH_BLOBS", params=blobs))
+        path = tmp_path / "blobs.csv"
+        path.write_text("".join(",".join(map(repr, sample)) + f",{label}\n"
+                                for sample, label in zip(X.values.T.tolist(), X.labels.tolist())),
+                        encoding="utf-8")
+        sources = {
+            "memory": DatasetSpec(source="SYNTH_BLOBS", params=blobs, normalize=True),
+            "csv": DatasetSpec(source="CSV_FILE", params={"path": str(path), "has_labels": True},
+                               normalize=True),
+        }
+        for name, dataset in sources.items():
+            run_experiment(ExperimentConfig(
+                dataset=dataset,
+                solver=SolverConfig(method=method, c=3, max_iter=300, tol=1e-6, lam=5.0, seed=3),
+                repetitions=3,
+                sweep=Sweep(name="outlier_count", values=[0, 20]),
+                output_dir=str(tmp_path / name),
+            ))
+        memory, csv = files(tmp_path / "memory"), files(tmp_path / "csv")
+        del memory["manifest.json"], csv["manifest.json"]
+        assert len(memory) == 14
+        assert [name for name in memory if memory[name] != csv[name]] == []
+
 
 class TestWorkerPool:
     @pytest.mark.parametrize("cpus, workers", [(1, 0), (2, 2), (8, 3)])

@@ -337,8 +337,9 @@ def test_matches_when_the_tolerance_stops_early(method):
 
 @pytest.mark.parametrize("method", METHODS)
 def test_matches_on_column_major_data(method):
-    # CSV input arrives column-major, and BLAS rounds some products of
-    # column-major operands differently from the same products in C order
+    # BLAS rounds some products of column-major operands differently from
+    # the same products in C order; data is held C-ordered, so column-major
+    # input fits as its C-ordered copy
     for seed in range(3):
         X = DataMatrix(values=np.asfortranarray(problem(seed).values))
         graph = knn_graph(X, 4) if method == "GEMMF" else None
@@ -552,7 +553,7 @@ def assert_stack_matches(Xs, cfg, initials, graphs=None):
 
 
 def fortran(X):
-    """X in column-major memory, as CSV input arrives."""
+    """X given in column-major memory, which it is copied out of."""
     return DataMatrix(values=np.asfortranarray(X.values), labels=X.labels)
 
 

@@ -372,8 +372,8 @@ class TestKnnGraph:
 
     def test_the_graph_does_not_depend_on_the_memory_order(self):
         # at d=100 a column sum rounds differently in C and Fortran order;
-        # the search copies only strided data, and settles its crowded rows
-        # on feature-by-feature sums, which are the same in any order
+        # data is held C-ordered, so its Fortran-ordered and strided copies
+        # give the graph of the data
         rng = np.random.default_rng(3)
         P = with_duplicate_columns(rng, rng.random((100, 600)))
         wide = np.zeros((100, 1200))
@@ -716,12 +716,12 @@ def test_edge_path_stays_under_64_bytes_per_edge(monkeypatch):
 
 
 def test_neighbor_search_at_the_default_budget_holds_three_64_row_blocks():
-    """At n=2000, d=100 on Fortran-ordered data (as CSV input arrives), the
+    """At n=2000, d=100 on C-ordered data, as every data matrix holds it, the
     kNN build peaks below three 64 x n float64 blocks and 16 bytes per
     directed edge (3.23 MB at k=5): it takes the data as it is, with no
     copy."""
     n, d, k = 2000, 100, 5
-    X = DataMatrix(values=np.asfortranarray(np.random.default_rng(2).random((d, n))))
+    X = DataMatrix(values=np.random.default_rng(2).random((d, n)))
     tracemalloc.start()
     try:
         knn_graph(X, k)

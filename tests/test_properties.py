@@ -84,7 +84,7 @@ def test_same_seed_gives_the_same_fit(problem):
 @st.composite
 def stacks(draw):
     """A stack (B, d, n) of data with factors, each array in C or Fortran
-    order in every slice, as `fit_stack` holds them."""
+    order in every slice: the kernels take either."""
     B = draw(st.integers(1, 4))
     d = draw(st.integers(1, 12))
     n = draw(st.integers(2, 12))

@@ -18,6 +18,7 @@ from entnmf import (
     fit,
     init_factors,
     knn_graph,
+    load_csv,
     residual_matrix,
     synth_blobs,
     synth_outliers,
@@ -214,11 +215,11 @@ class TestInitFactors:
     @settings(derandomize=True, deadline=None, max_examples=150, database=None)
     @given(anchored_problems())
     def test_kmeans_start_and_its_extension_match_the_former_code(self, problem):
-        # the k-means start, Fortran-ordered U and all, bit for bit; its
+        # the k-means start, C-ordered U and all, bit for bit; its
         # extension reads the broadcast's distances bit for bit
         base, X, c, seed = problem
         F, want = init_factors(base, c, seed), former_init_factors(base, c, seed)
-        assert F.U.flags.f_contiguous
+        assert F.U.flags.c_contiguous
         assert np.array_equal(F.U, want.U) and np.array_equal(F.V, want.V)
         n0 = base.n
         assert np.array_equal(_sq_distances(X.values[:, n0:].T, F.U.T),
@@ -368,8 +369,7 @@ class TestFitLoop:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_a_strided_view_fits_as_its_copy(self, method):
-        # a stack of one fits on C- or Fortran-ordered data as given and
-        # copies any other layout, so a strided view gives the bits of its
+        # data is held C-ordered, so a strided view gives the bits of its
         # C-ordered copy
         values = np.random.default_rng(6).random((8, 60))[:, ::2]
         view, copy = DataMatrix(values=values), DataMatrix(values=values.copy())
@@ -379,6 +379,66 @@ class TestFitLoop:
         assert r.trace.objective == alone.trace.objective
         assert np.array_equal(r.factors.U, alone.factors.U)
         assert np.array_equal(r.factors.V, alone.factors.V)
+
+    def test_starts_and_fits_do_not_depend_on_the_memory_order(self):
+        # at d=100 a sum over the features rounds differently in C and
+        # Fortran order (k-means' distances by up to 1e-15 relative); data
+        # is held C-ordered, so its Fortran-ordered and strided copies give
+        # the k-means start, its extension and the fits bit for bit
+        rng = np.random.default_rng(3)
+        P = rng.random((100, 500))
+        wide = np.zeros((100, 1000))
+        wide[:, ::2] = P
+
+        def outcome(values):
+            X = DataMatrix(values=values)
+            F = init_factors(DataMatrix(values=values[:, :400]), 5, seed=1)
+            G = extend_factors(F, X)
+            graph = knn_graph(X, 5)
+            fits = [fit(X, SolverConfig(method=method, c=5, max_iter=10, tol=0.0, lam=1.0),
+                        graph, G) for method in ("EMMF", "GEMMF")]
+            return [F.U, F.V, G.U, G.V] + [a for r in fits for a in
+                                           (r.factors.U, r.factors.V, r.trace.objective)]
+
+        expected = outcome(P)
+        for given in (np.asfortranarray(P), wide[:, ::2]):
+            for got, want in zip(outcome(given), expected):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("crowded", (False, True))
+    def test_a_csv_fit_in_the_former_fortran_layout_matches_within_rounding(self, tmp_path,
+                                                                            crowded):
+        # load_csv once returned Fortran-ordered data, and the fits on it
+        # rounded by that layout. The oracle forces it back: on 300 samples
+        # at d=100 whose G-EMMF lambda sweep reads the loaded array directly,
+        # a fifth of them duplicates, or 200 copies of one sample and 3 of
+        # entries near 1e-170, the graph, the assignments and the iteration
+        # counts are the same and the objectives agree within 1e-12 relative
+        rng = np.random.default_rng(int(crowded))
+        P = rng.random((100, 300))
+        if crowded:
+            copies = rng.choice(300, 200, replace=False)
+            P[:, copies] = P[:, copies[:1]]
+            rest = np.setdiff1d(np.arange(300), copies)
+            P[:, rest[:3]] = rng.random((100, 3)) * 1e-170
+        else:
+            src, dst = rng.choice(300, 60, replace=False), rng.choice(300, 60, replace=False)
+            P[:, dst] = P[:, src]
+        path = tmp_path / "samples.csv"
+        np.savetxt(path, P.T, delimiter=",", fmt="%.17g")
+        X, former = load_csv(path), load_csv(path)
+        object.__setattr__(former, "values", np.asfortranarray(former.values))
+        assert former.values.flags.f_contiguous and np.array_equal(X.values, P)
+        graph, g = knn_graph(X, 3), knn_graph(former, 3)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(g, name), getattr(graph, name))
+        for lam in (1.0, 5.0):
+            for seed in (3, 4):
+                cfg = SolverConfig(method="GEMMF", c=3, max_iter=20, lam=lam, seed=seed)
+                r, want = fit(X, cfg, graph), fit(former, cfg, graph)
+                assert np.array_equal(r.assignments, want.assignments)
+                assert r.trace.iterations == want.trace.iterations
+                np.testing.assert_allclose(r.trace.objective, want.trace.objective, rtol=1e-12)
 
     def test_final_q_matches_the_final_residual(self):
         X = synth_random(5, 9, seed=4)
