@@ -150,7 +150,10 @@ def _sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """(n, c) squared Euclidean distance of each sample (row of points) to each
     center (row of centers), one center at a time: nothing n x c x d is formed.
     The points are the transpose of C-ordered data, so each sum adds the
-    features one after another."""
+    features one after another. numpy would sum a lone point's row pairwise,
+    so its running sum gives the distances instead."""
+    if len(points) == 1:
+        return np.cumsum((points - centers) ** 2, axis=1)[None, :, -1]
     return np.stack([np.sum((points - center) ** 2, axis=1) for center in centers], axis=1)
 
 

@@ -282,7 +282,7 @@ class TestKnnGraph:
         # underflow, so they tie at an exact 0 with each other as with the
         # copies, and the lower index goes first. At every d from 1 to 100
         # (five seeds each up to d = 5), where the Gram entries of copies
-        # round apart, in C and Fortran order.
+        # round apart.
         for d, seed in [(d, seed) for d in range(1, 101) for seed in range(5 if d <= 5 else 1)]:
             rng = np.random.default_rng([d, seed])
             n = int(rng.integers(8, 40))
@@ -295,10 +295,8 @@ class TestKnnGraph:
             for given in (P, tied, np.repeat(P[:, :1], n, axis=1),
                           rng.integers(0, 3, size=(d, n)).astype(float), tiny):
                 for k in range(1, 7):
-                    expected = exact_knn_graph(given, k)
-                    for order in "CF":
-                        g = knn_graph(DataMatrix(values=np.asarray(given, order=order)), k)
-                        assert np.array_equal(csr(g).toarray(), expected), (d, seed, k, order)
+                    g = knn_graph(DataMatrix(values=given), k)
+                    assert np.array_equal(csr(g).toarray(), exact_knn_graph(given, k)), (d, seed, k)
 
     def test_identical_samples_link_their_lowest_index_others(self):
         # 2000 copies of one sample at d=100: every row holds all 1999 others
@@ -339,22 +337,19 @@ class TestKnnGraph:
         for label in np.unique(groups):
             same = bits[:, groups == label]
             assert np.all(same == same[:, :1]), label
-        for order in "CF":
-            X = DataMatrix(values=np.asarray(P, order=order))
-            for k in range(1, 5):
-                assert np.array_equal(csr(knn_graph(X, k)).toarray(),
-                                      exact_knn_graph(P, k)), (order, k)
+        X = DataMatrix(values=P)
+        for k in range(1, 5):
+            assert np.array_equal(csr(knn_graph(X, k)).toarray(), exact_knn_graph(P, k)), k
 
-    @pytest.mark.parametrize("order", "CF")
-    def test_rows_linking_a_duplicated_pair_link_its_lower_index(self, monkeypatch, order):
+    def test_rows_linking_a_duplicated_pair_link_its_lower_index(self, monkeypatch):
         # the last sample copies sample 3, so every other sample is exactly
         # as far from one as from the other, and the tie goes to sample 3. At
         # n=30 the default budget takes the rows in one block; at n=257 and
         # 300 it takes several, and at n=257 the last block has one row.
         # Budgets of one, 16 and 64 rows cut every n into blocks. At d=100
-        # the Gram rows of several blocks, in either memory order, can round
-        # the two samples' distances apart (n=257 and 300 at seed 1), which
-        # the search settles on the feature-by-feature sums.
+        # the Gram rows of several blocks can round the two samples'
+        # distances apart (n=257 and 300 at seed 1), which the search
+        # settles on the feature-by-feature sums.
         default = graph_module.BLOCK_BYTES
         for d, n, seeds in [(d, n, seeds) for d in (4, 30, 100)
                             for n, seeds in ((30, 20), (257, 3), (300, 3))]:
@@ -365,7 +360,7 @@ class TestKnnGraph:
                 for seed in range(seeds):
                     P = np.random.default_rng(seed).random((d, n))
                     P[:, copy] = P[:, 3]
-                    X = DataMatrix(values=np.asarray(P, order=order))
+                    X = DataMatrix(values=P)
                     for k in range(1, 8):
                         S = csr(knn_graph(X, k)).toarray()
                         assert np.all(S[others, copy] <= S[others, 3]), (d, n, budget, seed, k)
@@ -412,8 +407,7 @@ class TestKnnGraph:
                 assert np.array_equal(csr(g).toarray(), exact_knn_graph(P, k)), (seed, k)
 
     @pytest.mark.parametrize("rows", [1, 7, 256])
-    @pytest.mark.parametrize("order", "CF")
-    def test_matches_the_former_selection_byte_for_byte(self, monkeypatch, rows, order):
+    def test_matches_the_former_selection_byte_for_byte(self, monkeypatch, rows):
         # tie-heavy inputs, every k up to n - 1 (where a row keeps every
         # other sample), blocks of 1, 7 and 256 rows
         for seed in range(8):
@@ -423,7 +417,7 @@ class TestKnnGraph:
             d = int(rng.integers(1, 5))
             for P in (rng.integers(0, 5, size=(d, n)) / 4.0,
                       with_duplicate_columns(rng, rng.random((d, n)))):
-                X = DataMatrix(values=np.asarray(P, order=order))
+                X = DataMatrix(values=P)
                 for k in range(1, n):
                     assert_same_csr(knn_graph(X, k), former_knn_graph(X, k), (seed, k))
 

@@ -116,6 +116,15 @@ def broadcast_distances(F, X):
     return np.sum((tail[:, :, None] - F.U[:, None, :]) ** 2, axis=0)
 
 
+def feature_order_distances(points, centers):
+    """(n, c) squared distances of points (n, d) to centers (c, d), each
+    summed from zero over the features one after another."""
+    total = np.zeros((len(points), len(centers)))
+    for f in range(points.shape[1]):
+        total += (points[:, f, None] - centers[None, :, f]) ** 2
+    return total
+
+
 def broadcast_extend_factors(F, X):
     """The former `extend_factors`, kept as the oracle."""
     extra = X.n - F.V.shape[0]
@@ -128,15 +137,14 @@ def broadcast_extend_factors(F, X):
 @st.composite
 def anchored_problems(draw):
     """Clean data of n0 samples and the same data with `extra` columns
-    appended, both in one memory order, for a c-cluster start. Quarter-integer
-    entries give tied distances, and data with fewer distinct points than
-    centroids gives emptied clusters."""
+    appended, for a c-cluster start. Quarter-integer entries give tied
+    distances, and data with fewer distinct points than centroids gives
+    emptied clusters."""
     d = draw(st.integers(1, 12))
     n0 = draw(st.integers(2, 30))
     extra = draw(st.integers(0, 20))
     c = draw(st.integers(1, min(d, n0, 6)))
     seed = draw(st.integers(0, 2**31 - 1))
-    order = draw(st.sampled_from("CF"))
     rng = np.random.default_rng(seed)
     kind = draw(st.sampled_from(["quarters", "few", "uniform"]))
     if kind == "quarters":
@@ -145,8 +153,7 @@ def anchored_problems(draw):
         values = rng.integers(0, 3, (d, n0 + extra)) / 4
     else:
         values = draw(st.sampled_from([1e-3, 1.0, 1e3])) * rng.random((d, n0 + extra))
-    base = DataMatrix(values=np.asarray(values[:, :n0], order=order))
-    return base, DataMatrix(values=np.asarray(values, order=order)), c, seed
+    return DataMatrix(values=values[:, :n0]), DataMatrix(values=values), c, seed
 
 
 def dense_penalty(S, V):
@@ -197,8 +204,7 @@ class TestInitFactors:
         F = init_factors(X, 3, seed=1)
         assert accuracy(np.argmax(F.V, axis=1), X.labels) == 1.0
 
-    @pytest.mark.parametrize("order", ("C", "F"))
-    def test_kmeans_matches_the_broadcast_distances(self, order):
+    def test_kmeans_matches_the_broadcast_distances(self):
         # quarter-integer entries give tied distances, and data with fewer
         # distinct points than centroids gives emptied clusters
         for seed in range(40):
@@ -207,7 +213,7 @@ class TestInitFactors:
             c = int(rng.integers(1, min(n, 6) + 1))
             values = (rng.integers(0, 8, (d, n)) / 4, rng.integers(0, 3, (min(d, 2), n)) / 4,
                       rng.random((d, n)))[seed % 3]
-            points = np.asarray(values, order=order).T
+            points = values.T
             got = _kmeans(points, c, np.random.default_rng(seed))
             want = broadcast_kmeans(points, c, np.random.default_rng(seed))
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
@@ -216,14 +222,15 @@ class TestInitFactors:
     @given(anchored_problems())
     def test_kmeans_start_and_its_extension_match_the_former_code(self, problem):
         # the k-means start, C-ordered U and all, bit for bit; its
-        # extension reads the broadcast's distances bit for bit
+        # extension sums each distance from zero over the features one after
+        # another, and assigns as the broadcast did
         base, X, c, seed = problem
         F, want = init_factors(base, c, seed), former_init_factors(base, c, seed)
         assert F.U.flags.c_contiguous
         assert np.array_equal(F.U, want.U) and np.array_equal(F.V, want.V)
-        n0 = base.n
-        assert np.array_equal(_sq_distances(X.values[:, n0:].T, F.U.T),
-                              broadcast_distances(F, X))
+        points = X.values[:, base.n:].T
+        assert np.array_equal(_sq_distances(points, F.U.T),
+                              feature_order_distances(points, F.U.T))
         G, want = extend_factors(F, X), broadcast_extend_factors(F, X)
         assert G.U.flags.c_contiguous
         assert np.array_equal(G.U, want.U) and np.array_equal(G.V, want.V)
@@ -282,6 +289,19 @@ class TestExtendFactors:
         F = init_factors(base, c, seed, "RANDOM")
         G, want = extend_factors(F, X), broadcast_extend_factors(F, X)
         assert np.array_equal(G.U, want.U) and np.array_equal(G.V, want.V)
+
+    def test_a_lone_appended_column_sums_its_distances_feature_by_feature(self):
+        # numpy sums a one-row reduction pairwise, so one appended column
+        # must still get the bits it gets among three
+        for d in range(1, 101):
+            rng = np.random.default_rng(d)
+            X = DataMatrix(values=rng.random((d, 7)))  # 4 samples, 3 appended
+            one, three = X.values[:, 4:5].T, X.values[:, 4:].T
+            for c in range(1, 6):
+                centers = rng.random((c, d))
+                lone = _sq_distances(one, centers)
+                assert np.array_equal(lone, _sq_distances(three, centers)[:1]), (d, c)
+                assert np.array_equal(lone, feature_order_distances(one, centers)), (d, c)
 
     def test_forms_nothing_of_size_d_by_extra_by_c(self):
         # d = 100, 1000 appended columns, c = 5: a d x extra x c broadcast
@@ -367,24 +387,11 @@ class TestFitLoop:
         assert r.trace.iterations == 1
         assert peak < X.values.nbytes / 4
 
-    @pytest.mark.parametrize("method", METHODS)
-    def test_a_strided_view_fits_as_its_copy(self, method):
-        # data is held C-ordered, so a strided view gives the bits of its
-        # C-ordered copy
-        values = np.random.default_rng(6).random((8, 60))[:, ::2]
-        view, copy = DataMatrix(values=values), DataMatrix(values=values.copy())
-        graph = knn_graph(copy, 4) if method == "GEMMF" else None
-        cfg = SolverConfig(method=method, c=3, seed=2, max_iter=40, tol=0.0, lam=1.0)
-        r, alone = fit(view, cfg, graph), fit(copy, cfg, graph)
-        assert r.trace.objective == alone.trace.objective
-        assert np.array_equal(r.factors.U, alone.factors.U)
-        assert np.array_equal(r.factors.V, alone.factors.V)
-
     def test_starts_and_fits_do_not_depend_on_the_memory_order(self):
         # at d=100 a sum over the features rounds differently in C and
         # Fortran order (k-means' distances by up to 1e-15 relative); data
         # is held C-ordered, so its Fortran-ordered and strided copies give
-        # the k-means start, its extension and the fits bit for bit
+        # the k-means start, its extension and every method's fit bit for bit
         rng = np.random.default_rng(3)
         P = rng.random((100, 500))
         wide = np.zeros((100, 1000))
@@ -396,7 +403,7 @@ class TestFitLoop:
             G = extend_factors(F, X)
             graph = knn_graph(X, 5)
             fits = [fit(X, SolverConfig(method=method, c=5, max_iter=10, tol=0.0, lam=1.0),
-                        graph, G) for method in ("EMMF", "GEMMF")]
+                        graph, G) for method in METHODS]
             return [F.U, F.V, G.U, G.V] + [a for r in fits for a in
                                            (r.factors.U, r.factors.V, r.trace.objective)]
 
